@@ -4,9 +4,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"valleymap/internal/cluster"
 )
 
 // TestMetricsExpositionLint holds the full /metrics document to the
@@ -16,23 +22,109 @@ import (
 // _count, and no series (name + label set) appears twice. Traffic is
 // generated first so every histogram family has live samples.
 func TestMetricsExpositionLint(t *testing.T) {
-	svc := New(Config{Workers: 1})
+	body := scrapeAfterTraffic(t, Config{Workers: 1})
+	lintExposition(t, body)
+
+	for _, fam := range []string{
+		"valleyd_http_request_duration_seconds",
+		"valleyd_queue_wait_seconds",
+		"valleyd_cell_simulation_seconds",
+		"valleyd_stream_stage_seconds",
+	} {
+		if !strings.Contains(body, "# TYPE "+fam+" histogram") {
+			t.Errorf("histogram family %s missing from /metrics", fam)
+		}
+		if !strings.Contains(body, fam+"_count") {
+			t.Errorf("histogram family %s has no samples", fam)
+		}
+	}
+
+	if got := strings.Count(body, `valleyd_http_request_duration_seconds_count{path="other",code="404"}`); got != 1 {
+		t.Errorf("unknown paths produced %d path=\"other\" 404 series, want exactly 1 (cap broken?)", got)
+	}
+}
+
+// TestMetricsFamiliesGolden pins the exposition's shape: every HELP and
+// TYPE line and every series identity (name plus labels, value
+// stripped), sorted. The config turns on every conditional family — a
+// spill directory for the spill gauges, a cluster client over an
+// unreachable peer for the dispatch and peer-health series — so a
+// family that silently disappears, changes type or help text, or grows
+// a label shows up as a golden diff. Run with -update after an
+// intentional change.
+func TestMetricsFamiliesGolden(t *testing.T) {
+	const deadPeer = "http://127.0.0.1:1"
+	body := scrapeAfterTraffic(t, Config{
+		Workers:  1,
+		SpillDir: filepath.Join(t.TempDir(), "spill"),
+		Cluster:  cluster.New(cluster.Options{Peers: []string{deadPeer}, DownCooldown: time.Minute}),
+	})
+	lintExposition(t, body)
+
+	var lines []string
+	for _, line := range strings.Split(body, "\n") {
+		switch {
+		case line == "":
+		case strings.HasPrefix(line, "#"):
+			lines = append(lines, line)
+		default:
+			lines = append(lines, line[:strings.LastIndexByte(line, ' ')])
+		}
+	}
+	sort.Strings(lines)
+	got := []byte(strings.Join(lines, "\n") + "\n")
+
+	goldenPath := filepath.Join("testdata", "metrics_families.golden")
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden updated: %s (%d lines)", goldenPath, len(lines))
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update to create it): %v", err)
+	}
+	if string(got) == string(want) {
+		return
+	}
+	have := map[string]bool{}
+	for _, l := range lines {
+		have[l] = true
+	}
+	wanted := map[string]bool{}
+	for _, l := range strings.Split(strings.TrimSuffix(string(want), "\n"), "\n") {
+		wanted[l] = true
+		if !have[l] {
+			t.Errorf("missing from /metrics: %s", l)
+		}
+	}
+	for _, l := range lines {
+		if !wanted[l] {
+			t.Errorf("not in golden: %s", l)
+		}
+	}
+	t.Fatal("/metrics families drifted from golden (run with -update if intentional)")
+}
+
+// scrapeAfterTraffic builds a service from cfg, exercises every
+// instrument — HTTP requests (including unrouted paths, which must all
+// fold into path="other"), a profile (streaming pipeline stages) and a
+// sweep (queue wait + cell seconds) — and returns its /metrics body.
+func scrapeAfterTraffic(t *testing.T, cfg Config) string {
+	t.Helper()
+	svc := New(cfg)
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	// Exercise the instruments: an HTTP request, a profile (streaming
-	// pipeline stages) and a sweep (queue wait + cell seconds).
-	if _, err := http.Get(ts.URL + "/healthz"); err != nil {
-		t.Fatal(err)
-	}
-	// Unknown paths must be observed too, all folded into path="other"
-	// so scanning traffic can't grow the label table.
-	if _, err := http.Get(ts.URL + "/no/such/endpoint"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := http.Get(ts.URL + "/also/not/real"); err != nil {
-		t.Fatal(err)
+	for _, path := range []string{"/healthz", "/no/such/endpoint", "/also/not/real"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
 	}
 	resp := postJSON(t, ts.URL+"/v1/profile", ProfileRequest{Workload: "SP", Scale: "tiny"})
 	resp.Body.Close()
@@ -54,25 +146,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lintExposition(t, string(body))
-
-	for _, fam := range []string{
-		"valleyd_http_request_duration_seconds",
-		"valleyd_queue_wait_seconds",
-		"valleyd_cell_simulation_seconds",
-		"valleyd_stream_stage_seconds",
-	} {
-		if !strings.Contains(string(body), "# TYPE "+fam+" histogram") {
-			t.Errorf("histogram family %s missing from /metrics", fam)
-		}
-		if !strings.Contains(string(body), fam+"_count") {
-			t.Errorf("histogram family %s has no samples", fam)
-		}
-	}
-
-	if got := strings.Count(string(body), `valleyd_http_request_duration_seconds_count{path="other",code="404"}`); got != 1 {
-		t.Errorf("unknown paths produced %d path=\"other\" 404 series, want exactly 1 (cap broken?)", got)
-	}
+	return string(body)
 }
 
 // lintExposition applies the format rules to one exposition document.
