@@ -1,15 +1,15 @@
 // Command valleyd is the valleymap daemon: a long-running HTTP service
 // that profiles address-bit entropy, recommends BIM address mappings and
 // runs scheme × workload simulation sweeps over a bounded worker pool,
-// with a content-addressed LRU cache in front of the profiler.
+// with content-addressed LRU caches in front of the profiler and the
+// simulator.
 //
 // Usage:
 //
 //	valleyd [-addr :8080] [-workers N] [-queue 256] [-cache 512] [-sim-cache 256]
 //	        [-max-trace-bytes N] [-trace-dir DIR] [-spill-dir DIR] [-spill-max-bytes N]
-//	        [-snapshot PATH] [-default-deadline 0] [-log-level info] [-log-format text]
-//	        [-debug-addr :6060] [-mode single|coordinator|worker] [-peers URL,URL,...]
-//	        [-peer-stall 60s]
+//	        [-default-deadline 0] [-log-level info] [-log-format text] [-debug-addr :6060]
+//	        [-mode single|coordinator|worker] [-peers URL,URL,...] [-peer-stall 60s]
 //
 // Endpoints:
 //
@@ -39,9 +39,7 @@
 // asynchronously, bounded by -spill-max-bytes) and are promoted back on
 // demand, so a restarted daemon answers repeat sweeps from cache (cells
 // report "cached": true) instead of re-simulating, and warm capacity is
-// bounded by disk, not RAM. -snapshot names a legacy VSIMCSH1 file from
-// older daemons; it is loaded at startup and migrated into the spill
-// directory once.
+// bounded by disk, not RAM.
 //
 // Deadlines: sweep requests may carry ?deadline_ms= or an X-Deadline-Ms
 // header; -default-deadline bounds sweeps that carry neither (0 keeps
@@ -101,7 +99,6 @@ func main() {
 	traceDir := flag.String("trace-dir", "", "directory of local trace files; enables {\"trace_file\":\"name\"} profile requests that mmap VTRC binaries zero-copy instead of uploading the body (empty = disabled)")
 	spillDir := flag.String("spill-dir", "", "simulation-cache spill directory (empty = memory-only); evicted cells spill to checksummed per-entry files and are promoted back on demand, so the cache survives restarts and grows past RAM")
 	spillMaxBytes := flag.Int64("spill-max-bytes", 0, "byte budget for the spill directory, enforced by evicting the lowest cost-per-byte entries (0 = 1 GiB; negative = unbounded)")
-	snapshot := flag.String("snapshot", "", "legacy VSIMCSH1 simulation-cache snapshot file; loaded on startup and, with -spill-dir, migrated into the spill directory once (never written)")
 	defaultDeadline := flag.Duration("default-deadline", 0, "deadline applied to sweep requests that carry no ?deadline_ms or X-Deadline-Ms budget (0 = unbounded)")
 	logLevel := flag.String("log-level", "info", "log threshold: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log encoding: text or json")
@@ -158,18 +155,17 @@ func main() {
 	}
 
 	svc := valleymap.NewService(valleymap.ServiceConfig{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheEntries:     *cacheEntries,
-		SimCacheEntries:  *simCacheEntries,
-		MaxTraceBytes:    *maxTraceBytes,
-		TraceDir:         *traceDir,
-		SpillDir:         *spillDir,
-		SpillMaxBytes:    *spillMaxBytes,
-		SimCacheSnapshot: *snapshot,
-		DefaultDeadline:  *defaultDeadline,
-		Logger:           logger,
-		Cluster:          clu,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		CacheEntries:    *cacheEntries,
+		SimCacheEntries: *simCacheEntries,
+		MaxTraceBytes:   *maxTraceBytes,
+		TraceDir:        *traceDir,
+		SpillDir:        *spillDir,
+		SpillMaxBytes:   *spillMaxBytes,
+		DefaultDeadline: *defaultDeadline,
+		Logger:          logger,
+		Cluster:         clu,
 	})
 	defer svc.Close()
 

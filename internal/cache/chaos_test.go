@@ -153,7 +153,7 @@ func TestChaosTieredSpillFaultsDegradeToRecompute(t *testing.T) {
 	fault.Reset()
 	t.Cleanup(fault.Reset)
 	disk := openTestDisk(t, DiskOptions{})
-	tc := newTestTiered(t, 1, 1, disk)
+	tc := newTestTiered(t, 1, disk)
 
 	fault.InjectError(fault.SpillWrite, 1.0, nil)
 	tc.Add("a", tierCell{N: 1})

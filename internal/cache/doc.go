@@ -9,17 +9,18 @@
 //
 //	LRU[V]      (lru.go)      single-lock cost-aware LRU with in-flight
 //	                          coalescing and *PanicError recovery
-//	Sharded[V]  (sharded.go)  the LRU split N-way by key hash (N = next
-//	                          power of two >= 2 x GOMAXPROCS) so warm
-//	                          lookups contend per shard, not globally
 //	DiskStore   (disk.go)     content-addressed spill tier: one
 //	                          checksummed file per entry, async
 //	                          write-behind, byte-budget janitor
 //	Tiered[V]   (tiered.go)   the two glued together
 //
+// One lock guards the whole LRU, so Capacity is exact and the
+// cost-aware victim scan always sees the coldest entries of the whole
+// cache.
+//
 // # Two-tier contract
 //
-// Promotion: a memory miss reads through to disk inside the shard's
+// Promotion: a memory miss reads through to disk inside the LRU's
 // singleflight, so one burst of lookups for a spilled key performs one
 // disk read, and the decoded value is immediately resident in memory
 // again (a TierDisk hit). Capacity evictions flow the other way:

@@ -2,9 +2,9 @@ package cache
 
 // Generic service-level LRU. Besides the hardware models above, this
 // package hosts LRU[V]: the content-addressed result cache behind
-// valleyd's profile and simulation caches. It grew out of
-// internal/service and moved here so its eviction policy and snapshot
-// hooks are reusable (and testable) independent of the service's HTTP
+// valleyd's profile cache and the memory tier of its simulation cache.
+// It grew out of internal/service and moved here so its eviction policy
+// is reusable (and testable) independent of the service's HTTP
 // machinery.
 
 import (
@@ -167,7 +167,8 @@ func (c *LRU[V]) GetOrCompute(key string, fn func() (V, error)) (val V, hit bool
 }
 
 // Add inserts (or refreshes) an entry without a computation, making it
-// the most recently used. Snapshot loaders use it to rehydrate a cache.
+// the most recently used. Capacity evictions run exactly as for a
+// computed insert.
 func (c *LRU[V]) Add(key string, val V) {
 	c.mu.Lock()
 	evicted := c.insertLocked(key, val)
@@ -197,7 +198,7 @@ func (c *LRU[V]) Peek(key string) (V, bool) {
 	return zero, false
 }
 
-// Entry is one resident (key, value) pair, exported for snapshots.
+// Entry is one resident (key, value) pair, as Entries reports it.
 type Entry[V any] struct {
 	Key string
 	Val V

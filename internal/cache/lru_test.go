@@ -174,7 +174,7 @@ func TestLRUWeightSanitized(t *testing.T) {
 }
 
 // TestLRUEntriesRoundTrip: Entries (LRU-first) fed back through Add
-// reconstructs contents and recency — the snapshot contract.
+// reconstructs contents and recency.
 func TestLRUEntriesRoundTrip(t *testing.T) {
 	src := NewLRU(LRUOptions[string]{Capacity: 4})
 	fill(t, src, []string{"a", "b", "c", "d"})
@@ -206,7 +206,7 @@ func TestLRUEntriesRoundTrip(t *testing.T) {
 
 // TestLRUCoalescingAndErrors re-pins the behavior the service relied on
 // before the move to internal/cache: in-flight coalescing, uncached
-// errors, panic recovery.
+// errors, panic recovery as *PanicError.
 func TestLRUCoalescingAndErrors(t *testing.T) {
 	var computes atomic.Int64
 	var hits atomic.Int64
@@ -240,11 +240,56 @@ func TestLRUCoalescingAndErrors(t *testing.T) {
 	if _, hit, _ := c.GetOrCompute("err", func() (int, error) { return 1, nil }); hit {
 		t.Error("errors must not be cached")
 	}
-	if _, _, err := c.GetOrCompute("panic", func() (int, error) { panic("ow") }); err == nil {
-		t.Fatal("panic must surface as error")
+	_, _, err := c.GetOrCompute("panic", func() (int, error) { panic("ow") })
+	var pe *PanicError
+	if !errors.As(err, &pe) || fmt.Sprint(pe.Value) != "ow" {
+		t.Fatalf("err = %v, want *PanicError{ow}", err)
 	}
 	if _, hit, err := c.GetOrCompute("panic", func() (int, error) { return 2, nil }); hit || err != nil {
 		t.Errorf("retry after panic: hit=%v err=%v", hit, err)
+	}
+}
+
+// TestLRUCoalescing: every concurrent caller of one key receives the
+// single computation's value, not just a nil error.
+func TestLRUCoalescing(t *testing.T) {
+	c := NewLRU(LRUOptions[int]{Capacity: 64})
+	var computes atomic.Int64
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, _, err := c.GetOrCompute("hot", func() (int, error) {
+				computes.Add(1)
+				<-gate
+				return 42, nil
+			})
+			if err != nil || v != 42 {
+				t.Errorf("GetOrCompute = (%d, %v)", v, err)
+			}
+		}()
+	}
+	close(gate)
+	wg.Wait()
+	if n := computes.Load(); n != 1 {
+		t.Errorf("%d computations for one key, want 1 (coalescing broken)", n)
+	}
+}
+
+// TestLRUPanicPropagation: a panicking computation surfaces as
+// *PanicError and the next caller computes a fresh value.
+func TestLRUPanicPropagation(t *testing.T) {
+	c := NewLRU(LRUOptions[int]{Capacity: 8})
+	_, _, err := c.GetOrCompute("boom", func() (int, error) { panic("kapow") })
+	var pe *PanicError
+	if !errors.As(err, &pe) || fmt.Sprint(pe.Value) != "kapow" {
+		t.Fatalf("err = %v, want *PanicError{kapow}", err)
+	}
+	v, _, err := c.GetOrCompute("boom", func() (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("panicked entry was cached: got (%d, %v), want fresh 7", v, err)
 	}
 }
 
@@ -275,5 +320,77 @@ func TestLRUEvictScanWindow(t *testing.T) {
 	}
 	if _, ok := c.Peek("gold"); !ok {
 		t.Error("high-cost entry evicted while cheaper candidates were in the scan window")
+	}
+}
+
+// TestLRUOnEvictDelivery: every capacity eviction reaches OnEvict with
+// the entry's key and its Weigh-sampled weight, and the resident count
+// never exceeds Capacity.
+func TestLRUOnEvictDelivery(t *testing.T) {
+	evicted := map[string]Weight{}
+	c := NewLRU(LRUOptions[int]{
+		Capacity: 4,
+		Weigh:    func(v int) Weight { return Weight{Cost: float64(v), Bytes: 8} },
+		OnEvict:  func(key string, _ int, w Weight) { evicted[key] = w },
+	})
+	for i := 0; i < 32; i++ {
+		c.Add(fmt.Sprintf("k%d", i), i+1)
+	}
+	if c.Len() != 4 || len(evicted) != 28 {
+		t.Fatalf("%d evicted + %d resident, want 28 + 4", len(evicted), c.Len())
+	}
+	for k, w := range evicted {
+		if w.Bytes != 8 || w.Cost < 1 {
+			t.Errorf("evicted %s carried weight %+v, want the Weigh-sampled one", k, w)
+		}
+	}
+}
+
+// TestLRUConcurrentStorm is the -race workout: every operation the
+// service performs, hammered by goroutines. The assertions pin that
+// the capacity bound holds and no key is resident twice.
+func TestLRUConcurrentStorm(t *testing.T) {
+	c := NewLRU(LRUOptions[int]{
+		Capacity: 128,
+		Weigh:    func(v int) Weight { return Weight{Cost: 1, Bytes: 1} },
+		OnEvict:  func(string, int, Weight) {},
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			r := uint64(seed)*2654435761 + 1
+			for i := 0; i < 2000; i++ {
+				r ^= r << 13
+				r ^= r >> 7
+				r ^= r << 17
+				k := fmt.Sprintf("k%d", r%256)
+				switch r % 4 {
+				case 0:
+					c.Add(k, int(r%1000))
+				case 1:
+					c.Peek(k)
+				case 2:
+					c.Len()
+				default:
+					v, _, err := c.GetOrCompute(k, func() (int, error) { return int(r % 1000), nil })
+					if err != nil || v < 0 || v >= 1000 {
+						t.Errorf("GetOrCompute(%s) = (%d, %v)", k, v, err)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := c.Len(); n > 128 {
+		t.Errorf("storm left %d resident entries, capacity is 128", n)
+	}
+	seen := map[string]bool{}
+	for _, e := range c.Entries() {
+		if seen[e.Key] {
+			t.Errorf("key %s resident twice", e.Key)
+		}
+		seen[e.Key] = true
 	}
 }

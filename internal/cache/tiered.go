@@ -1,9 +1,9 @@
 package cache
 
-// Tiered glues the sharded memory front (tier 1) to the disk spill
-// store (tier 2). Capacity evictions from memory spill to disk instead
-// of being discarded; misses read through to disk and promote back
-// into memory under the shard's singleflight, so a burst of lookups
+// Tiered glues the memory LRU (tier 1) to the disk spill store
+// (tier 2). Capacity evictions from memory spill to disk instead of
+// being discarded; misses read through to disk and promote back into
+// memory under the LRU's singleflight, so a burst of lookups
 // for a spilled key costs one disk read. Any spill damage — failed
 // write, torn file, read error — degrades to a recompute, never an
 // error: the disk tier only ever adds warmth.
@@ -16,7 +16,7 @@ type Tier int
 const (
 	// TierMiss: the value was computed fresh (not a hit).
 	TierMiss Tier = iota
-	// TierMem: served by the in-memory sharded LRU (including joining
+	// TierMem: served by the in-memory LRU (including joining
 	// another caller's in-flight computation).
 	TierMem
 	// TierDisk: read from the spill store and promoted into memory.
@@ -36,10 +36,8 @@ func (t Tier) String() string {
 
 // TieredOptions configures a Tiered cache.
 type TieredOptions[V any] struct {
-	// Capacity / Shards / Weigh configure the memory tier (see
-	// ShardedOptions).
+	// Capacity / Weigh configure the memory tier (see LRUOptions).
 	Capacity int
-	Shards   int
 	Weigh    func(V) Weight
 	// Encode / Decode serialize values for the spill tier. Both must be
 	// set when Disk is; Decode must reject payloads it cannot fully
@@ -47,7 +45,7 @@ type TieredOptions[V any] struct {
 	Encode func(V) ([]byte, error)
 	Decode func([]byte) (V, error)
 	// Disk is the spill store. nil means memory-only: evictions
-	// discard, and Tiered behaves exactly like Sharded.
+	// discard, and Tiered behaves exactly like LRU.
 	Disk *DiskStore
 	// OnHit observes each hit with the tier that served it; OnMiss
 	// observes each successful fresh computation. May be nil.
@@ -59,7 +57,7 @@ type TieredOptions[V any] struct {
 // are safe for concurrent use.
 type Tiered[V any] struct {
 	opt TieredOptions[V]
-	mem *Sharded[V]
+	mem *LRU[V]
 }
 
 // NewTiered builds a tiered cache over opt.Disk (which the caller
@@ -69,9 +67,8 @@ func NewTiered[V any](opt TieredOptions[V]) (*Tiered[V], error) {
 		return nil, fmt.Errorf("cache: a disk tier requires Encode and Decode")
 	}
 	t := &Tiered[V]{opt: opt}
-	t.mem = NewSharded(ShardedOptions[V]{
+	t.mem = NewLRU(LRUOptions[V]{
 		Capacity: opt.Capacity,
-		Shards:   opt.Shards,
 		Weigh:    opt.Weigh,
 		OnEvict:  t.spill,
 	})
@@ -101,14 +98,14 @@ func (t *Tiered[V]) spill(key string, val V, w Weight) {
 // GetOrCompute returns the value for key and the tier that served it:
 // TierMem for a memory hit (or a joined in-flight computation),
 // TierDisk for a spill hit promoted back into memory, TierMiss for a
-// fresh computation. Concurrent callers for one key coalesce in the
-// key's shard, so a spilled key is read off disk once per burst.
+// fresh computation. Concurrent callers for one key coalesce on one
+// computation, so a spilled key is read off disk once per burst.
 // Errors are not cached, and panics surface as *PanicError — exactly
 // the LRU semantics.
 func (t *Tiered[V]) GetOrCompute(key string, fn func() (V, error)) (V, Tier, error) {
 	// fromDisk is only written inside the compute closure, which the
-	// shard runs at most once per miss (coalesced callers never enter
-	// it), and is read only after the shard call returns.
+	// LRU runs at most once per miss (coalesced callers never enter it),
+	// and is read only after the LRU call returns.
 	fromDisk := false
 	val, hit, err := t.mem.GetOrCompute(key, func() (V, error) {
 		if t.opt.Disk != nil {
@@ -144,8 +141,8 @@ func (t *Tiered[V]) GetOrCompute(key string, fn func() (V, error)) (V, Tier, err
 }
 
 // Add inserts (or refreshes) an entry in the memory tier, exactly like
-// Sharded.Add. It does not write to disk; the entry spills if and when
-// it is evicted.
+// LRU.Add. It does not write to disk; the entry spills if and when it
+// is evicted.
 func (t *Tiered[V]) Add(key string, val V) { t.mem.Add(key, val) }
 
 // Peek reports the memory-resident value without touching recency,
@@ -180,10 +177,6 @@ func (t *Tiered[V]) DiskBytes() int64 {
 	}
 	return t.opt.Disk.Bytes()
 }
-
-// Entries returns the memory tier's resident entries (see
-// Sharded.Entries).
-func (t *Tiered[V]) Entries() []Entry[V] { return t.mem.Entries() }
 
 // spillAllChunk bounds how many spill writes SpillAll enqueues between
 // Flushes, so a shutdown spill of a large cache never overflows the

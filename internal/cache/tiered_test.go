@@ -14,11 +14,10 @@ type tierCell struct {
 	N int `json:"n"`
 }
 
-func newTestTiered(t *testing.T, capacity, shards int, disk *DiskStore) *Tiered[tierCell] {
+func newTestTiered(t *testing.T, capacity int, disk *DiskStore) *Tiered[tierCell] {
 	t.Helper()
 	tc, err := NewTiered(TieredOptions[tierCell]{
 		Capacity: capacity,
-		Shards:   shards,
 		Weigh:    func(c tierCell) Weight { return Weight{Cost: float64(c.N), Bytes: 16} },
 		Encode:   func(c tierCell) ([]byte, error) { return json.Marshal(c) },
 		Decode: func(b []byte) (tierCell, error) {
@@ -35,13 +34,29 @@ func newTestTiered(t *testing.T, capacity, shards int, disk *DiskStore) *Tiered[
 	return tc
 }
 
+// TestTieredWarmHitAllocs: a warm memory hit — the service's hottest
+// cache path — allocates nothing.
+func TestTieredWarmHitAllocs(t *testing.T) {
+	tc := newTestTiered(t, 4, nil)
+	tc.Add("k", tierCell{N: 1})
+	compute := func() (tierCell, error) { return tierCell{}, errors.New("warm lookup computed") }
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, tier, err := tc.GetOrCompute("k", compute); err != nil || tier != TierMem {
+			t.Fatalf("warm lookup = (%v, %v), want a memory hit", tier, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Tiered.GetOrCompute allocates %v allocs/op, want 0", allocs)
+	}
+}
+
 // TestTieredEvictSpillPromote is the tier-transition round trip: an
 // entry evicted from memory spills to disk, a later lookup reads it
 // back (TierDisk) and promotes it, and the lookup after that is a
 // memory hit (TierMem) — all without ever recomputing.
 func TestTieredEvictSpillPromote(t *testing.T) {
 	disk := openTestDisk(t, DiskOptions{})
-	tc := newTestTiered(t, 1, 1, disk) // capacity 1: the second insert evicts the first
+	tc := newTestTiered(t, 1, disk) // capacity 1: the second insert evicts the first
 
 	computes := 0
 	get := func(key string, n int) (tierCell, Tier) {
@@ -100,10 +115,10 @@ func TestTieredObservers(t *testing.T) {
 	var memHits, diskHits, misses atomic.Int64
 	disk := openTestDisk(t, DiskOptions{})
 	tc, err := NewTiered(TieredOptions[tierCell]{
-		Capacity: 1, Shards: 1,
-		Encode: func(c tierCell) ([]byte, error) { return json.Marshal(c) },
-		Decode: func(b []byte) (tierCell, error) { var c tierCell; return c, json.Unmarshal(b, &c) },
-		Disk:   disk,
+		Capacity: 1,
+		Encode:   func(c tierCell) ([]byte, error) { return json.Marshal(c) },
+		Decode:   func(b []byte) (tierCell, error) { var c tierCell; return c, json.Unmarshal(b, &c) },
+		Disk:     disk,
 		OnHit: func(tier Tier) {
 			if tier == TierDisk {
 				diskHits.Add(1)
@@ -134,7 +149,7 @@ func TestTieredObservers(t *testing.T) {
 // without promoting — the admission-control probe contract.
 func TestTieredContainsBothTiers(t *testing.T) {
 	disk := openTestDisk(t, DiskOptions{})
-	tc := newTestTiered(t, 1, 1, disk)
+	tc := newTestTiered(t, 1, disk)
 	tc.Add("a", tierCell{N: 1})
 	tc.Add("b", tierCell{N: 2}) // evicts and spills a
 	tc.Flush()
@@ -161,7 +176,7 @@ func TestTieredUndecodablePayloadRecomputes(t *testing.T) {
 	disk.Put("a", []byte("not json"), 1)
 	disk.Flush()
 
-	tc := newTestTiered(t, 4, 1, disk)
+	tc := newTestTiered(t, 4, disk)
 	v, tier, err := tc.GetOrCompute("a", func() (tierCell, error) { return tierCell{N: 7}, nil })
 	if err != nil || v.N != 7 || tier != TierMiss {
 		t.Fatalf("GetOrCompute over garbage payload = (%+v, %v, %v), want ({7}, miss, nil)", v, tier, err)
@@ -172,9 +187,9 @@ func TestTieredUndecodablePayloadRecomputes(t *testing.T) {
 }
 
 // TestTieredMemoryOnly: without a disk tier, Tiered behaves exactly
-// like Sharded — evictions discard, SpillAll/Flush/Close are no-ops.
+// like LRU — evictions discard, SpillAll/Flush/Close are no-ops.
 func TestTieredMemoryOnly(t *testing.T) {
-	tc, err := NewTiered(TieredOptions[tierCell]{Capacity: 1, Shards: 1})
+	tc, err := NewTiered(TieredOptions[tierCell]{Capacity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +228,7 @@ func TestTieredSpillAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := newTestTiered(t, 64, 4, disk)
+	tc := newTestTiered(t, 64, disk)
 	const n = 20
 	for i := 0; i < n; i++ {
 		tc.Add(fmt.Sprintf("k%d", i), tierCell{N: i + 1})
@@ -225,7 +240,7 @@ func TestTieredSpillAll(t *testing.T) {
 	}
 
 	disk2 := openTestDisk(t, DiskOptions{Dir: dir})
-	tc2 := newTestTiered(t, 64, 4, disk2)
+	tc2 := newTestTiered(t, 64, disk2)
 	for i := 0; i < n; i++ {
 		v, tier, err := tc2.GetOrCompute(fmt.Sprintf("k%d", i), func() (tierCell, error) {
 			return tierCell{N: -1}, nil
@@ -240,15 +255,15 @@ func TestTieredSpillAll(t *testing.T) {
 // costs a single disk read; joiners see a hit.
 func TestTieredCoalescedDiskRead(t *testing.T) {
 	disk := openTestDisk(t, DiskOptions{})
-	tc := newTestTiered(t, 8, 1, disk)
+	tc := newTestTiered(t, 8, disk)
 	tc.Add("cold", tierCell{N: 5})
-	// Evict it by filling the single shard past capacity.
+	// Evict it by filling the memory tier past capacity.
 	for i := 0; i < 16; i++ {
 		tc.Add(fmt.Sprintf("filler%d", i), tierCell{N: i})
 	}
 	tc.Flush()
 	if _, ok := tc.Peek("cold"); ok {
-		t.Skip("cold not evicted; capacity split kept it resident")
+		t.Fatal("cold still memory-resident after 16 inserts at capacity 8")
 	}
 
 	var computes, diskTiers atomic.Int64
@@ -284,7 +299,7 @@ func TestTieredCoalescedDiskRead(t *testing.T) {
 // any cross-tier corruption shows up as a wrong value.
 func TestTieredConcurrentPromoteEvictStorm(t *testing.T) {
 	disk := openTestDisk(t, DiskOptions{QueueLen: 16, MaxBytes: 1 << 20})
-	tc := newTestTiered(t, 8, 2, disk) // tiny memory: constant eviction traffic
+	tc := newTestTiered(t, 8, disk) // tiny memory: constant eviction traffic
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -1,10 +1,11 @@
 // Package obs is valleyd's stdlib-only observability core: structured
-// logging helpers over log/slog, lightweight span tracing, fixed-bucket
-// latency histograms with Prometheus text exposition, and runtime
-// gauges. Every service layer — HTTP handlers, the worker pool, the
-// sweep dispatcher, the streaming profile pipeline and the snapshot
-// writer — instruments through this package, so the daemon has one
-// consistent story for "what happened, when, and how long did it take".
+// logging helpers over log/slog, lightweight span tracing, counters,
+// fixed-bucket latency histograms and sampled gauges with Prometheus
+// text exposition through one Registry, and runtime gauges. Every
+// service layer — HTTP handlers, the worker pool, the sweep dispatcher,
+// the streaming profile pipeline and the spill tier — instruments
+// through this package, so the daemon has one consistent story for
+// "what happened, when, and how long did it take".
 //
 // # Overhead budget
 //
@@ -13,6 +14,7 @@
 //   - Histogram.Observe is lock-free (one atomic add per bucket walk
 //     plus a CAS for the sum) and performs zero allocations; the bucket
 //     walk is a linear scan over at most a few dozen boundaries.
+//     Counter.Add is one CAS loop and likewise never allocates.
 //   - Span recording takes one short mutex hold per start/end and
 //     amortizes storage through a ring buffer; a trace never grows past
 //     its configured span capacity (older spans are overwritten and

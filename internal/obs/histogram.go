@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -120,42 +117,13 @@ func (h *Histogram) writeProm(b []byte) []byte {
 		b = strconv.AppendInt(b, cum, 10)
 		b = append(b, '\n')
 	}
-	suffix := func(s string) []byte {
-		b = append(b, h.name...)
-		b = append(b, s...)
-		if h.labels != "" {
-			b = append(b, '{')
-			// labels ends with a trailing comma for the le= join; trim it.
-			b = append(b, strings.TrimSuffix(h.labels, ",")...)
-			b = append(b, '}')
-		}
-		b = append(b, ' ')
-		return b
-	}
-	b = suffix("_sum")
-	b = strconv.AppendFloat(b, h.Sum(), 'g', -1, 64)
-	b = append(b, '\n')
-	b = suffix("_count")
-	b = strconv.AppendInt(b, h.Count(), 10)
-	b = append(b, '\n')
-	return b
-}
-
-// header writes the family's HELP/TYPE preamble.
-func histHeader(b []byte, name, help string) []byte {
-	b = append(b, "# HELP "...)
-	b = append(b, name...)
-	b = append(b, ' ')
-	b = append(b, help...)
-	b = append(b, "\n# TYPE "...)
-	b = append(b, name...)
-	b = append(b, " histogram\n"...)
-	return b
+	b = appendSample(b, h.name+"_sum", h.labels, h.Sum())
+	return appendSample(b, h.name+"_count", h.labels, float64(h.Count()))
 }
 
 // Collect implements Collector for a standalone histogram family.
 func (h *Histogram) Collect(b []byte) []byte {
-	b = histHeader(b, h.name, h.help)
+	b = appendHeader(b, h.name, h.help, "histogram")
 	return h.writeProm(b)
 }
 
@@ -164,68 +132,35 @@ func (h *Histogram) Collect(b []byte) []byte {
 // process lifetime, so callers on hot paths should resolve their child
 // once and hold the *Histogram.
 type HistogramVec struct {
-	name       string
-	help       string
-	labelNames []string
-	bounds     []float64
-
-	mu       sync.Mutex
-	children map[string]*Histogram
-	order    []string // creation order, for stable exposition
+	help   string
+	bounds []float64
+	vec[*Histogram]
 }
 
 // NewHistogramVec builds a labeled histogram family. bounds nil uses
 // DefaultLatencyBuckets.
 func NewHistogramVec(name, help string, labelNames []string, bounds []float64) *HistogramVec {
-	if len(labelNames) == 0 {
-		panic("obs: HistogramVec needs label names (use NewHistogram)")
-	}
 	if bounds == nil {
 		bounds = DefaultLatencyBuckets()
 	}
-	return &HistogramVec{
-		name: name, help: help, labelNames: labelNames, bounds: bounds,
-		children: map[string]*Histogram{},
-	}
+	return &HistogramVec{help: help, bounds: bounds, vec: newVec[*Histogram](name, labelNames)}
 }
 
 // With returns the child histogram for the given label values (one per
 // label name, in order), creating it on first use.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	if len(values) != len(v.labelNames) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labelNames), len(values)))
-	}
-	var sb strings.Builder
-	for i, val := range values {
-		sb.WriteString(v.labelNames[i])
-		sb.WriteString("=")
-		sb.WriteString(strconv.Quote(val))
-		sb.WriteString(",")
-	}
-	key := sb.String()
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.children[key]
-	if !ok {
-		h = NewHistogram(v.name, v.help, v.bounds)
-		h.labels = key
-		v.children[key] = h
-		v.order = append(v.order, key)
-	}
-	return h
+	return v.with(values, func(labels string) *Histogram {
+		h := NewHistogram(v.name, v.help, v.bounds)
+		h.labels = labels
+		return h
+	})
 }
 
 // Collect renders the family: HELP/TYPE once, then every child's series
 // in creation order.
 func (v *HistogramVec) Collect(b []byte) []byte {
-	b = histHeader(b, v.name, v.help)
-	v.mu.Lock()
-	children := make([]*Histogram, 0, len(v.order))
-	for _, key := range v.order {
-		children = append(children, v.children[key])
-	}
-	v.mu.Unlock()
-	for _, h := range children {
+	b = appendHeader(b, v.name, v.help, "histogram")
+	for _, h := range v.all() {
 		b = h.writeProm(b)
 	}
 	return b

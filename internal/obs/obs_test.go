@@ -244,3 +244,65 @@ func TestNewTraceID(t *testing.T) {
 		t.Fatalf("trace IDs = %q, %q: want 32 hex chars, distinct", a, b)
 	}
 }
+
+func TestCounterAndVec(t *testing.T) {
+	c := NewCounter("jobs_total", "help")
+	c.Inc()
+	c.Add(2)
+	if got := c.Value(); got != 3 {
+		t.Fatalf("value = %v, want 3", got)
+	}
+	if out, want := string(c.Collect(nil)), "# HELP jobs_total help\n# TYPE jobs_total counter\njobs_total 3\n"; out != want {
+		t.Errorf("exposition = %q, want %q", out, want)
+	}
+
+	v := NewCounterVec("reqs_total", "help", "path", "code")
+	v.With("/a", "200").Add(1234567)
+	v.With("/b", "404").Inc()
+	v.With("/a", "200").Inc()
+	out := string(v.Collect(nil))
+	for _, want := range []string{
+		`reqs_total{path="/a",code="200"} 1234568`,
+		`reqs_total{path="/b",code="404"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "# TYPE reqs_total counter"); n != 1 {
+		t.Errorf("TYPE line appears %d times, want 1", n)
+	}
+}
+
+func TestCounterAddZeroAllocConcurrent(t *testing.T) {
+	c := NewCounterVec("alloc_total", "help", "tier").With("mem")
+	if allocs := testing.AllocsPerRun(1000, c.Inc); allocs != 0 {
+		t.Fatalf("Inc allocates %v allocs/op, want 0", allocs)
+	}
+	before := c.Value()
+	var wg sync.WaitGroup
+	const goroutines, per = 8, 1000
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				c.Add(0.5)
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := c.Value()-before, float64(goroutines*per)*0.5; got != want {
+		t.Fatalf("concurrent adds = %v, want %v", got, want)
+	}
+}
+
+func TestGaugeVecFuncSortsLabels(t *testing.T) {
+	g := NewGaugeVecFunc("peer_up", "help", "peer", func() map[string]float64 {
+		return map[string]float64{"http://b": 0, "http://a": 1}
+	})
+	want := "# HELP peer_up help\n# TYPE peer_up gauge\npeer_up{peer=\"http://a\"} 1\npeer_up{peer=\"http://b\"} 0\n"
+	if out := string(g.Collect(nil)); out != want {
+		t.Errorf("exposition = %q, want %q", out, want)
+	}
+}

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"runtime"
-	"strconv"
-)
+import "runtime"
 
 // RuntimeCollector samples Go runtime health at render time: live
 // goroutines, heap bytes, cumulative GC pause time and GC cycles. One
@@ -16,20 +13,8 @@ type RuntimeCollector struct {
 
 func (rc RuntimeCollector) family(b []byte, name, typ, help string, v float64) []byte {
 	full := rc.Prefix + name
-	b = append(b, "# HELP "...)
-	b = append(b, full...)
-	b = append(b, ' ')
-	b = append(b, help...)
-	b = append(b, "\n# TYPE "...)
-	b = append(b, full...)
-	b = append(b, ' ')
-	b = append(b, typ...)
-	b = append(b, '\n')
-	b = append(b, full...)
-	b = append(b, ' ')
-	b = strconv.AppendFloat(b, v, 'g', -1, 64)
-	b = append(b, '\n')
-	return b
+	b = appendHeader(b, full, help, typ)
+	return appendSample(b, full, "", v)
 }
 
 // Collect implements Collector.

@@ -157,7 +157,7 @@ func (s *Service) admitSweep(deadline *time.Time, totalCells, cachedCells int, c
 	sweepSecs := float64(uncached) * est / float64(s.cfg.Workers)
 	budget := time.Until(*deadline).Seconds()
 	if backlogSecs+sweepSecs > budget {
-		s.metrics.jobsShed.Add(1)
+		s.metrics.jobsShed.Inc()
 		return false, tooBusyError{
 			msg: fmt.Sprintf("sweep shed: estimated %.1fs of work (%d uncached cells behind %d queued tasks) exceeds the %.1fs deadline budget",
 				backlogSecs+sweepSecs, uncached, s.pool.backlog(), budget),

@@ -78,8 +78,8 @@ func TestAdmissionShedsInfeasibleSweep(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Errorf("Retry-After = %q, want a positive seconds hint", ra)
 	}
-	if got := svc.Metrics().JobsShed(); got != 1 {
-		t.Errorf("JobsShed = %d, want 1", got)
+	if got := svc.metrics.jobsShed.Value(); got != 1 {
+		t.Errorf("JobsShed = %v, want 1", got)
 	}
 	// Shedding happens before job creation, so no job handle exists.
 	if _, ok := svc.Job("job-1"); ok {
@@ -119,8 +119,8 @@ func TestColdBootAdmitsDeadlineSweep(t *testing.T) {
 		ID string `json:"id"`
 	}
 	decodeBody(t, resp, &job)
-	if got := svc.Metrics().JobsShed(); got != 0 {
-		t.Errorf("JobsShed = %d after a cold-boot admit, want 0", got)
+	if got := svc.metrics.jobsShed.Value(); got != 0 {
+		t.Errorf("JobsShed = %v after a cold-boot admit, want 0", got)
 	}
 	// The admitted sweep also finishes inside its budget, so the cold
 	// path is admit-and-run, not admit-and-strand.
@@ -197,8 +197,8 @@ func TestDegradedServesCachedSweepInline(t *testing.T) {
 			t.Errorf("degraded cell %s/%s was recomputed, want cache hit", cell.Workload, cell.Scheme)
 		}
 	}
-	if got := svc.Metrics().DegradedSweeps(); got != 1 {
-		t.Errorf("DegradedSweeps = %d, want 1", got)
+	if got := svc.metrics.degradedSweeps.Value(); got != 1 {
+		t.Errorf("DegradedSweeps = %v, want 1", got)
 	}
 }
 

@@ -7,23 +7,24 @@ import (
 )
 
 // Both service caches are instances of the generic content-addressed
-// sharded LRU with in-flight request coalescing (internal/cache); keys
-// encode the input identity plus every option that affects the result.
+// LRU with in-flight request coalescing (internal/cache); keys encode
+// the input identity plus every option that affects the result.
 
 // profileCache is the entropy-profile cache (content-addressed by trace
 // identity + analysis options). Profiles all cost roughly the same to
 // recompute per byte held, so it keeps exact LRU eviction (no weigher)
 // and no spill tier — a profile is one streaming pass, not minutes of
 // simulation.
-type profileCache = cache.Sharded[*ProfileResult]
+type profileCache = cache.LRU[*ProfileResult]
 
 func newProfileCache(capacity int, m *Metrics) *profileCache {
-	c := cache.NewSharded(cache.ShardedOptions[*ProfileResult]{
+	c := cache.NewLRU(cache.LRUOptions[*ProfileResult]{
 		Capacity: capacity,
-		OnHit:    m.CacheHit,
-		OnMiss:   m.CacheMiss,
+		OnHit:    m.cacheHits.Inc,
+		OnMiss:   m.cacheMisses.Inc,
 	})
-	m.cacheLen = c.Len
+	m.gauge("valleyd_profile_cache_entries", "Resident profile-cache entries.",
+		func() float64 { return float64(c.Len()) })
 	return c
 }
 
@@ -47,8 +48,7 @@ const simCellBytes = 512
 
 // newSimCache builds the tiered simulation-result cache over disk
 // (which may be nil for a memory-only cache). Spill payloads are the
-// same JSON shape the legacy snapshot stored per entry, so migrated
-// entries and fresh spills are indistinguishable on disk.
+// cell's JSON encoding.
 func newSimCache(capacity int, disk *cache.DiskStore, m *Metrics) *simCache {
 	c, err := cache.NewTiered(cache.TieredOptions[*simCell]{
 		Capacity: capacity,
@@ -65,24 +65,27 @@ func newSimCache(capacity int, disk *cache.DiskStore, m *Metrics) *simCache {
 			return cache.Weight{Cost: c.Seconds, Bytes: simCellBytes}
 		},
 		OnHit: func(t cache.Tier) {
-			m.SimCacheHit()
+			m.simCacheHits.Inc()
 			if t == cache.TierDisk {
-				m.tierHitsDisk.Add(1)
+				m.tierHitsDisk.Inc()
 			} else {
-				m.tierHitsMem.Add(1)
+				m.tierHitsMem.Inc()
 			}
 		},
-		OnMiss: m.SimCacheMiss,
+		OnMiss: m.simCacheMisses.Inc,
 	})
 	if err != nil {
 		// Encode/Decode are set above; the only error is a programming
 		// mistake, not a runtime condition.
 		panic(err)
 	}
-	m.simCacheLen = c.MemLen
+	m.gauge("valleyd_sim_cache_entries", "Resident simulation-result cache entries.",
+		func() float64 { return float64(c.MemLen()) })
 	if disk != nil {
-		m.spillEntries = disk.Len
-		m.spillBytes = disk.Bytes
+		m.gauge("valleyd_cache_spill_entries", "Entry files resident in the spill directory.",
+			func() float64 { return float64(disk.Len()) })
+		m.gauge("valleyd_cache_spill_bytes", "Bytes resident in the spill directory.",
+			func() float64 { return float64(disk.Bytes()) })
 	}
 	return c
 }
@@ -93,9 +96,9 @@ func newSpillStore(dir string, maxBytes int64, m *Metrics) (*cache.DiskStore, er
 	return cache.OpenDisk(cache.DiskOptions{
 		Dir:         dir,
 		MaxBytes:    maxBytes,
-		OnWrite:     func() { m.spillWrites.Add(1) },
-		OnWriteDrop: func() { m.spillWriteDrops.Add(1) },
-		OnEvict:     func() { m.spillEvictions.Add(1) },
-		OnError:     func() { m.spillErrors.Add(1) },
+		OnWrite:     m.spillWrites.Inc,
+		OnWriteDrop: m.spillWriteDrops.Inc,
+		OnEvict:     m.spillEvictions.Inc,
+		OnError:     m.spillErrors.Inc,
 	})
 }

@@ -134,8 +134,8 @@ func TestSweepExpiredDeadlineCanceled(t *testing.T) {
 		t.Errorf("job error %q does not mention the deadline", j.Error)
 	}
 	checkCanceledTranscript(t, drainJobEvents(t, s, job.ID), EventDeadlineExceeded)
-	if got := s.Metrics().JobsCanceled(); got != 1 {
-		t.Errorf("JobsCanceled = %d, want 1", got)
+	if got := s.metrics.jobsCanceled.Value(); got != 1 {
+		t.Errorf("JobsCanceled = %v, want 1", got)
 	}
 
 	// The canceled sweep must not have poisoned the pool: a fresh

@@ -92,7 +92,7 @@ func (s *Service) dispatchCluster(ctx context.Context, jobID string, specs []wor
 			}
 			if len(r.tried) > 0 {
 				// Re-dispatch after a failure elsewhere: a steal.
-				s.metrics.ClusterSteal()
+				s.metrics.clusterSteals.Inc()
 			}
 			batches[peer] = append(batches[peer], r)
 		}
@@ -103,7 +103,7 @@ func (s *Service) dispatchCluster(ctx context.Context, jobID string, specs []wor
 			failed   []*clusterCellRef
 		)
 		for peer, refs := range batches {
-			s.metrics.ClusterDispatched(peer, len(refs))
+			s.metrics.clusterDispatched.With(peer).Add(float64(len(refs)))
 			wg.Add(1)
 			go func(peer string, refs []*clusterCellRef) {
 				defer wg.Done()
@@ -130,9 +130,9 @@ func (s *Service) dispatchCluster(ctx context.Context, jobID string, specs []wor
 				break
 			}
 			if len(r.tried) > 0 {
-				s.metrics.ClusterSteal()
+				s.metrics.clusterSteals.Inc()
 			}
-			s.metrics.ClusterLocalCell()
+			s.metrics.clusterLocalCells.Inc()
 			ce := cellExec{
 				sp: specs[r.wi], sc: schemes[r.si], sa: &apps[r.wi],
 				scale: scale, scaleName: result.Scale,

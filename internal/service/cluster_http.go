@@ -99,7 +99,7 @@ func (s *Service) handleCells(w http.ResponseWriter, r *http.Request) {
 		task := func() {
 			defer func() {
 				if p := recover(); p != nil {
-					s.metrics.WorkerPanic()
+					s.metrics.workerPanics.Inc()
 					log.Error("cell batch panic recovered",
 						"workload", execs[i].sp.Abbr,
 						"scheme", string(execs[i].sc),

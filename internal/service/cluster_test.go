@@ -155,12 +155,12 @@ func TestClusterShardedSweep(t *testing.T) {
 	j := runClusterSweep(t, coord, clusterSweep)
 	checkAgainstTruth(t, j, singleNodeTruth(t, clusterSweep))
 
-	disp := coord.Metrics().ClusterDispatches()
-	if len(disp) < 2 || disp[u1] == 0 || disp[u2] == 0 {
-		t.Errorf("dispatches did not use both peers: %v", disp)
+	d1, d2 := coord.metrics.clusterDispatched.With(u1).Value(), coord.metrics.clusterDispatched.With(u2).Value()
+	if d1 == 0 || d2 == 0 {
+		t.Errorf("dispatches did not use both peers: %v cells to %s, %v to %s", d1, u1, d2, u2)
 	}
-	if n := coord.Metrics().ClusterLocalCells(); n != 0 {
-		t.Errorf("%d cells fell back to local execution with both peers healthy", n)
+	if n := coord.metrics.clusterLocalCells.Value(); n != 0 {
+		t.Errorf("%v cells fell back to local execution with both peers healthy", n)
 	}
 
 	// Repeat: every cell must come back cached from its owning worker.
@@ -209,9 +209,9 @@ func TestClusterRestartWarmAffinity(t *testing.T) {
 			t.Errorf("post-restart cell %s/%s re-simulated instead of loading from its owner's spill tier", c.Workload, c.Scheme)
 		}
 	}
-	disp := coordB.Metrics().ClusterDispatches()
-	if len(disp) < 2 || disp[u1] == 0 || disp[u2] == 0 {
-		t.Errorf("post-restart dispatches did not use both peers: %v", disp)
+	d1, d2 := coordB.metrics.clusterDispatched.With(u1).Value(), coordB.metrics.clusterDispatched.With(u2).Value()
+	if d1 == 0 || d2 == 0 {
+		t.Errorf("post-restart dispatches did not use both peers: %v cells to %s, %v to %s", d1, u1, d2, u2)
 	}
 	checkAgainstTruth(t, j, singleNodeTruth(t, clusterSweep))
 }
@@ -235,7 +235,7 @@ func TestClusterDeadPeerSteal(t *testing.T) {
 
 	j := runClusterSweep(t, coord, clusterSweep)
 	checkAgainstTruth(t, j, singleNodeTruth(t, clusterSweep))
-	if n := coord.Metrics().ClusterSteals(); n == 0 {
+	if n := coord.metrics.clusterSteals.Value(); n == 0 {
 		t.Error("no steals recorded though one peer was dead")
 	}
 	if states := cl.PeerStates(); states[deadURL] {
@@ -262,8 +262,8 @@ func TestClusterAllPeersDownLocalFallback(t *testing.T) {
 	req := SimulateRequest{Workloads: []string{"MT", "LU"}, Schemes: []string{"BASE", "PAE"}, Scale: "tiny"}
 	j := runClusterSweep(t, coord, req)
 	checkAgainstTruth(t, j, singleNodeTruth(t, req))
-	if n := coord.Metrics().ClusterLocalCells(); n != int64(len(req.Workloads)*len(req.Schemes)) {
-		t.Errorf("local fallback ran %d cells, want all %d", n, len(req.Workloads)*len(req.Schemes))
+	if n := coord.metrics.clusterLocalCells.Value(); n != float64(len(req.Workloads)*len(req.Schemes)) {
+		t.Errorf("local fallback ran %v cells, want all %d", n, len(req.Workloads)*len(req.Schemes))
 	}
 
 	// Second sweep: the peer is now in cooldown, so dispatchCluster

@@ -138,7 +138,7 @@ func (s *Service) executeCell(ctx context.Context, jobID string, ce cellExec) (C
 		// caller's to classify quietly.
 		var pe *cache.PanicError
 		if errors.As(err, &pe) {
-			s.metrics.WorkerPanic()
+			s.metrics.workerPanics.Inc()
 			s.log.Error("sweep cell panic recovered",
 				"job_id", jobID,
 				"trace_id", ce.tr.ID(),
@@ -162,7 +162,7 @@ func (s *Service) executeCell(ctx context.Context, jobID string, ce cellExec) (C
 	}
 	s.metrics.cellSeconds.Observe(done.Seconds)
 	if !hit {
-		s.metrics.cellsSimulated.Add(1)
+		s.metrics.cellsSimulated.Inc()
 		// Feed the admission cost model with the measured
 		// simulation seconds (cache hits measure the cache,
 		// not the simulator, and are skipped).
@@ -250,7 +250,7 @@ func (s *Service) cellTask(ctx context.Context, jobID string, wi, si int, ce cel
 		qw.EndAt(cellStart)
 		defer func() {
 			if r := recover(); r != nil {
-				s.metrics.WorkerPanic()
+				s.metrics.workerPanics.Inc()
 				s.log.Error("sweep cell panic recovered",
 					"job_id", jobID,
 					"trace_id", ce.tr.ID(),

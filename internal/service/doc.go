@@ -1,14 +1,13 @@
 // Package service is the engine behind valleyd: it packages the
 // library's entropy profiling, mapping advice and full-system simulation
 // as a concurrent, cached network service. The building blocks are a
-// sharded content-addressed profile cache with in-flight coalescing
-// (cache.go, over internal/cache.Sharded), a bounded worker pool
-// executing simulation sweep jobs (jobs.go), a per-job event bus
-// streaming sweep progress (events.go), a two-tier simulation-result
-// cache that spills to disk (cache.go, over internal/cache.Tiered,
-// with legacy snapshot migration in snapshot.go), and a stdlib
-// net/http JSON API over all of it (http.go), with Prometheus-style
-// plain-text metrics (metrics.go).
+// content-addressed profile cache with in-flight coalescing (cache.go,
+// over internal/cache.LRU), a bounded worker pool executing simulation
+// sweep jobs (jobs.go), a per-job event bus streaming sweep progress
+// (events.go), a two-tier simulation-result cache that spills to disk
+// (cache.go, over internal/cache.Tiered), and a stdlib net/http JSON
+// API over all of it (http.go), with Prometheus-style plain-text
+// metrics rendered by one obs.Registry (metrics.go).
 //
 // # Cell-execution core vs dispatch
 //
@@ -121,7 +120,7 @@
 //
 // Sweep cells are pure functions of (workload, scale, scheme, config,
 // seed) and expensive to compute, so the simulation-result cache is
-// cost-aware, sharded and (optionally) disk-backed. Eviction is
+// cost-aware and (optionally) disk-backed. Eviction is
 // cost-weighted: each cell carries its measured simulation seconds,
 // and among the least-recently-used entries the cheapest-per-byte is
 // evicted first, so one order-of-magnitude-more-expensive cell
@@ -133,9 +132,7 @@
 // counts the disk serves). Spill damage of any kind — failed writes,
 // torn files, corrupt entries — degrades to a recomputed miss, never
 // an error or corrupt bytes; see internal/cache's package docs for the
-// full two-tier contract. A legacy VSIMCSH1 snapshot file named by
-// Config.SimCacheSnapshot is loaded on New and migrated into the spill
-// directory once (snapshot.go).
+// full two-tier contract.
 //
 // # Fault injection
 //
@@ -159,8 +156,9 @@
 // by GET /v1/jobs/{id}/trace and correlated with the job's NDJSON
 // events through the shared trace_id. Queue wait, per-cell simulation
 // seconds and the streaming pipeline's per-stage times feed lock-free
-// histograms rendered into /metrics by the obs.Registry hook in
-// metrics.go (tracing.go holds the trace endpoint). Panics anywhere in
+// histograms; they, every counter and every sampled gauge are
+// registered once on the obs.Registry that renders /metrics
+// (metrics.go; tracing.go holds the trace endpoint). Panics anywhere in
 // a sweep — worker task, cell, or inside the cache's compute closure
 // (surfaced as a cache.PanicError) — are recovered, logged with their
 // stack, counted in valleyd_worker_panics_total, and fail only the

@@ -155,8 +155,7 @@ func (s *Service) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r.WithContext(ctx))
 		d := time.Since(start)
-		s.metrics.ObserveRequest(path, rec.code)
-		s.metrics.ObserveRequestLatency(path, rec.code, d)
+		s.metrics.observeRequest(path, rec.code, d)
 		log.Debug("request",
 			"method", r.Method,
 			"url", r.URL.Path,
@@ -564,5 +563,5 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WriteTo(w) //nolint:errcheck // client gone; nothing to do
+	s.metrics.reg.WriteTo(w) //nolint:errcheck // client gone; nothing to do
 }

@@ -361,7 +361,7 @@ func TestHTTPHealthzAndMetrics(t *testing.T) {
 func TestHTTPMetricsWorkerGauges(t *testing.T) {
 	svc, _ := newTestServer(t)
 	var buf bytes.Buffer
-	if _, err := svc.Metrics().WriteTo(&buf); err != nil {
+	if _, err := svc.metrics.reg.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), fmt.Sprintf("valleyd_workers %d", 4)) {

@@ -87,12 +87,6 @@ type Config struct {
 	// lowest cost-per-byte entries to stay under it (0 = 1 GiB;
 	// negative = unbounded). Ignored without SpillDir.
 	SpillMaxBytes int64
-	// SimCacheSnapshot names a legacy VSIMCSH1 snapshot file from
-	// before the spill tier existed. With SpillDir set, the file is
-	// migrated into the spill directory once at startup (then renamed
-	// aside); without SpillDir it is load-only: read at startup, never
-	// written. The snapshot writer is retired.
-	SimCacheSnapshot string
 	// DefaultDeadline, when positive, bounds every sweep that does not
 	// carry its own ?deadline_ms / X-Deadline-Ms budget: the job is
 	// canceled with a deadline_exceeded terminal event when it overruns.
@@ -179,8 +173,7 @@ type Service struct {
 // New builds a service with its worker pool running. With
 // Config.SpillDir set, the simulation-result cache is two-tier: memory
 // over the spill directory, which is scanned (and any damaged entries
-// discarded) before serving. A legacy Config.SimCacheSnapshot file is
-// loaded — and, with a spill dir, migrated — at startup.
+// discarded) before serving.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	m := NewMetrics()
@@ -207,14 +200,22 @@ func New(cfg Config) *Service {
 		streamSem:  make(chan struct{}, 4*cfg.Workers),
 		start:      time.Now(),
 	}
-	s.jobs.onDrop = m.StreamEventDropped
+	s.jobs.onDrop = m.streamEventsDropped.Inc
 	if cfg.Cluster != nil {
 		// The peer-up gauge samples the cluster client's cooldown
-		// table at scrape time, like every other gauge in WriteTo.
-		m.peerUp = cfg.Cluster.PeerStates
-	}
-	if cfg.SimCacheSnapshot != "" {
-		s.loadLegacySnapshot(spill != nil)
+		// table at scrape time.
+		m.reg.Register(obs.NewGaugeVecFunc("valleyd_cluster_peer_up",
+			"Peer health by configured worker (1 = reachable, 0 = in its down cooldown).", "peer",
+			func() map[string]float64 {
+				up := map[string]float64{}
+				for p, ok := range cfg.Cluster.PeerStates() {
+					up[p] = 0
+					if ok {
+						up[p] = 1
+					}
+				}
+				return up
+			}))
 	}
 	return s
 }
@@ -934,8 +935,7 @@ type SimulateResult struct {
 // seconds the original simulation took — the cell's recompute cost,
 // which drives cost-weighted eviction in both tiers and survives
 // spills. Sweep-relative fields (speedup, per-sweep wall time) are
-// recomputed per sweep. Fields are exported for the spill codec (and
-// the legacy snapshot decoder).
+// recomputed per sweep. Fields are exported for the spill codec.
 type simCell struct {
 	Res     experiments.ResultJSON `json:"result"`
 	Seconds float64                `json:"seconds"`
@@ -1071,8 +1071,8 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 
 	// Register the dispatcher before creating the job, under closeMu:
 	// once Close has flipped closed, no new sweep can slip past its
-	// sweepWG.Wait, so the shutdown snapshot always sees every accepted
-	// job in a terminal state.
+	// sweepWG.Wait, so the shutdown spill always sees every accepted job
+	// in a terminal state.
 	s.closeMu.Lock()
 	if s.closed {
 		s.closeMu.Unlock()
@@ -1102,7 +1102,7 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 	}
 	enq.Annotate(obs.Attr{Key: "job_id", Value: job.ID})
 	enq.End()
-	s.metrics.jobsEnqueued.Add(1)
+	s.metrics.jobsEnqueued.Inc()
 
 	// The job context outlives the request: values (trace ID, logger)
 	// carry over, the request's cancellation does not — a 202 job must
@@ -1197,7 +1197,7 @@ func (s *Service) runSweep(ctx context.Context, release func(), jobID string, sp
 	start := time.Now()
 	s.jobs.setRunning(jobID)
 	if degraded {
-		s.metrics.degradedSweeps.Add(1)
+		s.metrics.degradedSweeps.Inc()
 		root.Annotate(obs.Attr{Key: "degraded", Value: "true"})
 	}
 	var (
@@ -1234,12 +1234,12 @@ func (s *Service) runSweep(ctx context.Context, release func(), jobID string, sp
 		s.dispatchLocal(ctx, jobID, specs, schemes, cfg, scale, seed, result, tr, root, apps, deliver, fail, degraded)
 	}
 	elapsed := time.Since(start)
-	s.metrics.AddSweepSeconds(elapsed)
+	s.metrics.sweepSeconds.Add(elapsed.Seconds())
 	if cause := context.Cause(ctx); cause != nil {
 		// Cancellation outranks any cell error it induced: a canceled
 		// sweep's cells fail with context errors, but the job's terminal
 		// state should say "canceled", not "failed".
-		s.metrics.jobsCanceled.Add(1)
+		s.metrics.jobsCanceled.Inc()
 		s.jobs.finish(jobID, nil, cause)
 		s.log.Info("sweep canceled",
 			"job_id", jobID, "trace_id", tr.ID(),
@@ -1248,7 +1248,7 @@ func (s *Service) runSweep(ctx context.Context, release func(), jobID string, sp
 		return
 	}
 	if firstErr != nil {
-		s.metrics.jobsFailed.Add(1)
+		s.metrics.jobsFailed.Inc()
 		s.jobs.finish(jobID, nil, firstErr)
 		s.log.Warn("sweep failed",
 			"job_id", jobID, "trace_id", tr.ID(),
@@ -1257,7 +1257,7 @@ func (s *Service) runSweep(ctx context.Context, release func(), jobID string, sp
 	}
 	result.Seconds = elapsed.Seconds()
 	aggregateSweep(result)
-	s.metrics.jobsDone.Add(1)
+	s.metrics.jobsDone.Inc()
 	s.jobs.finish(jobID, result, nil)
 	s.log.Debug("sweep done",
 		"job_id", jobID, "trace_id", tr.ID(),

@@ -7,21 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"valleymap/internal/cache"
 	"valleymap/internal/experiments"
 )
 
-// singleShardProfileCache pins per-shard LRU ordering for the tests
-// below: with one shard a Sharded cache is behaviorally identical to
-// the bare LRU (the internal/cache parity suite proves it), so
-// eviction-order assertions stay deterministic regardless of how keys
-// hash across the default shard count.
-func singleShardProfileCache(capacity int) *profileCache {
-	return cache.NewSharded(cache.ShardedOptions[*ProfileResult]{Capacity: capacity, Shards: 1})
-}
-
 func TestProfileCacheLRUEviction(t *testing.T) {
-	c := singleShardProfileCache(2)
+	c := newProfileCache(2, NewMetrics())
 	mk := func(key string) *ProfileResult { return &ProfileResult{CacheKey: key} }
 	for _, k := range []string{"a", "b", "c"} {
 		k := k
@@ -42,7 +32,7 @@ func TestProfileCacheLRUEviction(t *testing.T) {
 }
 
 func TestProfileCacheTouchRefreshesLRU(t *testing.T) {
-	c := singleShardProfileCache(2)
+	c := newProfileCache(2, NewMetrics())
 	mk := func(key string) *ProfileResult { return &ProfileResult{CacheKey: key} }
 	c.GetOrCompute("a", func() (*ProfileResult, error) { return mk("a"), nil })
 	c.GetOrCompute("b", func() (*ProfileResult, error) { return mk("b"), nil })
@@ -53,6 +43,26 @@ func TestProfileCacheTouchRefreshesLRU(t *testing.T) {
 	}
 	if _, hit, _ := c.GetOrCompute("b", func() (*ProfileResult, error) { return mk("b"), nil }); hit {
 		t.Error("b was least recently used and must be evicted")
+	}
+}
+
+// TestCacheCapacityIsExact: CacheEntries and SimCacheEntries bound the
+// resident entries exactly — at capacity 1, one profile and one cell
+// stay in memory however many distinct keys pass through.
+func TestCacheCapacityIsExact(t *testing.T) {
+	s := New(Config{Workers: 2, SimCacheEntries: 1, CacheEntries: 1})
+	defer s.Close()
+	runSweepToDone(t, s, SimulateRequest{Workloads: []string{"SP", "NW"}, Schemes: []string{"BASE", "PAE"}, Scale: "tiny"})
+	for _, wl := range []string{"MT", "SP", "NW", "LU"} {
+		if _, _, err := s.Profile(ProfileRequest{Workload: wl, Scale: "tiny"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.simCache.MemLen(); n != 1 {
+		t.Errorf("sim cache holds %d cells at capacity 1", n)
+	}
+	if n := s.cache.Len(); n != 1 {
+		t.Errorf("profile cache holds %d profiles at capacity 1", n)
 	}
 }
 
@@ -497,11 +507,11 @@ func TestSimulateResultCache(t *testing.T) {
 	if second.HMeanSpeedup["PAE"] != first.HMeanSpeedup["PAE"] {
 		t.Error("cached sweep changed aggregate speedups")
 	}
-	if s.Metrics().SweepSeconds() <= 0 {
+	if s.metrics.sweepSeconds.Value() <= 0 {
 		t.Error("sweep_seconds metric not accumulated")
 	}
-	if got := s.Metrics().cellsSimulated.Load(); got != 4 {
-		t.Errorf("cells simulated = %d, want 4 (cache hits must not re-simulate)", got)
+	if got := s.metrics.cellsSimulated.Value(); got != 4 {
+		t.Errorf("cells simulated = %v, want 4 (cache hits must not re-simulate)", got)
 	}
 }
 

