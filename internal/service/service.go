@@ -10,12 +10,10 @@ import (
 	"math/bits"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"valleymap/internal/bim"
 	"valleymap/internal/cache"
 	"valleymap/internal/cluster"
 	"valleymap/internal/entropy"
@@ -699,188 +697,6 @@ func assembleResult(prof entropy.Profile, info TraceInfo, opt profileOptions, ke
 		res.ValleyRanges = append(res.ValleyRanges, BitRange{Lo: r.Lo, Hi: r.Hi})
 	}
 	return res
-}
-
-// ---------------------------------------------------------------------
-// Mapping advice
-// ---------------------------------------------------------------------
-
-// AdviseRequest asks for a mapping recommendation. The trace inputs
-// mirror ProfileRequest; Schemes/Seeds narrow the candidate set
-// (defaults: PAE/FAE/ALL × seeds 1..3, the paper's BIM-1..BIM-3).
-type AdviseRequest struct {
-	ProfileRequest
-	Schemes []string `json:"schemes,omitempty"`
-	Seeds   []int64  `json:"seeds,omitempty"`
-}
-
-// Candidate is one evaluated scheme × seed pair.
-type Candidate struct {
-	Scheme      string     `json:"scheme"`
-	Seed        int64      `json:"seed"`
-	MeanChannel float64    `json:"mean_channel_entropy"`
-	MeanBank    float64    `json:"mean_bank_entropy"`
-	ChannelGain float64    `json:"channel_entropy_gain"`
-	BankGain    float64    `json:"bank_entropy_gain"`
-	Gain        float64    `json:"gain"`
-	XORGates    int        `json:"xor_gates"`
-	Depth       int        `json:"xor_depth"`
-	BIM         bim.Matrix `json:"bim"`
-}
-
-// AdviseResult recommends a BIM for a trace.
-type AdviseResult struct {
-	Base        *ProfileResult `json:"base"`
-	Recommended Candidate      `json:"recommended"`
-	Candidates  []Candidate    `json:"candidates"`
-}
-
-// Advise profiles the trace under each candidate mapping and recommends
-// the one with the highest channel+bank entropy gain; within 0.01 of
-// the best, the cheapest XOR tree wins (hardware-minimal tiebreak).
-func (s *Service) Advise(req AdviseRequest) (*AdviseResult, error) {
-	if req.Scheme != "" {
-		return nil, badRequestf("advise profiles the unmapped trace; leave scheme empty")
-	}
-	if req.Seed != 0 {
-		return nil, badRequestf("advise evaluates candidates per seed; use seeds instead of seed")
-	}
-	schemes := []mapping.Scheme{mapping.PAE, mapping.FAE, mapping.ALL}
-	if len(req.Schemes) > 0 {
-		schemes = schemes[:0]
-		for _, name := range req.Schemes {
-			sc, err := mapping.ParseScheme(name)
-			if err != nil {
-				return nil, badRequestf("unknown scheme %q (want one of %v)", name, mapping.Schemes())
-			}
-			if sc == mapping.BASE {
-				return nil, badRequestf("BASE is the identity mapping; it cannot be a candidate")
-			}
-			schemes = append(schemes, sc)
-		}
-	}
-	seeds := []int64{1, 2, 3}
-	if len(req.Seeds) > 0 {
-		for _, seed := range req.Seeds {
-			// Seed 0 would be silently renormalized to 1 when profiling
-			// the candidate, so the returned BIM would not match its
-			// reported gains.
-			if seed <= 0 {
-				return nil, badRequestf("seeds must be positive, got %d", seed)
-			}
-		}
-		seeds = req.Seeds
-	}
-
-	// Build or decode the trace once and reuse it for the base profile
-	// and every candidate, instead of re-constructing it per scheme ×
-	// seed pair on a cold cache. Cache keys stay identical to the ones
-	// /v1/profile uses, so advise and profile share entries.
-	profile := func(r ProfileRequest) (*ProfileResult, bool, error) { return s.Profile(r) }
-	switch {
-	case req.TraceCSV != "" && req.Workload != "":
-		return nil, badRequestf("give either workload or trace_csv, not both")
-	case req.TraceFile != "" && (req.TraceCSV != "" || req.Workload != ""):
-		return nil, badRequestf("trace_file cannot be combined with workload or trace_csv")
-	case req.TraceCSV != "":
-		app, sum, err := trace.ReadCSVHashed(strings.NewReader(req.TraceCSV))
-		if err != nil {
-			return nil, badRequestf("bad trace: %v", err)
-		}
-		profile = func(r ProfileRequest) (*ProfileResult, bool, error) {
-			r.TraceCSV = ""
-			return s.ProfileTrace(app, sum, r)
-		}
-	case req.Workload != "":
-		spec, ok := workload.ByAbbr(req.Workload)
-		if !ok {
-			return nil, notFoundf("unknown workload %q (want one of %v)", req.Workload, workload.Abbrs())
-		}
-		scale, scaleName, err := parseScale(req.Scale)
-		if err != nil {
-			return nil, err
-		}
-		// Materialize the trace once (under the first candidate's
-		// semaphore slot) and stream the base + every candidate profile
-		// from the in-memory copy, instead of re-running the generator
-		// per scheme × seed pair on a cold cache.
-		var (
-			once sync.Once
-			app  *trace.App
-		)
-		source := func() trace.Source {
-			once.Do(func() { app = spec.Build(scale) })
-			return trace.AppSource(app)
-		}
-		profile = func(r ProfileRequest) (*ProfileResult, bool, error) {
-			opt, err := r.options()
-			if err != nil {
-				return nil, false, err
-			}
-			return s.workloadProfile(spec, scaleName, opt, source)
-		}
-	}
-
-	base, _, err := profile(req.ProfileRequest)
-	if err != nil {
-		return nil, err
-	}
-
-	l := layout.HynixGDDR5()
-	ch, bank := l.FieldBits(layout.Channel), l.FieldBits(layout.Bank)
-	var cands []Candidate
-	for _, sc := range schemes {
-		// Deterministic schemes (PM, RMP) ignore the seed: evaluate once
-		// under a fixed seed so repeat calls with different seed lists
-		// share one cache entry, and report Seed 0 ("not applicable").
-		scSeeds := seeds
-		if sc == mapping.PM || sc == mapping.RMP {
-			scSeeds = []int64{1}
-		}
-		for _, seed := range scSeeds {
-			creq := req.ProfileRequest
-			creq.Scheme = string(sc)
-			creq.Seed = seed
-			prof, _, err := profile(creq)
-			if err != nil {
-				return nil, err
-			}
-			m, err := mapping.New(sc, l, mapping.Options{Seed: seed})
-			if err != nil {
-				return nil, err
-			}
-			gates, depth := m.GateCost()
-			candSeed := seed
-			if sc == mapping.PM || sc == mapping.RMP {
-				candSeed = 0
-			}
-			cand := Candidate{
-				Scheme:      string(sc),
-				Seed:        candSeed,
-				MeanChannel: prof.MeanChannel,
-				MeanBank:    prof.MeanBank,
-				ChannelGain: prof.MeanChannel - base.MeanChannel,
-				BankGain:    prof.MeanBank - base.MeanBank,
-				XORGates:    gates,
-				Depth:       depth,
-				BIM:         m.Matrix(),
-			}
-			nCh, nBank := float64(len(ch)), float64(len(bank))
-			cand.Gain = (cand.ChannelGain*nCh + cand.BankGain*nBank) / (nCh + nBank)
-			cands = append(cands, cand)
-		}
-	}
-	// Rank by gain; within 0.01 of the top gain, the cheapest XOR tree
-	// wins (always measured against cands[0], so near-ties cannot chain
-	// the recommendation further than 0.01 below the best).
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Gain > cands[j].Gain })
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if cands[0].Gain-c.Gain <= 0.01 && c.XORGates < best.XORGates {
-			best = c
-		}
-	}
-	return &AdviseResult{Base: base, Recommended: best, Candidates: cands}, nil
 }
 
 // ---------------------------------------------------------------------
