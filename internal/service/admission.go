@@ -127,15 +127,25 @@ func (s *Service) poolSaturated() bool {
 	return s.pool.busyWorkers() >= s.cfg.Workers && 2*s.pool.backlog() >= s.pool.capacity()
 }
 
-// admitSweep is the admission gate. cachedCells of totalCells are
-// already resident in the sim cache. It returns degraded=true when the
+// admitSweep is the admission gate. It returns degraded=true when the
 // sweep should bypass the saturated pool and run inline off the cache,
 // or a tooBusyError when the sweep cannot finish before its deadline.
 // Sweeps without a deadline are always admitted — they can wait
 // arbitrarily long, and the pool's bounded queue still backpressures
 // them.
-func (s *Service) admitSweep(deadline *time.Time, totalCells, cachedCells int, cfgName, scaleName string) (degraded bool, err error) {
-	uncached := totalCells - cachedCells
+func (s *Service) admitSweep(deadline *time.Time, p sweepPlan) (degraded bool, err error) {
+	// Cells resident in either cache tier are free. Contains touches
+	// neither recency, promotion nor the disk, so the probe does not
+	// distort eviction order. A spilled cell costs one file read, not
+	// simulation seconds, so a fully-spilled repeat sweep prices near zero
+	// and must not be shed with a 429 on backlog math that assumes it
+	// will simulate.
+	uncached := 0
+	for i := range p.cells {
+		if !s.simCache.Contains(p.cells[i].key) {
+			uncached++
+		}
+	}
 	if uncached == 0 && s.poolSaturated() {
 		// Fully answerable from the cache: serve it inline rather than
 		// queueing no-op tasks behind saturated workers.
@@ -144,7 +154,7 @@ func (s *Service) admitSweep(deadline *time.Time, totalCells, cachedCells int, c
 	if deadline == nil || uncached == 0 {
 		return false, nil
 	}
-	est, ok := s.costs.estimate(cfgName, scaleName)
+	est, ok := s.costs.estimate(p.rc.cfgName, p.rc.scaleName)
 	if !ok {
 		// No cost data yet: never shed blind. The deadline still
 		// protects the client — the sweep will be canceled mid-flight if
@@ -173,21 +183,4 @@ func (s *Service) meanOr(fallback float64) float64 {
 		return m
 	}
 	return fallback
-}
-
-// countCachedCells counts how many of the sweep's cells are resident in
-// either cache tier right now, without touching recency, promotion or
-// the disk (Contains), so the admission probe does not distort eviction
-// order. Spill-tier entries count as cached: a spilled cell costs one
-// file read, not simulation seconds, so a fully-spilled repeat sweep
-// prices near zero and must not be shed with a 429 on backlog math
-// that assumes it will simulate.
-func (s *Service) countCachedCells(keys []string) int {
-	n := 0
-	for _, k := range keys {
-		if s.simCache.Contains(k) {
-			n++
-		}
-	}
-	return n
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // sweepOnce submits a 4-workload × 4-scheme sweep and waits for it.
-func sweepOnce(b *testing.B, s *Service) SimulateResult {
+func sweepOnce(b testing.TB, s *Service) SimulateResult {
 	b.Helper()
 	job, err := s.Simulate(SimulateRequest{
 		Workloads: []string{"MT", "LU", "SC", "SP"},
@@ -64,4 +64,21 @@ func BenchmarkSweep(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestSweepWarmAllocs is the warm-path allocation ceiling. A warm sweep
+// is pure cache hits plus job, event-stream, span and histogram
+// machinery, so its budget is small and flat in trace size. A leap past
+// the ceiling means a cell started rebuilding traces, re-simulating,
+// copying results per subscriber, or allocating per observation.
+func TestSweepWarmAllocs(t *testing.T) {
+	const ceiling = 400
+	s := New(Config{})
+	defer s.Close()
+	sweepOnce(t, s) // populate the simulation-result cache
+	allocs := testing.AllocsPerRun(20, func() { sweepOnce(t, s) })
+	t.Logf("warm 4x4 sweep: %.0f allocs", allocs)
+	if allocs > ceiling {
+		t.Errorf("warm 4x4 sweep allocates %.0f times, ceiling %d", allocs, ceiling)
+	}
 }

@@ -11,18 +11,13 @@ package service
 // a cell.
 
 import (
+	"context"
 	"encoding/json"
 	"strconv"
 	"sync"
-	"time"
-
-	"context"
 
 	"valleymap/internal/cluster"
-	"valleymap/internal/gpusim"
-	"valleymap/internal/mapping"
 	"valleymap/internal/obs"
-	"valleymap/internal/workload"
 )
 
 // remoteRounds bounds how many remote attempts a cell gets before the
@@ -31,40 +26,31 @@ import (
 const remoteRounds = 2
 
 // clusterCellRef tracks one cell through remote dispatch: its grid
-// slot, wire form, affinity key and the peers that already failed it.
+// index and the peers that already failed it.
 type clusterCellRef struct {
-	wi, si int
-	cell   cluster.Cell
-	key    string
-	tried  map[string]bool
+	i     int
+	tried map[string]bool
 }
 
-// dispatchCluster shards the sweep across the cluster client's healthy
-// peers and reports whether it took ownership of the sweep. It returns
-// false only when no peer is reachable at entry — the caller then runs
-// the whole sweep through dispatchLocal, the single-node path. Once it
-// returns true, every cell has been delivered, failed or abandoned to
-// cancellation, exactly like dispatchLocal.
-func (s *Service) dispatchCluster(ctx context.Context, jobID string, specs []workload.Spec, schemes []mapping.Scheme, cfg gpusim.Config, scale workload.Scale, seed int64, result *SimulateResult, tr *obs.Trace, root obs.SpanRef, apps []sharedApp, deliver func(wi, si int, done CellResult), fail func(error)) bool {
+// dispatchCluster shards the listed cells of a sweep across the cluster
+// client's healthy peers and returns the cells it leaves to the local
+// pool: all of them when no peer is reachable at entry, else those no
+// remote round could place (none once the sweep is canceled). Every
+// other cell has been delivered, or abandoned to cancellation, by the
+// time it returns.
+func (s *Service) dispatchCluster(ctx context.Context, sw *sweep, cells []int) []int {
 	cl := s.cfg.Cluster
 	if len(cl.Healthy()) == 0 {
 		// Every peer is in its down cooldown: degrade to plain local
 		// execution rather than burning rounds on known-dead peers.
-		root.Annotate(obs.Attr{Key: "cluster", Value: "all_peers_down"})
-		return false
+		sw.root.Annotate(obs.Attr{Key: "cluster", Value: "all_peers_down"})
+		return cells
 	}
-	root.Annotate(obs.Attr{Key: "cluster", Value: "sharded"})
+	sw.root.Annotate(obs.Attr{Key: "cluster", Value: "sharded"})
 
-	pending := make([]*clusterCellRef, 0, len(specs)*len(schemes))
-	for wi := range specs {
-		for si := range schemes {
-			pending = append(pending, &clusterCellRef{
-				wi:   wi,
-				si:   si,
-				cell: cluster.Cell{Workload: specs[wi].Abbr, Scheme: string(schemes[si])},
-				key:  simCellKey(specs[wi].Abbr, result.Scale, schemes[si], result.Config, seed),
-			})
-		}
+	pending := make([]*clusterCellRef, len(cells))
+	for j, i := range cells {
+		pending[j] = &clusterCellRef{i: i}
 	}
 
 	for round := 0; round < remoteRounds && len(pending) > 0 && ctx.Err() == nil; round++ {
@@ -79,7 +65,7 @@ func (s *Service) dispatchCluster(ctx context.Context, jobID string, specs []wor
 		var exhausted []*clusterCellRef
 		for _, r := range pending {
 			var peer string
-			for _, p := range cluster.Rank(r.key, healthy) {
+			for _, p := range cluster.Rank(sw.plan.cells[r.i].key, healthy) {
 				if !r.tried[p] {
 					peer = p
 					break
@@ -107,7 +93,7 @@ func (s *Service) dispatchCluster(ctx context.Context, jobID string, specs []wor
 			wg.Add(1)
 			go func(peer string, refs []*clusterCellRef) {
 				defer wg.Done()
-				left := s.runPeerBatch(ctx, peer, refs, result, seed, tr, root, deliver)
+				left := s.runPeerBatch(ctx, sw, peer, refs)
 				if len(left) > 0 {
 					failedMu.Lock()
 					failed = append(failed, left...)
@@ -120,35 +106,21 @@ func (s *Service) dispatchCluster(ctx context.Context, jobID string, specs []wor
 	}
 
 	// Last resort: whatever the cluster could not place runs on the
-	// local pool through the exact same cell core a single-node sweep
+	// local pool through the exact same cell path a single-node sweep
 	// uses. Stolen-to-local cells count as both a steal and a local
 	// fallback.
-	if len(pending) > 0 && ctx.Err() == nil {
-		var wg sync.WaitGroup
-		for _, r := range pending {
-			if ctx.Err() != nil {
-				break
-			}
-			if len(r.tried) > 0 {
-				s.metrics.clusterSteals.Inc()
-			}
-			s.metrics.clusterLocalCells.Inc()
-			ce := cellExec{
-				sp: specs[r.wi], sc: schemes[r.si], sa: &apps[r.wi],
-				scale: scale, scaleName: result.Scale,
-				cfg: cfg, cfgName: result.Config,
-				seed: seed, tr: tr, span: root,
-			}
-			wg.Add(1)
-			if !s.pool.submit(s.cellTask(ctx, jobID, r.wi, r.si, ce, time.Now(), &wg, deliver, fail)) {
-				wg.Done()
-				fail(errClosed)
-				break
-			}
-		}
-		wg.Wait()
+	if ctx.Err() != nil {
+		return nil
 	}
-	return true
+	local := make([]int, 0, len(pending))
+	for _, r := range pending {
+		if len(r.tried) > 0 {
+			s.metrics.clusterSteals.Inc()
+		}
+		s.metrics.clusterLocalCells.Inc()
+		local = append(local, r.i)
+	}
+	return local
 }
 
 // runPeerBatch executes one peer's share of a round and returns the
@@ -156,28 +128,32 @@ func (s *Service) dispatchCluster(ctx context.Context, jobID string, specs []wor
 // cells are final: they leave the outstanding set before deliver runs,
 // and a ref absent from the returned slice is never re-dispatched, so
 // no cell can land in the event log twice.
-func (s *Service) runPeerBatch(ctx context.Context, peer string, refs []*clusterCellRef, result *SimulateResult, seed int64, tr *obs.Trace, root obs.SpanRef, deliver func(wi, si int, done CellResult)) []*clusterCellRef {
-	span := tr.Start(root.ID(), "peer_batch",
+func (s *Service) runPeerBatch(ctx context.Context, sw *sweep, peer string, refs []*clusterCellRef) []*clusterCellRef {
+	span := sw.tr.Start(sw.root.ID(), "peer_batch",
 		obs.Attr{Key: "peer", Value: peer},
 		obs.Attr{Key: "cells", Value: strconv.Itoa(len(refs))},
 	)
 	defer span.End()
 
 	// outstanding is confined to this goroutine: ExecuteCells invokes
-	// onCell sequentially on the calling goroutine, in stream order.
+	// onCell sequentially on the calling goroutine, in stream order. Its
+	// keys are unique because a plan lists each workload and scheme once.
+	rc := sw.plan.rc
 	outstanding := make(map[cluster.Cell]*clusterCellRef, len(refs))
 	b := cluster.Batch{
 		Cells:  make([]cluster.Cell, 0, len(refs)),
-		Scale:  result.Scale,
-		Config: result.Config,
-		Seed:   seed,
+		Scale:  rc.scaleName,
+		Config: rc.cfgName,
+		Seed:   rc.seed,
 	}
 	for _, r := range refs {
-		outstanding[r.cell] = r
-		b.Cells = append(b.Cells, r.cell)
+		ce := &sw.plan.cells[r.i]
+		c := cluster.Cell{Workload: ce.sp.Abbr, Scheme: string(ce.sc)}
+		outstanding[c] = r
+		b.Cells = append(b.Cells, c)
 	}
 
-	err := s.cfg.Cluster.ExecuteCells(ctx, peer, tr.ID(), b, func(c cluster.Cell, payload json.RawMessage) {
+	err := s.cfg.Cluster.ExecuteCells(ctx, peer, sw.tr.ID(), b, func(c cluster.Cell, payload json.RawMessage) {
 		r, ok := outstanding[c]
 		if !ok {
 			// Unknown or duplicate coordinates: a confused worker.
@@ -202,28 +178,23 @@ func (s *Service) runPeerBatch(ctx context.Context, peer string, refs []*cluster
 		if !done.Cached {
 			// The peer paid for a real simulation; its measured cost
 			// still prices this coordinator's admission gate.
-			s.costs.observe(result.Config, result.Scale, done.Seconds)
+			s.costs.observe(rc.cfgName, rc.scaleName, done.Seconds)
 		}
-		deliver(r.wi, r.si, done)
+		sw.deliver(r.i, done)
 	})
 	if err != nil {
 		span.Annotate(obs.Attr{Key: "error", Value: err.Error()})
 		s.log.Warn("cluster batch failed; outstanding cells will be stolen",
-			"peer", peer, "trace_id", tr.ID(),
+			"peer", peer, "trace_id", sw.tr.ID(),
 			"outstanding", len(outstanding), "error", err)
 	}
 	var left []*clusterCellRef
 	for _, r := range outstanding {
-		r.tried = mergeTried(r.tried, peer)
+		if r.tried == nil {
+			r.tried = map[string]bool{}
+		}
+		r.tried[peer] = true
 		left = append(left, r)
 	}
 	return left
-}
-
-func mergeTried(tried map[string]bool, peer string) map[string]bool {
-	if tried == nil {
-		tried = map[string]bool{}
-	}
-	tried[peer] = true
-	return tried
 }

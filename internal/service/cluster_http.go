@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime/debug"
 	"time"
 
 	"valleymap/internal/cluster"
@@ -51,28 +50,26 @@ func (s *Service) handleCells(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequestf("batch has %d cells (limit %d)", len(b.Cells), maxBatchCells))
 		return
 	}
+	rc, err := resolveCoords(b.Config, b.Scale, b.Seed)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 	// One shared trace build per workload, exactly like a local sweep's
 	// apps slice — a batch naming the same workload under many schemes
 	// materializes its trace once.
 	apps := map[string]*sharedApp{}
 	execs := make([]cellExec, len(b.Cells))
 	for i, c := range b.Cells {
-		sa, ok := apps[c.Workload]
-		if !ok {
-			sa = &sharedApp{}
-			apps[c.Workload] = sa
-		}
-		ce, err := s.resolveCell(CellSpec{
-			Workload: c.Workload,
-			Scheme:   c.Scheme,
-			Scale:    b.Scale,
-			Config:   b.Config,
-			Seed:     b.Seed,
-		}, sa)
+		ce, err := rc.resolveCell(c.Workload, c.Scheme)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
+		if apps[c.Workload] == nil {
+			apps[c.Workload] = &sharedApp{}
+		}
+		ce.sa = apps[c.Workload]
 		execs[i] = ce
 	}
 
@@ -89,37 +86,19 @@ func (s *Service) handleCells(w http.ResponseWriter, r *http.Request) {
 	}
 	log := obs.Logger(ctx)
 
-	// Buffered to the batch size: a task's send never blocks, so an
+	// Buffered to the batch size: a task's report never blocks, so an
 	// early-exiting response loop (failure, dead coordinator) cannot
 	// strand pool workers.
 	out := make(chan cellOutcome, len(b.Cells))
+	report := func(i int, done CellResult, err error) {
+		out <- cellOutcome{i: i, done: done, err: err}
+	}
 	submitted := 0
-	for i := range execs {
-		i := i
-		task := func() {
-			defer func() {
-				if p := recover(); p != nil {
-					s.metrics.workerPanics.Inc()
-					log.Error("cell batch panic recovered",
-						"workload", execs[i].sp.Abbr,
-						"scheme", string(execs[i].sc),
-						"panic", fmt.Sprint(p),
-						"stack", string(debug.Stack()),
-					)
-					out <- cellOutcome{i: i, err: fmt.Errorf("simulating %s under %s: %v", execs[i].sp.Abbr, execs[i].sc, p)}
-				}
-			}()
-			if ctx.Err() != nil {
-				out <- cellOutcome{i: i, err: ctx.Err()}
-				return
-			}
-			done, err := s.executeCell(ctx, "", execs[i])
-			out <- cellOutcome{i: i, done: done, err: err}
-		}
-		if !s.pool.submit(task) {
+	for i, ce := range execs {
+		if !s.pool.submit(s.cellTask(ctx, i, ce, report)) {
 			// Shutting down: cells not yet submitted fail the batch; the
 			// coordinator re-homes them.
-			out <- cellOutcome{i: i, err: errClosed}
+			report(i, CellResult{}, errClosed)
 		}
 		submitted++
 	}

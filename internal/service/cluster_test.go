@@ -173,6 +173,29 @@ func TestClusterShardedSweep(t *testing.T) {
 	checkAgainstTruth(t, j2, singleNodeTruth(t, clusterSweep))
 }
 
+// TestClusterWorkerQueueWait: a worker queues /v1/cells batch cells
+// through the same pool task as a local sweep, so every remote cell
+// lands in its valleyd_queue_wait_seconds exactly once, as it does in
+// valleyd_cell_simulation_seconds.
+func TestClusterWorkerQueueWait(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	w1, s1, u1 := startWorker(t, "", "")
+	defer stopWorker(t, w1, s1)
+	w2, s2, u2 := startWorker(t, "", "")
+	defer stopWorker(t, w2, s2)
+	coord := newCoordinator(t, []string{u1, u2})
+
+	j := runClusterSweep(t, coord, clusterSweep)
+	if n := coord.metrics.clusterLocalCells.Value(); n != 0 {
+		t.Fatalf("%v cells ran on the coordinator; the test needs every cell on a worker", n)
+	}
+	waits := w1.metrics.queueWait.Count() + w2.metrics.queueWait.Count()
+	cells := w1.metrics.cellSeconds.Count() + w2.metrics.cellSeconds.Count()
+	if want := int64(len(j.Result.Cells)); waits != want || cells != want {
+		t.Errorf("workers observed %d queue waits and %d cell times, want %d each", waits, cells, want)
+	}
+}
+
 // TestClusterRestartWarmAffinity is the acceptance pin for the sharding
 // design: after a FULL cluster restart (coordinator and both workers,
 // spill dirs retained, same addresses), a repeat sweep is served

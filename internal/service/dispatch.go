@@ -5,10 +5,10 @@ package service
 // config, seed) cell through the two-tier cache, the pooled engine and
 // the admission cost model, identical whether the cell was submitted
 // by a local sweep, a coordinator's remote batch (cluster_http.go) or
-// an embedder (ExecuteCell). Above it sit two dispatchers sharing the
-// cellTask shape: dispatchLocal fans cells over the in-process worker
-// pool, and dispatchCluster (cluster_dispatch.go) shards them across
-// peer valleyd workers by cache-affinity rendezvous hashing.
+// an embedder (ExecuteCell), and cellTask queues any cell on the pool.
+// Above them, dispatchLocal runs a sweep's cells on the in-process pool
+// and dispatchCluster (cluster_dispatch.go) shards them across peer
+// valleyd workers by cache-affinity rendezvous hashing.
 
 import (
 	"context"
@@ -32,21 +32,19 @@ import (
 // shutdown.
 var errClosed = errors.New("service shutting down")
 
-// cellExec is one resolved cell plus the observability context it runs
-// under. tr may be nil and span zero (the obs API is nil-safe), which
-// is how the worker-side /v1/cells path runs the core without a span
-// trace of its own.
+// cellExec is one resolved cell (run coordinates, workload, scheme,
+// sim-cache key) plus its shared trace slot and observability context.
+// jobID may be empty, tr nil and span zero (the obs API is nil-safe):
+// that is how /v1/cells runs the core without a job or span trace.
 type cellExec struct {
-	sp        workload.Spec
-	sc        mapping.Scheme
-	sa        *sharedApp
-	scale     workload.Scale
-	scaleName string
-	cfg       gpusim.Config
-	cfgName   string
-	seed      int64
-	tr        *obs.Trace
-	span      obs.SpanRef // the cell span child stages nest under
+	rc    *runCoords
+	sp    workload.Spec
+	sc    mapping.Scheme
+	key   string
+	sa    *sharedApp
+	jobID string
+	tr    *obs.Trace
+	span  obs.SpanRef // the cell span child stages nest under
 }
 
 // executeCell runs one sweep cell through the cache-backed execution
@@ -57,7 +55,7 @@ type cellExec struct {
 // CellResult is complete except for span annotations, which the caller
 // owns. Context errors come back unwrapped; a panic inside the compute
 // closure surfaces as a cache.PanicError, already logged and counted.
-func (s *Service) executeCell(ctx context.Context, jobID string, ce cellExec) (CellResult, error) {
+func (s *Service) executeCell(ctx context.Context, ce cellExec) (CellResult, error) {
 	cellStart := time.Now()
 	// putSpan covers the cache insert after the compute closure
 	// returns; it stays the inert zero SpanRef on cache hits.
@@ -71,9 +69,9 @@ func (s *Service) executeCell(ctx context.Context, jobID string, ce cellExec) (C
 		}
 		simStart := time.Now()
 		build := ce.tr.Start(ce.span.ID(), "trace_build")
-		app := ce.sa.get(ce.sp, ce.scale)
+		app := ce.sa.get(ce.sp, ce.rc.scale)
 		build.End()
-		m := mapping.MustNew(ce.sc, ce.cfg.Layout, mapping.Options{Seed: ce.seed})
+		m := mapping.MustNew(ce.sc, ce.rc.cfg.Layout, mapping.Options{Seed: ce.rc.seed})
 		r := runnerPool.Get().(*gpusim.Runner)
 		eng := ce.tr.Start(ce.span.ID(), "engine_run")
 		var setup, kernels, collect time.Duration
@@ -90,7 +88,7 @@ func (s *Service) executeCell(ctx context.Context, jobID string, ce cellExec) (C
 		// The engine polls ctx between bounded event batches,
 		// so an abandoned or expired sweep frees this worker
 		// slot mid-cell within the checkpoint interval.
-		res, runErr := r.RunCtx(ctx, app, m, ce.cfg)
+		res, runErr := r.RunCtx(ctx, app, m, ce.rc.cfg)
 		r.SetStageObserver(nil)
 		eng.Annotate(
 			obs.Attr{Key: "setup_us", Value: strconv.FormatInt(setup.Microseconds(), 10)},
@@ -111,14 +109,13 @@ func (s *Service) executeCell(ctx context.Context, jobID string, ce cellExec) (C
 		putSpan = ce.tr.Start(ce.span.ID(), "cache_put")
 		return &simCell{Res: experiments.FlattenResult(res), Seconds: time.Since(simStart).Seconds()}, nil
 	}
-	key := simCellKey(ce.sp.Abbr, ce.scaleName, ce.sc, ce.cfgName, ce.seed)
 	var (
 		cell *simCell
 		tier cache.Tier
 		err  error
 	)
 	for attempt := 0; ; attempt++ {
-		cell, tier, err = s.simCache.GetOrCompute(key, compute)
+		cell, tier, err = s.simCache.GetOrCompute(ce.key, compute)
 		// In-flight coalescing wrinkle: joining another sweep's
 		// computation means inheriting its context error if that
 		// sweep is canceled. While our own job is still alive,
@@ -138,15 +135,7 @@ func (s *Service) executeCell(ctx context.Context, jobID string, ce cellExec) (C
 		// caller's to classify quietly.
 		var pe *cache.PanicError
 		if errors.As(err, &pe) {
-			s.metrics.workerPanics.Inc()
-			s.log.Error("sweep cell panic recovered",
-				"job_id", jobID,
-				"trace_id", ce.tr.ID(),
-				"workload", ce.sp.Abbr,
-				"scheme", string(ce.sc),
-				"panic", fmt.Sprint(pe.Value),
-				"stack", string(pe.Stack),
-			)
+			s.cellPanic(ce, pe.Value, pe.Stack)
 		}
 		return CellResult{}, err
 	}
@@ -166,9 +155,23 @@ func (s *Service) executeCell(ctx context.Context, jobID string, ce cellExec) (C
 		// Feed the admission cost model with the measured
 		// simulation seconds (cache hits measure the cache,
 		// not the simulator, and are skipped).
-		s.costs.observe(ce.cfgName, ce.scaleName, cell.Seconds)
+		s.costs.observe(ce.rc.cfgName, ce.rc.scaleName, cell.Seconds)
 	}
 	return done, nil
+}
+
+// cellPanic counts and logs a panic recovered while running ce, with
+// the stack from the panic site.
+func (s *Service) cellPanic(ce cellExec, v any, stack []byte) {
+	s.metrics.workerPanics.Inc()
+	s.log.Error("sweep cell panic recovered",
+		"job_id", ce.jobID,
+		"trace_id", ce.tr.ID(),
+		"workload", ce.sp.Abbr,
+		"scheme", string(ce.sc),
+		"panic", fmt.Sprint(v),
+		"stack", string(stack),
+	)
 }
 
 // CellSpec names one simulation cell in transport form, the public
@@ -189,55 +192,46 @@ type CellSpec struct {
 // worker-side batch endpoint build on; sweep-relative aggregation
 // (speedups) is the dispatcher's business, not the core's.
 func (s *Service) ExecuteCell(ctx context.Context, spec CellSpec) (CellResult, error) {
-	ce, err := s.resolveCell(spec, &sharedApp{})
+	rc, err := resolveCoords(spec.Config, spec.Scale, spec.Seed)
 	if err != nil {
 		return CellResult{}, err
 	}
-	return s.executeCell(ctx, "", ce)
+	ce, err := rc.resolveCell(spec.Workload, spec.Scheme)
+	if err != nil {
+		return CellResult{}, err
+	}
+	ce.sa = &sharedApp{}
+	return s.executeCell(ctx, ce)
 }
 
-// resolveCell validates spec against the workload/scheme/config/scale
-// vocabularies and binds it to sa's shared trace slot.
-func (s *Service) resolveCell(spec CellSpec, sa *sharedApp) (cellExec, error) {
-	sp, ok := workload.ByAbbr(spec.Workload)
+// resolveCell validates a cell's workload and scheme names against their
+// vocabularies and binds the cell to rc; the caller attaches its shared
+// trace slot.
+func (rc *runCoords) resolveCell(abbr, scheme string) (cellExec, error) {
+	sp, ok := workload.ByAbbr(abbr)
 	if !ok {
-		return cellExec{}, notFoundf("unknown workload %q (want one of %v)", spec.Workload, workload.Abbrs())
+		return cellExec{}, notFoundf("unknown workload %q (want one of %v)", abbr, workload.Abbrs())
 	}
-	sc, err := mapping.ParseScheme(spec.Scheme)
+	sc, err := mapping.ParseScheme(scheme)
 	if err != nil {
-		return cellExec{}, badRequestf("unknown scheme %q (want one of %v)", spec.Scheme, mapping.Schemes())
+		return cellExec{}, badRequestf("unknown scheme %q (want one of %v)", scheme, mapping.Schemes())
 	}
-	cfg, cfgName, err := parseSimConfig(spec.Config)
-	if err != nil {
-		return cellExec{}, err
-	}
-	scale, scaleName, err := parseScale(spec.Scale)
-	if err != nil {
-		return cellExec{}, err
-	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return cellExec{
-		sp: sp, sc: sc, sa: sa,
-		scale: scale, scaleName: scaleName,
-		cfg: cfg, cfgName: cfgName,
-		seed: seed,
-	}, nil
+	return rc.cell(sp, sc), nil
 }
 
-// cellTask wraps one cell for pool submission: queue-wait accounting,
-// the cell span with its queue_wait child, a panic backstop, and the
-// deliver/fail routing of the outcome. Both dispatchers build their
-// local tasks through it so a cell behaves identically whether it ran
-// in a plain sweep or as a cluster fallback.
-func (s *Service) cellTask(ctx context.Context, jobID string, wi, si int, ce cellExec, submitAt time.Time, wg *sync.WaitGroup, deliver func(wi, si int, done CellResult), fail func(error)) func() {
+// cellTask wraps cell i for pool submission: queue-wait accounting, the
+// cell span with its queue_wait child, the panic fence and the outcome
+// classification. Every cell that runs on the pool — a local sweep's, a
+// cluster fallback's or a /v1/cells batch's — is queued through it, and
+// the task calls report exactly once, with the finished cell or the
+// error that stopped it.
+func (s *Service) cellTask(ctx context.Context, i int, ce cellExec, report func(i int, done CellResult, err error)) func() {
+	submitAt := time.Now()
 	return func() {
-		defer wg.Done()
-		if ctx.Err() != nil {
+		if err := ctx.Err(); err != nil {
 			// Canceled while queued: free the worker slot without
 			// paying for the cell.
+			report(i, CellResult{}, err)
 			return
 		}
 		cellStart := time.Now()
@@ -250,85 +244,70 @@ func (s *Service) cellTask(ctx context.Context, jobID string, wi, si int, ce cel
 		qw.EndAt(cellStart)
 		defer func() {
 			if r := recover(); r != nil {
-				s.metrics.workerPanics.Inc()
-				s.log.Error("sweep cell panic recovered",
-					"job_id", jobID,
-					"trace_id", ce.tr.ID(),
-					"workload", ce.sp.Abbr,
-					"scheme", string(ce.sc),
-					"panic", fmt.Sprint(r),
-					"stack", string(debug.Stack()),
-				)
+				s.cellPanic(ce, r, debug.Stack())
 				cellSpan.Annotate(obs.Attr{Key: "panic", Value: fmt.Sprint(r)})
 				cellSpan.End()
-				fail(fmt.Errorf("simulating %s under %s: %v", ce.sp.Abbr, ce.sc, r))
+				report(i, CellResult{}, fmt.Errorf("simulating %s under %s: %v", ce.sp.Abbr, ce.sc, r))
 			}
 		}()
-		exec := ce
-		exec.span = cellSpan
-		done, err := s.executeCell(ctx, jobID, exec)
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Our own cancellation (or an unlucky triple join on
-			// other dying sweeps): record it quietly; the dispatcher
-			// publishes the terminal event.
-			fail(err)
+		ce.span = cellSpan
+		done, err := s.executeCell(ctx, ce)
+		switch {
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			// Our own cancellation (or an unlucky triple join on other
+			// dying sweeps): record it quietly; the dispatcher publishes
+			// the terminal event.
 			cellSpan.Annotate(obs.Attr{Key: "canceled", Value: "true"})
-			cellSpan.End()
-			return
-		}
-		if err != nil {
+		case err != nil:
 			var pe *cache.PanicError
 			if errors.As(err, &pe) {
 				cellSpan.Annotate(obs.Attr{Key: "panic", Value: fmt.Sprint(pe.Value)})
 			}
-			fail(err)
 			cellSpan.Annotate(obs.Attr{Key: "error", Value: err.Error()})
-			cellSpan.End()
-			return
+		default:
+			cellSpan.Annotate(obs.Attr{Key: "cached", Value: strconv.FormatBool(done.Cached)})
 		}
-		cellSpan.Annotate(obs.Attr{Key: "cached", Value: strconv.FormatBool(done.Cached)})
 		cellSpan.End()
-		deliver(wi, si, done)
+		report(i, done, err)
 	}
 }
 
-// dispatchLocal fans a sweep's cells over the in-process worker pool
-// (or inline on the dispatcher goroutine in degraded mode) and blocks
-// until every submitted cell has finished. It is the single-node
-// execution path and the cluster dispatcher's last-resort fallback.
-func (s *Service) dispatchLocal(ctx context.Context, jobID string, specs []workload.Spec, schemes []mapping.Scheme, cfg gpusim.Config, scale workload.Scale, seed int64, result *SimulateResult, tr *obs.Trace, root obs.SpanRef, apps []sharedApp, deliver func(wi, si int, done CellResult), fail func(error), degraded bool) {
+// dispatchLocal runs the listed cells of a sweep on the in-process
+// worker pool (or inline on the dispatcher goroutine in degraded mode)
+// and blocks until every submitted cell has reported. It is the
+// single-node execution path and the cluster dispatcher's last-resort
+// fallback.
+func (s *Service) dispatchLocal(ctx context.Context, sw *sweep, cells []int) {
 	var wg sync.WaitGroup
-submit:
-	for wi := range specs {
-		for si := range schemes {
-			if ctx.Err() != nil {
-				// Canceled mid-fan-out: stop submitting. Cells already
-				// queued or running drain through their own ctx checks.
-				break submit
-			}
-			ce := cellExec{
-				sp: specs[wi], sc: schemes[si], sa: &apps[wi],
-				scale: scale, scaleName: result.Scale,
-				cfg: cfg, cfgName: result.Config,
-				seed: seed, tr: tr, span: root,
-			}
-			wg.Add(1)
-			task := s.cellTask(ctx, jobID, wi, si, ce, time.Now(), &wg, deliver, fail)
-			if degraded {
-				// Degraded mode: the sweep is fully cached and the pool is
-				// saturated, so cells run inline on this dispatcher
-				// goroutine — cached results stay servable under overload
-				// without queueing behind real simulation work.
-				task()
-				continue
-			}
-			if !s.pool.submit(task) {
-				wg.Done()
-				fail(errClosed)
-				// The pool only refuses when it is closed; later submits
-				// would just fail the same way, so stop fanning out.
-				break submit
-			}
+	report := func(i int, done CellResult, err error) {
+		defer wg.Done()
+		if err != nil {
+			sw.fail(err)
+			return
+		}
+		sw.deliver(i, done)
+	}
+	for _, i := range cells {
+		if ctx.Err() != nil {
+			// Canceled mid-fan-out: stop submitting. Cells already
+			// queued or running drain through their own ctx checks.
+			break
+		}
+		wg.Add(1)
+		task := s.cellTask(ctx, i, sw.cell(i), report)
+		if sw.degraded {
+			// Degraded mode: the sweep is fully cached and the pool is
+			// saturated, so cells run inline on this dispatcher
+			// goroutine — cached results stay servable under overload
+			// without queueing behind real simulation work.
+			task()
+			continue
+		}
+		if !s.pool.submit(task) {
+			report(i, CellResult{}, errClosed)
+			// The pool only refuses when it is closed; later submits
+			// would just fail the same way, so stop fanning out.
+			break
 		}
 	}
 	wg.Wait()

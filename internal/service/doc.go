@@ -11,26 +11,25 @@
 //
 // # Cell-execution core vs dispatch
 //
-// Sweep execution is split into a transport-agnostic core and
-// swappable dispatch layers. The core (dispatch.go) knows how to run
-// exactly one cell: resolveCell turns a CellSpec (workload, scheme,
-// scale, config, seed — the wire-friendly coordinates) into a bound
-// cellExec, and executeCell runs it through the two-tier cache,
-// the tracing spans and the panic fences, returning a CellResult. It
-// neither knows nor cares who asked. Above it sit two dispatchers
-// that only decide where each cell runs: dispatchLocal (dispatch.go)
-// fans cells out over the in-process worker pool (and runs them
-// inline in degraded mode), while dispatchCluster
-// (cluster_dispatch.go) shards them across peer valleyd workers by
-// rendezvous hashing over the cells' sim-cache keys, stealing from
-// slow or dead peers and falling back to the local pool for anything
-// the cluster cannot place. Both deliver finished cells through the
-// same callback into the job's dense-seq event log, so every
-// downstream contract — event ordering, aggregation, admission
-// accounting — is dispatcher-blind. The worker-facing half of the
-// wire protocol lives in cluster_http.go: POST /v1/cells accepts a
-// batch of CellSpecs and streams one NDJSON update per finished cell,
-// executed on the worker's own pool via the same core.
+// Every sweep and cell entry point resolves its input one way:
+// resolveCoords turns the wire config, scale and seed (0 = 1) into run
+// coordinates, which own the sim-cache key, and binds cells to them as
+// cellExecs. resolveSweep turns a request into a sweepPlan (run
+// coordinates, workload and scheme axes listed once each, and the
+// grid's cells in result order), which admission prices; an accepted
+// plan runs as a sweep, whose deliver and fail are the only ways a cell
+// outcome reaches the job. executeCell (dispatch.go) runs one cell
+// through the two-tier cache and the pooled engine, not knowing who
+// asked, and cellTask is the only way a cell is queued on the pool:
+// queue wait, cell span, panic fence, one report per cell. Two
+// dispatchers only decide where cells run: dispatchCluster
+// (cluster_dispatch.go) shards them across peer workers by rendezvous
+// hashing over their keys, stealing from slow or dead peers, and
+// dispatchLocal runs the rest — every cell on a single node — on the
+// local pool, so event ordering, aggregation and admission accounting
+// are dispatcher-blind. On a worker, POST /v1/cells (cluster_http.go)
+// resolves a batch's coordinates once, queues each cell through
+// cellTask and streams one NDJSON update per finished cell.
 //
 // # Cluster mode
 //

@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -757,8 +758,46 @@ type simCell struct {
 	Seconds float64                `json:"seconds"`
 }
 
-func simCellKey(abbr, scale string, sc mapping.Scheme, cfgName string, seed int64) string {
-	return fmt.Sprintf("sim|%s|%s|%s|%s|%d", abbr, scale, sc, cfgName, seed)
+// runCoords are the run coordinates every cell of a sweep or a
+// /v1/cells batch shares: the simulated system, the trace scale and the
+// mapper seed, each with its wire name.
+type runCoords struct {
+	cfg       gpusim.Config
+	cfgName   string
+	scale     workload.Scale
+	scaleName string
+	seed      int64
+}
+
+// resolveCoords resolves the wire strings for config and scale and the
+// wire seed (0 = 1) into run coordinates. It is the one place sweeps and
+// cells default their seed.
+func resolveCoords(config, scale string, seed int64) (*runCoords, error) {
+	cfg, cfgName, err := parseSimConfig(config)
+	if err != nil {
+		return nil, err
+	}
+	sc, scaleName, err := parseScale(scale)
+	if err != nil {
+		return nil, err
+	}
+	if seed == 0 {
+		seed = 1
+	}
+	return &runCoords{cfg: cfg, cfgName: cfgName, scale: sc, scaleName: scaleName, seed: seed}, nil
+}
+
+// cellKey is the sim-cache key of one cell under these coordinates, and
+// the affinity key a coordinator ranks peers by.
+func (rc *runCoords) cellKey(abbr string, sc mapping.Scheme) string {
+	return fmt.Sprintf("sim|%s|%s|%s|%s|%d", abbr, rc.scaleName, sc, rc.cfgName, rc.seed)
+}
+
+// cell binds one workload × scheme pair to these coordinates. Every
+// cellExec is built here; callers attach the shared trace slot and the
+// observability context.
+func (rc *runCoords) cell(sp workload.Spec, sc mapping.Scheme) cellExec {
+	return cellExec{rc: rc, sp: sp, sc: sc, key: rc.cellKey(sp.Abbr, sc)}
 }
 
 func parseSimConfig(name string) (gpusim.Config, string, error) {
@@ -776,16 +815,51 @@ func parseSimConfig(name string) (gpusim.Config, string, error) {
 	}
 }
 
-func (s *Service) resolveSweep(req SimulateRequest) ([]workload.Spec, []mapping.Scheme, gpusim.Config, string, workload.Scale, string, error) {
+// sweepPlan is one resolved sweep: the workload × scheme grid under one
+// set of run coordinates. cells holds the grid's cells in result order,
+// cells[wi*len(schemes)+si], each bound to its sim-cache key.
+type sweepPlan struct {
+	rc      *runCoords
+	specs   []workload.Spec
+	schemes []mapping.Scheme
+	cells   []cellExec
+}
+
+func (p sweepPlan) result() *SimulateResult {
+	r := &SimulateResult{
+		Config: p.rc.cfgName,
+		Scale:  p.rc.scaleName,
+		Seed:   p.rc.seed,
+		Cells:  make([]CellResult, len(p.cells)),
+	}
+	for _, sp := range p.specs {
+		r.Workloads = append(r.Workloads, sp.Abbr)
+	}
+	for _, sc := range p.schemes {
+		r.Schemes = append(r.Schemes, string(sc))
+	}
+	return r
+}
+
+// resolveSweep validates req against the workload, set, scheme, config
+// and scale vocabularies. A workload or scheme may appear once: every
+// cell of a sweep has its own coordinates, which is what lets a cluster
+// dispatcher route a peer's answer back to exactly one grid slot.
+// Duplicates are checked after resolving, since "pae" and "PAE" are one
+// scheme.
+func resolveSweep(req SimulateRequest) (sweepPlan, error) {
 	var specs []workload.Spec
 	switch {
 	case len(req.Workloads) > 0 && req.Set != "":
-		return nil, nil, gpusim.Config{}, "", 0, "", badRequestf("give either workloads or set, not both")
+		return sweepPlan{}, badRequestf("give either workloads or set, not both")
 	case len(req.Workloads) > 0:
 		for _, abbr := range req.Workloads {
 			spec, ok := workload.ByAbbr(abbr)
 			if !ok {
-				return nil, nil, gpusim.Config{}, "", 0, "", notFoundf("unknown workload %q (want one of %v)", abbr, workload.Abbrs())
+				return sweepPlan{}, notFoundf("unknown workload %q (want one of %v)", abbr, workload.Abbrs())
+			}
+			if slices.ContainsFunc(specs, func(prev workload.Spec) bool { return prev.Abbr == spec.Abbr }) {
+				return sweepPlan{}, badRequestf("duplicate workload %q", abbr)
 			}
 			specs = append(specs, spec)
 		}
@@ -798,9 +872,9 @@ func (s *Service) resolveSweep(req SimulateRequest) ([]workload.Spec, []mapping.
 		case "all":
 			specs = workload.Catalog()
 		case "":
-			return nil, nil, gpusim.Config{}, "", 0, "", badRequestf("request needs workloads or a set (valley, nonvalley, all)")
+			return sweepPlan{}, badRequestf("request needs workloads or a set (valley, nonvalley, all)")
 		default:
-			return nil, nil, gpusim.Config{}, "", 0, "", badRequestf("unknown set %q (want valley, nonvalley or all)", req.Set)
+			return sweepPlan{}, badRequestf("unknown set %q (want valley, nonvalley or all)", req.Set)
 		}
 	}
 
@@ -810,21 +884,26 @@ func (s *Service) resolveSweep(req SimulateRequest) ([]workload.Spec, []mapping.
 		for _, name := range req.Schemes {
 			sc, err := mapping.ParseScheme(name)
 			if err != nil {
-				return nil, nil, gpusim.Config{}, "", 0, "", badRequestf("unknown scheme %q (want one of %v)", name, mapping.Schemes())
+				return sweepPlan{}, badRequestf("unknown scheme %q (want one of %v)", name, mapping.Schemes())
+			}
+			if slices.Contains(schemes, sc) {
+				return sweepPlan{}, badRequestf("duplicate scheme %q (%s is already in the sweep)", name, sc)
 			}
 			schemes = append(schemes, sc)
 		}
 	}
 
-	cfg, cfgName, err := parseSimConfig(req.Config)
+	rc, err := resolveCoords(req.Config, req.Scale, req.Seed)
 	if err != nil {
-		return nil, nil, gpusim.Config{}, "", 0, "", err
+		return sweepPlan{}, err
 	}
-	scale, scaleName, err := parseScale(req.Scale)
-	if err != nil {
-		return nil, nil, gpusim.Config{}, "", 0, "", err
+	p := sweepPlan{rc: rc, specs: specs, schemes: schemes}
+	for _, sp := range specs {
+		for _, sc := range schemes {
+			p.cells = append(p.cells, rc.cell(sp, sc))
+		}
 	}
-	return specs, schemes, cfg, cfgName, scale, scaleName, nil
+	return p, nil
 }
 
 // Simulate validates the sweep, enqueues it on the worker pool and
@@ -853,13 +932,9 @@ func spanCapFor(totalCells int) int {
 // queue wait, trace build, engine run and cache put — served afterwards
 // by GET /v1/jobs/{id}/trace and JobTrace.
 func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, error) {
-	specs, schemes, cfg, cfgName, scale, scaleName, err := s.resolveSweep(req)
+	plan, err := resolveSweep(req)
 	if err != nil {
 		return Job{}, err
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
 	}
 
 	// Admission gate: price the sweep (uncached cells behind the current
@@ -874,13 +949,7 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 		t := dl.UTC()
 		deadline = &t
 	}
-	keys := make([]string, 0, len(specs)*len(schemes))
-	for _, sp := range specs {
-		for _, sc := range schemes {
-			keys = append(keys, simCellKey(sp.Abbr, scaleName, sc, cfgName, seed))
-		}
-	}
-	degraded, err := s.admitSweep(deadline, len(keys), s.countCachedCells(keys), cfgName, scaleName)
+	degraded, err := s.admitSweep(deadline, plan)
 	if err != nil {
 		return Job{}, err
 	}
@@ -901,14 +970,14 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 	if traceID == "" {
 		traceID = obs.NewTraceID()
 	}
-	total := len(specs) * len(schemes)
+	total := len(plan.cells)
 	tr := obs.NewTrace(traceID, spanCapFor(total))
 	// The root span starts at the HTTP accept instant when the handler
 	// recorded one, so accept-to-enqueue time is visible in the tree.
 	root := tr.StartAt(0, "job", obs.AcceptTime(ctx),
 		obs.Attr{Key: "kind", Value: "simulate"},
-		obs.Attr{Key: "config", Value: cfgName},
-		obs.Attr{Key: "scale", Value: scaleName},
+		obs.Attr{Key: "config", Value: plan.rc.cfgName},
+		obs.Attr{Key: "scale", Value: plan.rc.scaleName},
 	)
 	enq := tr.Start(root.ID(), "enqueue")
 	job, err := s.jobs.create("simulate", total, tr)
@@ -933,19 +1002,8 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 		release = func() { cancelT(); cancelJob(nil) }
 	}
 	s.jobs.arm(job.ID, cancelJob, deadline)
-
-	result := &SimulateResult{
-		Config: cfgName,
-		Scale:  scaleName,
-		Seed:   seed,
-		Cells:  make([]CellResult, total),
-	}
-	for _, sp := range specs {
-		result.Workloads = append(result.Workloads, sp.Abbr)
-	}
-	for _, sc := range schemes {
-		result.Schemes = append(result.Schemes, string(sc))
-	}
+	sw := &sweep{plan: plan, jobID: job.ID, jobs: s.jobs, tr: tr, root: root,
+		apps: make([]sharedApp, len(plan.specs)), result: plan.result(), degraded: degraded}
 
 	// The dispatcher goroutine owns the job lifecycle: it fans cells out
 	// over the pool (blocking on the bounded queue for backpressure),
@@ -955,7 +1013,7 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 	// the sweep finishes and is evicted under churn before we re-read,
 	// this creation-time copy is still a valid handle for the client.
 	created := *job
-	go s.runSweep(jobCtx, release, job.ID, specs, schemes, cfg, scale, seed, result, tr, root, degraded)
+	go s.runSweep(jobCtx, sw, release)
 	if snap, ok := s.jobs.get(job.ID); ok {
 		return snap, nil
 	}
@@ -999,6 +1057,50 @@ func (sa *sharedApp) get(sp workload.Spec, scale workload.Scale) *trace.App {
 	return sa.app
 }
 
+// sweep is one running sweep: its plan, the job it reports to, the span
+// trace it records into, the per-workload shared trace builds and the
+// result being filled, plus the first cell error. Every dispatcher
+// takes one.
+type sweep struct {
+	plan     sweepPlan
+	jobID    string
+	jobs     *jobStore
+	tr       *obs.Trace
+	root     obs.SpanRef
+	apps     []sharedApp
+	result   *SimulateResult
+	degraded bool
+
+	errMu    sync.Mutex
+	firstErr error
+}
+
+func (sw *sweep) cell(i int) cellExec {
+	ce := sw.plan.cells[i]
+	ce.sa = &sw.apps[i/len(sw.plan.schemes)]
+	ce.jobID = sw.jobID
+	ce.tr = sw.tr
+	ce.span = sw.root
+	return ce
+}
+
+// deliver publishes a finished cell on the job's event stream the
+// moment it lands (streaming clients see it before job completion) and
+// files it into its grid slot. Each slot is delivered at most once per
+// sweep, whichever dispatcher ran it, so the write needs no lock.
+func (sw *sweep) deliver(i int, done CellResult) {
+	sw.result.Cells[i] = done
+	sw.jobs.cellDone(sw.jobID, done)
+}
+
+func (sw *sweep) fail(err error) {
+	sw.errMu.Lock()
+	if sw.firstErr == nil {
+		sw.firstErr = err
+	}
+	sw.errMu.Unlock()
+}
+
 // runSweep is the dispatcher goroutine that owns one job's lifecycle:
 // it fans cells onto the pool (or runs them inline in degraded mode),
 // waits, aggregates and publishes the terminal event. ctx is the job
@@ -1006,49 +1108,29 @@ func (sa *sharedApp) get(sp workload.Spec, scale workload.Scale) *trace.App {
 // cells, interrupts running engines at their checkpoint interval and
 // terminates the job with a canceled/deadline_exceeded event. release
 // frees the job context's resources when the sweep ends.
-func (s *Service) runSweep(ctx context.Context, release func(), jobID string, specs []workload.Spec, schemes []mapping.Scheme, cfg gpusim.Config, scale workload.Scale, seed int64, result *SimulateResult, tr *obs.Trace, root obs.SpanRef, degraded bool) {
+func (s *Service) runSweep(ctx context.Context, sw *sweep, release func()) {
 	defer s.sweepWG.Done()
 	defer release()
-	defer root.End()
+	defer sw.root.End()
 	start := time.Now()
-	s.jobs.setRunning(jobID)
-	if degraded {
+	s.jobs.setRunning(sw.jobID)
+	if sw.degraded {
 		s.metrics.degradedSweeps.Inc()
-		root.Annotate(obs.Attr{Key: "degraded", Value: "true"})
+		sw.root.Annotate(obs.Attr{Key: "degraded", Value: "true"})
 	}
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
+	// Dispatch: cluster-sharded when a peer set is configured, and
+	// whatever the cluster does not place — every cell when no peer is
+	// reachable — on the local pool. Degraded sweeps (fully cached, pool
+	// saturated) always run locally: their value is answering from the
+	// local cache without queueing.
+	local := make([]int, len(sw.plan.cells))
+	for i := range local {
+		local[i] = i
 	}
-	// deliver publishes each finished cell on the job's event stream
-	// the moment it lands (streaming clients see it before job
-	// completion) and files it into its dense grid slot. Cells
-	// never collide on a slot — each (wi, si) executes exactly once
-	// per sweep, whichever dispatcher ran it — so the writes are safe
-	// without a lock.
-	deliver := func(wi, si int, done CellResult) {
-		result.Cells[wi*len(schemes)+si] = done
-		s.jobs.cellDone(jobID, done)
+	if !sw.degraded && s.cfg.Cluster != nil {
+		local = s.dispatchCluster(ctx, sw, local)
 	}
-	apps := make([]sharedApp, len(specs))
-	// Dispatch: cluster-sharded when a peer set is configured and at
-	// least one peer is reachable, local otherwise. Degraded sweeps
-	// (fully cached, pool saturated) always run locally — their value
-	// is answering from the local cache without queueing.
-	handled := false
-	if !degraded && s.cfg.Cluster != nil {
-		handled = s.dispatchCluster(ctx, jobID, specs, schemes, cfg, scale, seed, result, tr, root, apps, deliver, fail)
-	}
-	if !handled {
-		s.dispatchLocal(ctx, jobID, specs, schemes, cfg, scale, seed, result, tr, root, apps, deliver, fail, degraded)
-	}
+	s.dispatchLocal(ctx, sw, local)
 	elapsed := time.Since(start)
 	s.metrics.sweepSeconds.Add(elapsed.Seconds())
 	if cause := context.Cause(ctx); cause != nil {
@@ -1056,40 +1138,29 @@ func (s *Service) runSweep(ctx context.Context, release func(), jobID string, sp
 		// sweep's cells fail with context errors, but the job's terminal
 		// state should say "canceled", not "failed".
 		s.metrics.jobsCanceled.Inc()
-		s.jobs.finish(jobID, nil, cause)
+		j, _ := s.jobs.get(sw.jobID)
+		s.jobs.finish(sw.jobID, nil, cause)
 		s.log.Info("sweep canceled",
-			"job_id", jobID, "trace_id", tr.ID(),
-			"done_cells", countDone(result), "duration_ms", elapsed.Milliseconds(),
+			"job_id", sw.jobID, "trace_id", sw.tr.ID(),
+			"done_cells", j.Done, "duration_ms", elapsed.Milliseconds(),
 			"cause", cause)
 		return
 	}
-	if firstErr != nil {
+	if sw.firstErr != nil {
 		s.metrics.jobsFailed.Inc()
-		s.jobs.finish(jobID, nil, firstErr)
+		s.jobs.finish(sw.jobID, nil, sw.firstErr)
 		s.log.Warn("sweep failed",
-			"job_id", jobID, "trace_id", tr.ID(),
-			"duration_ms", elapsed.Milliseconds(), "error", firstErr)
+			"job_id", sw.jobID, "trace_id", sw.tr.ID(),
+			"duration_ms", elapsed.Milliseconds(), "error", sw.firstErr)
 		return
 	}
-	result.Seconds = elapsed.Seconds()
-	aggregateSweep(result)
+	sw.result.Seconds = elapsed.Seconds()
+	aggregateSweep(sw.result)
 	s.metrics.jobsDone.Inc()
-	s.jobs.finish(jobID, result, nil)
+	s.jobs.finish(sw.jobID, sw.result, nil)
 	s.log.Debug("sweep done",
-		"job_id", jobID, "trace_id", tr.ID(),
-		"cells", len(result.Cells), "duration_ms", elapsed.Milliseconds())
-}
-
-// countDone counts the cells that actually landed in a (possibly
-// partially executed) sweep: filled slots carry their workload abbr.
-func countDone(r *SimulateResult) int {
-	n := 0
-	for i := range r.Cells {
-		if r.Cells[i].Workload != "" {
-			n++
-		}
-	}
-	return n
+		"job_id", sw.jobID, "trace_id", sw.tr.ID(),
+		"cells", len(sw.result.Cells), "duration_ms", elapsed.Milliseconds())
 }
 
 // aggregateSweep fills speedups vs BASE and per-scheme harmonic means

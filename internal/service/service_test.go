@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -519,20 +521,69 @@ func TestSimulateValidation(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	cases := []struct {
-		name string
-		req  SimulateRequest
-		is   func(error) bool
+		name  string
+		req   SimulateRequest
+		is    func(error) bool
+		names string // a substring the error must carry
 	}{
-		{"empty", SimulateRequest{}, isBadRequest},
-		{"unknown workload", SimulateRequest{Workloads: []string{"NOPE"}}, isNotFound},
-		{"unknown set", SimulateRequest{Set: "everything"}, isBadRequest},
-		{"both", SimulateRequest{Workloads: []string{"MT"}, Set: "valley"}, isBadRequest},
-		{"bad scheme", SimulateRequest{Workloads: []string{"MT"}, Schemes: []string{"???"}}, isBadRequest},
-		{"bad config", SimulateRequest{Workloads: []string{"MT"}, Config: "quantum"}, isBadRequest},
+		{"empty", SimulateRequest{}, isBadRequest, ""},
+		{"unknown workload", SimulateRequest{Workloads: []string{"NOPE"}}, isNotFound, `"NOPE"`},
+		{"unknown set", SimulateRequest{Set: "everything"}, isBadRequest, `"everything"`},
+		{"both", SimulateRequest{Workloads: []string{"MT"}, Set: "valley"}, isBadRequest, ""},
+		{"bad scheme", SimulateRequest{Workloads: []string{"MT"}, Schemes: []string{"???"}}, isBadRequest, `"???"`},
+		{"bad config", SimulateRequest{Workloads: []string{"MT"}, Config: "quantum"}, isBadRequest, `"quantum"`},
+		// Every grid cell needs its own coordinates, or a coordinator
+		// cannot route a peer's answer back to exactly one slot.
+		{"duplicate workload", SimulateRequest{Workloads: []string{"MT", "MT"}, Schemes: []string{"BASE"}, Scale: "tiny"}, isBadRequest, `"MT"`},
+		{"duplicate scheme after parsing", SimulateRequest{Workloads: []string{"MT"}, Schemes: []string{"pae", "PAE"}, Scale: "tiny"}, isBadRequest, `"PAE"`},
 	}
 	for _, tc := range cases {
-		if _, err := s.Simulate(tc.req); err == nil || !tc.is(err) {
+		_, err := s.Simulate(tc.req)
+		if err == nil || !tc.is(err) {
 			t.Errorf("%s: err = %v, want typed client error", tc.name, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.names)
+		}
+	}
+}
+
+// TestExecuteCellSharesSweepKeys pins that every cell entry point uses
+// one key scheme: ExecuteCell on a cell a sweep just computed is a cache
+// hit with the sweep's exact metrics, and on a fresh service the same
+// call simulates to the same metrics.
+func TestExecuteCellSharesSweepKeys(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	req := SimulateRequest{Workloads: []string{"MT", "SP"}, Schemes: []string{"BASE", "PAE"}, Scale: "tiny"}
+	job, err := s.Simulate(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := waitJob(t, s, job.ID)
+	if j.Status != JobDone {
+		t.Fatalf("sweep ended %q: %s", j.Status, j.Error)
+	}
+	fresh := New(Config{Workers: 1})
+	defer fresh.Close()
+	for _, c := range j.Result.Cells {
+		spec := CellSpec{Workload: c.Workload, Scheme: c.Scheme, Scale: req.Scale}
+		warm, err := s.ExecuteCell(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("ExecuteCell %s/%s: %v", c.Workload, c.Scheme, err)
+		}
+		if !warm.Cached || warm.ResultJSON != c.ResultJSON {
+			t.Errorf("ExecuteCell %s/%s after the sweep: cached=%v, metrics match=%v; want a hit on the sweep's cell",
+				c.Workload, c.Scheme, warm.Cached, warm.ResultJSON == c.ResultJSON)
+		}
+		cold, err := fresh.ExecuteCell(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("fresh ExecuteCell %s/%s: %v", c.Workload, c.Scheme, err)
+		}
+		if cold.Cached || cold.ResultJSON != c.ResultJSON {
+			t.Errorf("ExecuteCell %s/%s on a fresh service: cached=%v, metrics match=%v; want a simulation equal to the sweep's",
+				c.Workload, c.Scheme, cold.Cached, cold.ResultJSON == c.ResultJSON)
 		}
 	}
 }

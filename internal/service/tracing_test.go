@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"valleymap/internal/gpusim"
 	"valleymap/internal/mapping"
 	"valleymap/internal/obs"
 	"valleymap/internal/trace"
@@ -217,16 +216,21 @@ func TestSweepCellPanicFailsJob(t *testing.T) {
 		Abbr: "BOOM", Name: "panicking workload",
 		Build: func(workload.Scale) *trace.App { panic("trace build exploded") },
 	}
-	tr := obs.NewTrace("panictrace", 64)
-	root := tr.Start(0, "job")
-	job, err := svc.jobs.create("simulate", 1, tr)
+	rc, err := resolveCoords("", "tiny", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	result := &SimulateResult{Config: "baseline", Scale: "tiny", Seed: 1, Cells: make([]CellResult, 1)}
+	plan := sweepPlan{rc: rc, specs: []workload.Spec{boom}, schemes: []mapping.Scheme{mapping.BASE},
+		cells: []cellExec{rc.cell(boom, mapping.BASE)}}
+	tr := obs.NewTrace("panictrace", 64)
+	root := tr.Start(0, "job")
+	job, err := svc.jobs.create("simulate", len(plan.cells), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	svc.sweepWG.Add(1)
-	svc.runSweep(context.Background(), func() {}, job.ID, []workload.Spec{boom}, []mapping.Scheme{mapping.BASE},
-		gpusim.Baseline(), workload.Tiny, 1, result, tr, root, false)
+	sw := &sweep{plan: plan, jobID: job.ID, jobs: svc.jobs, tr: tr, root: root, apps: make([]sharedApp, 1), result: plan.result()}
+	svc.runSweep(context.Background(), sw, func() {})
 
 	j, ok := svc.Job(job.ID)
 	if !ok {
