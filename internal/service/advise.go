@@ -2,14 +2,12 @@ package service
 
 import (
 	"sort"
-	"strings"
-	"sync"
 
 	"valleymap/internal/bim"
 	"valleymap/internal/layout"
 	"valleymap/internal/mapping"
+	"valleymap/internal/obs"
 	"valleymap/internal/trace"
-	"valleymap/internal/workload"
 )
 
 // AdviseRequest asks for a mapping recommendation. The trace inputs
@@ -69,9 +67,8 @@ func (s *Service) Advise(req AdviseRequest) (*AdviseResult, error) {
 	seeds := []int64{1, 2, 3}
 	if len(req.Seeds) > 0 {
 		for _, seed := range req.Seeds {
-			// Seed 0 would be silently renormalized to 1 when profiling
-			// the candidate, so the returned BIM would not match its
-			// reported gains.
+			// Seed 0 means "default" (1) to /v1/profile, so a candidate
+			// under it would not match that endpoint's profile.
 			if seed <= 0 {
 				return nil, badRequestf("seeds must be positive, got %d", seed)
 			}
@@ -79,56 +76,21 @@ func (s *Service) Advise(req AdviseRequest) (*AdviseResult, error) {
 		seeds = req.Seeds
 	}
 
-	// Build or decode the trace once and reuse it for the base profile
-	// and every candidate, instead of re-constructing it per scheme ×
-	// seed pair on a cold cache. Cache keys stay identical to the ones
-	// /v1/profile uses, so advise and profile share entries.
-	profile := func(r ProfileRequest) (*ProfileResult, bool, error) { return s.Profile(r) }
-	switch {
-	case req.TraceCSV != "" && req.Workload != "":
-		return nil, badRequestf("give either workload or trace_csv, not both")
-	case req.TraceFile != "" && (req.TraceCSV != "" || req.Workload != ""):
-		return nil, badRequestf("trace_file cannot be combined with workload or trace_csv")
-	case req.TraceCSV != "":
-		app, sum, err := trace.ReadCSVHashed(strings.NewReader(req.TraceCSV))
-		if err != nil {
-			return nil, badRequestf("bad trace: %v", err)
-		}
-		profile = func(r ProfileRequest) (*ProfileResult, bool, error) {
-			r.TraceCSV = ""
-			return s.ProfileTrace(app, sum, r)
-		}
-	case req.Workload != "":
-		spec, ok := workload.ByAbbr(req.Workload)
-		if !ok {
-			return nil, notFoundf("unknown workload %q (want one of %v)", req.Workload, workload.Abbrs())
-		}
-		scale, scaleName, err := parseScale(req.Scale)
-		if err != nil {
-			return nil, err
-		}
-		// Materialize the trace once (under the first candidate's
-		// semaphore slot) and stream the base + every candidate profile
-		// from the in-memory copy, instead of re-running the generator
-		// per scheme × seed pair on a cold cache.
-		var (
-			once sync.Once
-			app  *trace.App
-		)
-		source := func() trace.Source {
-			once.Do(func() { app = spec.Build(scale) })
-			return trace.AppSource(app)
-		}
-		profile = func(r ProfileRequest) (*ProfileResult, bool, error) {
-			opt, err := r.options()
-			if err != nil {
-				return nil, false, err
-			}
-			return s.workloadProfile(spec, scaleName, opt, source)
-		}
+	opt, err := req.options()
+	if err != nil {
+		return nil, err
 	}
-
-	base, _, err := profile(req.ProfileRequest)
+	in, err := s.resolveInput(req.ProfileRequest)
+	if err != nil {
+		return nil, err
+	}
+	defer in.close()
+	// Every candidate re-profiles the same trace, and the cache keys are
+	// the ones /v1/profile uses, so advise and profile share entries.
+	if err := in.replayable(&s.metrics.stageNative); err != nil {
+		return nil, err
+	}
+	base, _, err := s.profile(in, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -145,10 +107,9 @@ func (s *Service) Advise(req AdviseRequest) (*AdviseResult, error) {
 			scSeeds = []int64{1}
 		}
 		for _, seed := range scSeeds {
-			creq := req.ProfileRequest
-			creq.Scheme = string(sc)
-			creq.Seed = seed
-			prof, _, err := profile(creq)
+			copt := opt
+			copt.scheme, copt.seed = sc, seed
+			prof, _, err := s.profile(in, copt)
 			if err != nil {
 				return nil, err
 			}
@@ -188,4 +149,46 @@ func (s *Service) Advise(req AdviseRequest) (*AdviseResult, error) {
 		}
 	}
 	return &AdviseResult{Base: base, Recommended: best, Candidates: cands}, nil
+}
+
+// replayable readies in for Advise's many passes. A one-shot body (a
+// CSV trace_file) is drained into memory now, as its key is its hash;
+// a workload or embedded CSV is materialized by the first cache miss's
+// pass. An mmapped VTRC file is already in memory.
+func (in *profileInput) replayable(native *stageSet) error {
+	if _, mapped := in.src.(*trace.MmapSource); mapped {
+		return nil
+	}
+	a := &appOnce{src: in.src, decode: in.stages.decode}
+	if in.id == "" {
+		if a.Stream(); a.err != nil {
+			return in.fail(a.err)
+		}
+		in.drained()
+	}
+	in.src, in.stages = a, native
+	return nil
+}
+
+// appOnce is a restartable source that materializes src on its first
+// pass, timing that pass as src's decode, and replays every pass from
+// the in-memory copy.
+type appOnce struct {
+	src    trace.Source
+	decode *obs.Histogram
+	app    *trace.App
+	err    error
+}
+
+func (a *appOnce) Info() trace.SourceInfo { return a.src.Info() }
+
+func (a *appOnce) Stream() trace.Stream {
+	if a.app == nil && a.err == nil {
+		st := trace.NewTimedStream(a.src.Stream(), nil, a.decode.ObserveDuration)
+		a.app, a.err = trace.CollectStream(st, a.src.Info())
+	}
+	if a.err != nil {
+		return a.src.Stream() // re-reads src, so the pass reports the error
+	}
+	return trace.AppSource(a.app).Stream()
 }

@@ -9,6 +9,24 @@
 // API over all of it (http.go), with Prometheus-style plain-text
 // metrics rendered by one obs.Registry (metrics.go).
 //
+// # Profile path
+//
+// Every /v1/profile and /v1/advise input is resolved once and profiled
+// through one cached compute. resolveInput turns a request's workload,
+// trace_csv or trace_file into a profileInput (trace info, cache
+// identity wl:ABBR:scale or tr:<sha>, a restartable source or a one-shot
+// body, the container's stage labels, a release func); the stream and
+// ProfileTrace entry points build theirs directly. profile alone keys,
+// looks up and computes, under one of two semaphores: profileSem
+// (Workers slots) for restartable inputs, which may hold a trace in
+// memory, and streamSem (4 × Workers) for one-shot bodies, which hold
+// O(window × bits) but read a client's body mid-compute and so must not
+// starve profileSem. A one-shot body's key is its hash, known only once
+// drained, so it is profiled before the lookup: its hit dedupes
+// storage, not compute. Advise reads a container at most once: that
+// pass is observed under the container's format label, every pass over
+// the in-memory copy as native.
+//
 // # Cell-execution core vs dispatch
 //
 // Every sweep and cell entry point resolves its input one way:

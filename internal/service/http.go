@@ -213,18 +213,22 @@ func decodeJSON(r *http.Request, v any, limit int64) error {
 	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return overloadedBody{limit}
+			return overloadedBody{"request body", limit}
 		}
 		return badRequestf("bad request body: %v", err)
 	}
 	return nil
 }
 
-// overloadedBody is surfaced as 413 by writeError.
-type overloadedBody struct{ limit int64 }
+// overloadedBody is surfaced as 413 by writeError; what names the
+// oversize part of the request.
+type overloadedBody struct {
+	what  string
+	limit int64
+}
 
 func (e overloadedBody) Error() string {
-	return fmt.Sprintf("request body exceeds %d byte limit", e.limit)
+	return fmt.Sprintf("%s exceeds %d byte limit", e.what, e.limit)
 }
 
 // jsonBodyLimit is the cap for plain JSON control requests; endpoints
@@ -267,79 +271,53 @@ const binaryTraceMediaType = "application/x-valley-trace"
 
 func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) {
 	var (
-		res  *ProfileResult
-		hit  bool
-		done bool
-		err  error
+		res *ProfileResult
+		hit bool
+		err error
 	)
 	switch mediaType(r) {
 	case "text/csv", "text/plain":
-		// Streaming upload: the body flows through decoder → coalescer →
-		// accumulator in one pass, hashed incrementally, so memory stays
-		// O(window × bits) however long the trace is. Analysis options
-		// ride in query parameters.
-		res, hit, done = s.streamProfileBody(w, r, s.ProfileStream)
+		// Streaming uploads: analysis options ride in query parameters.
+		res, hit, err = s.streamProfileBody(w, r, s.ProfileStream)
 	case binaryTraceMediaType:
-		// Same streaming path, VTRC binary decoder; the canonical hash
-		// makes it land on the cache entries CSV uploads populate.
-		res, hit, done = s.streamProfileBody(w, r, s.ProfileStreamBinary)
+		res, hit, err = s.streamProfileBody(w, r, s.ProfileStreamBinary)
 	default:
 		var req ProfileRequest
-		if err = decodeJSON(r, &req, s.traceBodyLimit()); err != nil {
-			writeError(w, err)
-			return
-		}
-		res, hit, err = s.Profile(req)
-		if err != nil {
-			writeError(w, err)
-			return
+		if err = decodeJSON(r, &req, s.traceBodyLimit()); err == nil {
+			res, hit, err = s.Profile(req)
 		}
 	}
-	if done {
-		return // streamProfileBody already wrote the error response
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	writeJSON(w, http.StatusOK, profileEnvelope{ProfileResult: res, CacheHit: hit})
 }
 
 // streamProfileBody runs one streaming trace upload — profile selects
 // the container decoder — under the shared MaxTraceBytes accounting,
-// identical for CSV and binary bodies. done reports that an error
-// response was already written.
+// identical for CSV and binary bodies.
 func (s *Service) streamProfileBody(w http.ResponseWriter, r *http.Request,
-	profile func(io.Reader, ProfileRequest) (*ProfileResult, bool, error)) (res *ProfileResult, hit, done bool) {
+	profile func(io.Reader, ProfileRequest) (*ProfileResult, bool, error)) (*ProfileResult, bool, error) {
 	var req ProfileRequest
 	if err := profileQueryOptions(r, &req); err != nil {
-		writeError(w, err)
-		return nil, false, true
+		return nil, false, err
 	}
 	// The decoder may trip on the truncated final record before the
 	// reader's limit error surfaces, so classify by bytes consumed.
-	// The reader allows one byte past the cap: a decode failure with
-	// n > cap means the body was oversize and truncated, while a
-	// malformed trace of exactly cap bytes still reports 400.
+	// The reader allows one byte past the cap: a body of n > cap bytes
+	// is oversize whether or not it decoded, while a malformed trace of
+	// exactly cap bytes still reports 400.
 	cr := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxTraceBytes+1)}
 	res, hit, err := profile(cr, req)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) || cr.n > s.cfg.MaxTraceBytes {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				apiError{Error: fmt.Sprintf("trace exceeds %d byte limit", s.cfg.MaxTraceBytes)})
-			return nil, false, true
-		}
-		if !errors.As(err, new(badRequestError)) {
-			err = badRequestf("bad trace: %v", err)
-		}
-		writeError(w, err)
-		return nil, false, true
+	var mbe *http.MaxBytesError
+	switch {
+	case cr.n > s.cfg.MaxTraceBytes || errors.As(err, &mbe):
+		return nil, false, overloadedBody{"trace", s.cfg.MaxTraceBytes}
+	case err != nil && !errors.As(err, new(badRequestError)):
+		return nil, false, badRequestf("bad trace: %v", err)
 	}
-	// The reader's one-byte allowance is diagnostic only; a body
-	// that parsed but exceeds the cap is still oversize.
-	if cr.n > s.cfg.MaxTraceBytes {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			apiError{Error: fmt.Sprintf("trace exceeds %d byte limit", s.cfg.MaxTraceBytes)})
-		return nil, false, true
-	}
-	return res, hit, false
+	return res, hit, err
 }
 
 // countingReader tracks bytes delivered, so size-limit hits can be

@@ -146,16 +146,10 @@ type Service struct {
 	// costs prices sweep cells for admission control and Retry-After
 	// hints (EWMA of measured cell seconds; see admission.go).
 	costs *costModel
-	// profileSem bounds concurrent profile computations (trace builds +
-	// entropy analysis run on handler goroutines, not the sweep pool);
-	// without it, N distinct-key requests materialize N traces at once.
+	// profileSem and streamSem bound profile passes: see doc.go.
 	profileSem chan struct{}
-	// streamSem separately bounds streamed-upload pipelines: they hold
-	// only O(window × bits) so they get more slots than profileSem, but
-	// they read the client's body mid-compute, so they must not occupy
-	// profileSem's scarce slots for a transfer's duration.
-	streamSem chan struct{}
-	start     time.Time
+	streamSem  chan struct{}
+	start      time.Time
 	// closeOnce makes Close idempotent.
 	closeOnce sync.Once
 	// sweepWG tracks sweep dispatcher goroutines so Close can wait for
@@ -402,65 +396,25 @@ func (s *Service) Profile(req ProfileRequest) (*ProfileResult, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	switch {
-	case req.Workload != "" && req.TraceCSV != "":
-		return nil, false, badRequestf("give either workload or trace_csv, not both")
-	case req.TraceFile != "" && (req.Workload != "" || req.TraceCSV != ""):
-		return nil, false, badRequestf("trace_file cannot be combined with workload or trace_csv")
-	case req.TraceFile != "":
-		return s.profileFile(req.TraceFile, opt)
-	case req.Workload != "":
-		spec, ok := workload.ByAbbr(req.Workload)
-		if !ok {
-			return nil, false, notFoundf("unknown workload %q (want one of %v)", req.Workload, workload.Abbrs())
-		}
-		scale, scaleName, err := parseScale(req.Scale)
-		if err != nil {
-			return nil, false, err
-		}
-		return s.workloadProfile(spec, scaleName, opt, func() trace.Source { return spec.Source(scale) })
-	case req.TraceCSV != "":
-		// The embedded trace is already in memory, so — unlike the
-		// network streaming path — its content hash is cheap to take up
-		// front (one decode pass, no profiling): repeat uploads hit the
-		// cache without re-profiling, and because the key hashes the
-		// canonical record stream rather than the raw bytes, a binary
-		// (VTRC) upload of the same trace hits the same entry.
-		sum, err := trace.CanonicalHash(trace.NewCSVStreamUnhashed(strings.NewReader(req.TraceCSV)))
-		if err != nil {
-			return nil, false, badRequestf("bad trace: %v", err)
-		}
-		res, hit, err := s.cachedProfile(opt.cacheKey("tr:"+sum), opt, &s.metrics.stageCSV, func() (trace.Source, TraceInfo, error) {
-			// Unhashed: the identity was just taken above; a second
-			// canonical fold would be pure waste.
-			cs := trace.NewCSVStreamUnhashed(strings.NewReader(req.TraceCSV))
-			info := cs.Info()
-			return cs, TraceInfo{Name: info.Name, Abbr: info.Abbr, SHA256: sum}, nil
-		})
-		if err != nil && !errors.As(err, new(badRequestError)) {
-			return nil, false, badRequestf("bad trace: %v", err)
-		}
-		return res, hit, err
-	default:
-		return nil, false, badRequestf("request needs a workload abbreviation or a trace")
+	in, err := s.resolveInput(req)
+	if err != nil {
+		return nil, false, err
 	}
+	defer in.close()
+	return s.profile(in, opt)
 }
 
-// ProfileStream profiles a CSV trace read from r in one pass: the body
-// streams through decoder → coalescer → accumulator, so per-request
-// memory is O(window × bits) plus one decode batch, independent of
-// trace length, and the content hash accumulates incrementally as bytes
-// are consumed. Decode errors are returned unwrapped so HTTP handlers
-// can classify size-limit errors; the cache is keyed by the incremental
-// canonical hash, exactly like the materialized upload path, so
-// identical uploads still share one stored profile (the second return
-// reports a hit).
+// ProfileStream profiles a CSV trace read from r in one pass, at
+// O(window × bits) memory, keyed by the canonical hash it accumulates
+// as it reads. Decode errors are returned unwrapped so HTTP handlers
+// can classify size-limit errors. A repeat upload reports a hit: it
+// shares the stored profile, though it was profiled again.
 func (s *Service) ProfileStream(r io.Reader, req ProfileRequest) (*ProfileResult, bool, error) {
 	opt, err := req.options()
 	if err != nil {
 		return nil, false, err
 	}
-	return s.profileOneShot(trace.NewCSVStream(r), opt, &s.metrics.stageCSV)
+	return s.profile(&profileInput{src: trace.NewCSVStream(r), stages: &s.metrics.stageCSV}, opt)
 }
 
 // ProfileStreamBinary is ProfileStream for VTRC binary bodies. The two
@@ -471,131 +425,174 @@ func (s *Service) ProfileStreamBinary(r io.Reader, req ProfileRequest) (*Profile
 	if err != nil {
 		return nil, false, err
 	}
-	return s.profileOneShot(trace.NewBinaryStream(r), opt, &s.metrics.stageBinary)
-}
-
-// hashedTraceStream is the single-shot decoder shape the container
-// formats share: a Stream that knows the trace's canonical content
-// digest once drained.
-type hashedTraceStream interface {
-	trace.Stream
-	SHA256() string
-	Info() trace.SourceInfo
-}
-
-func (s *Service) profileOneShot(cs hashedTraceStream, opt profileOptions, stages *stageSet) (*ProfileResult, bool, error) {
-	// One-shot pipelines take streamSem, not profileSem: they hold only
-	// O(window × bits) but may read a client's body mid-compute, so
-	// under profileSem a few slow transfers would starve every other
-	// profile computation; unbounded, a burst of uploads would
-	// oversubscribe the CPU. streamSem (4 × Workers slots) bounds the
-	// burst while leaving profileSem's slots to the O(trace) builders.
-	s.streamSem <- struct{}{}
-	defer func() { <-s.streamSem }()
-	prof, kernels, err := s.profilePipeline(cs, opt, stages)
-	if err != nil {
-		return nil, false, err
-	}
-	sum := cs.SHA256()
-	info := cs.Info()
-	key := opt.cacheKey("tr:" + sum)
-	res := assembleResult(prof, TraceInfo{Name: info.Name, Abbr: info.Abbr, SHA256: sum, Kernels: kernels}, opt, key)
-	// The profile had to be computed before the content hash was known
-	// (the hash needs the whole body, the body is consumed exactly
-	// once), so on this path a cache "hit" — in the response and in the
-	// /metrics hit rate — means the stored entry was reused, not that
-	// the compute was skipped: re-uploads dedupe storage, not work.
-	// Clients that want compute-free repeats should re-request by
-	// workload abbreviation or keep the returned profile.
-	return s.cache.GetOrCompute(key, func() (*ProfileResult, error) { return res, nil })
-}
-
-// profileFile profiles a trace file from the configured trace
-// directory. Binary (VTRC) files take the restartable mmap zero-copy
-// path and are keyed by the checksum read at open, so a cached profile
-// costs one open + validate and no profiling pass; CSV files fall back
-// to the one-shot streaming pipeline. Only bare file names inside
-// TraceDir are accepted.
-func (s *Service) profileFile(name string, opt profileOptions) (*ProfileResult, bool, error) {
-	if s.cfg.TraceDir == "" {
-		return nil, false, badRequestf("trace_file requires the service to be configured with a trace directory")
-	}
-	if name != filepath.Base(name) || name == "." || name == ".." {
-		return nil, false, badRequestf("trace_file must be a bare file name inside the trace directory, got %q", name)
-	}
-	src, release, err := trace.OpenFile(filepath.Join(s.cfg.TraceDir, name))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, false, notFoundf("no trace file %q in the trace directory", name)
-		}
-		return nil, false, badRequestf("bad trace file %q: %v", name, err)
-	}
-	defer release() //nolint:errcheck // read-only mapping/handle
-	if ms, ok := src.(*trace.MmapSource); ok {
-		sum := ms.SHA256()
-		return s.cachedProfile(opt.cacheKey("tr:"+sum), opt, &s.metrics.stageBinary, func() (trace.Source, TraceInfo, error) {
-			info := ms.Info()
-			return ms, TraceInfo{Name: info.Name, Abbr: info.Abbr, SHA256: sum}, nil
-		})
-	}
-	res, hit, err := s.profileOneShot(src.(*trace.CSVStream), opt, &s.metrics.stageCSV)
-	if err != nil && !errors.As(err, new(badRequestError)) {
-		err = badRequestf("bad trace file %q: %v", name, err)
-	}
-	return res, hit, err
+	return s.profile(&profileInput{src: trace.NewBinaryStream(r), stages: &s.metrics.stageBinary}, opt)
 }
 
 // ProfileTrace profiles an already-decoded trace under its content
-// hash, for embedders that hold a materialized *App (Advise reuses it
-// to profile one decode under many candidate mappings).
+// hash, for embedders that hold a materialized *App.
 func (s *Service) ProfileTrace(app *trace.App, sha string, req ProfileRequest) (*ProfileResult, bool, error) {
 	opt, err := req.options()
 	if err != nil {
 		return nil, false, err
 	}
-	return s.profileUpload(app, sha, opt)
+	in := &profileInput{src: trace.AppSource(app), stages: &s.metrics.stageNative}
+	in.identify(in.src.Info(), sha)
+	return s.profile(in, opt)
 }
 
-// workloadProfile is the single owner of the built-in-workload cache-key
-// format, shared by Profile and Advise so their entries always collide
-// (advise reuses profiles /v1/profile already computed, and vice versa).
-func (s *Service) workloadProfile(spec workload.Spec, scaleName string, opt profileOptions, source func() trace.Source) (*ProfileResult, bool, error) {
-	key := opt.cacheKey("wl:" + spec.Abbr + ":" + scaleName)
-	return s.cachedProfile(key, opt, &s.metrics.stageNative, func() (trace.Source, TraceInfo, error) {
-		return source(), TraceInfo{Name: spec.Name, Abbr: spec.Abbr, Scale: scaleName}, nil
-	})
+// hashedTraceStream is what a one-shot body is besides a trace.Source
+// (whose one Stream is the decoder itself): a decoder that knows the
+// trace's canonical digest once drained.
+type hashedTraceStream interface{ SHA256() string }
+
+// profileInput is one resolved profile input, whichever entry point
+// received it.
+type profileInput struct {
+	info TraceInfo // as results report it, less Kernels
+	// id is the cache identity, "wl:ABBR:scale" or "tr:<sha>". It is
+	// empty while src is a one-shot body (a hashedTraceStream) that has
+	// not been drained; every other src is restartable.
+	id       string
+	src      trace.Source
+	stages   *stageSet    // the container format's stage labels
+	badInput string       // when set, a failed decode is a 400 naming it
+	release  func() error // when set, frees a file mapping or handle
 }
 
-func (s *Service) profileUpload(app *trace.App, sha string, opt profileOptions) (*ProfileResult, bool, error) {
-	key := opt.cacheKey("tr:" + sha)
-	return s.cachedProfile(key, opt, &s.metrics.stageNative, func() (trace.Source, TraceInfo, error) {
-		return trace.AppSource(app), TraceInfo{Name: app.Name, Abbr: app.Abbr, SHA256: sha}, nil
-	})
+// identify gives a content-addressed trace its reported and cache identity.
+func (in *profileInput) identify(info trace.SourceInfo, sha string) {
+	in.info = TraceInfo{Name: info.Name, Abbr: info.Abbr, SHA256: sha}
+	in.id = "tr:" + sha
 }
 
-// cachedProfile computes a profile through the streaming pipeline under
-// the cache's in-flight coalescing, bounded by the profile semaphore.
-func (s *Service) cachedProfile(key string, opt profileOptions, stages *stageSet, build func() (trace.Source, TraceInfo, error)) (*ProfileResult, bool, error) {
+// drained identifies a one-shot body that has been read to its end.
+func (in *profileInput) drained() {
+	in.identify(in.src.Info(), in.src.(hashedTraceStream).SHA256())
+}
+
+// fail classifies a pipeline error: when the input names a trace, a
+// decode failure is the client's and says which trace failed.
+func (in *profileInput) fail(err error) error {
+	if err == nil || in.badInput == "" || errors.As(err, new(badRequestError)) {
+		return err
+	}
+	return badRequestf("%s: %v", in.badInput, err)
+}
+
+func (in *profileInput) close() {
+	if in.release != nil {
+		in.release() //nolint:errcheck // read-only mapping/handle
+	}
+}
+
+// csvText is an embedded CSV trace as a restartable source. Its
+// identity is hashed once, up front, so passes decode unhashed.
+type csvText struct {
+	text string
+	info trace.SourceInfo
+}
+
+func (c csvText) Info() trace.SourceInfo { return c.info }
+func (c csvText) Stream() trace.Stream   { return trace.NewCSVStreamUnhashed(strings.NewReader(c.text)) }
+
+// resolveInput turns the trace fields of a /v1/profile or /v1/advise
+// request — a workload, an embedded trace_csv or a trace_file — into a
+// profileInput. The caller must close it.
+func (s *Service) resolveInput(req ProfileRequest) (*profileInput, error) {
+	switch {
+	case req.Workload != "" && req.TraceCSV != "":
+		return nil, badRequestf("give either workload or trace_csv, not both")
+	case req.TraceFile != "" && (req.Workload != "" || req.TraceCSV != ""):
+		return nil, badRequestf("trace_file cannot be combined with workload or trace_csv")
+	case req.TraceFile != "":
+		// VTRC files are mapped, validated and keyed by the checksum read
+		// at open; CSV files are one-shot bodies.
+		name := req.TraceFile
+		if s.cfg.TraceDir == "" {
+			return nil, badRequestf("trace_file requires the service to be configured with a trace directory")
+		}
+		if name != filepath.Base(name) || name == "." || name == ".." {
+			return nil, badRequestf("trace_file must be a bare file name inside the trace directory, got %q", name)
+		}
+		src, release, err := trace.OpenFile(filepath.Join(s.cfg.TraceDir, name))
+		if err != nil {
+			if errors.Is(err, fs.ErrNotExist) {
+				return nil, notFoundf("no trace file %q in the trace directory", name)
+			}
+			return nil, badRequestf("bad trace file %q: %v", name, err)
+		}
+		in := &profileInput{src: src, stages: &s.metrics.stageCSV, badInput: fmt.Sprintf("bad trace file %q", name), release: release}
+		if ms, ok := src.(*trace.MmapSource); ok {
+			in.stages = &s.metrics.stageBinary
+			in.identify(ms.Info(), ms.SHA256())
+		}
+		return in, nil
+	case req.Workload != "":
+		spec, ok := workload.ByAbbr(req.Workload)
+		if !ok {
+			return nil, notFoundf("unknown workload %q (want one of %v)", req.Workload, workload.Abbrs())
+		}
+		scale, scaleName, err := parseScale(req.Scale)
+		if err != nil {
+			return nil, err
+		}
+		in := &profileInput{id: "wl:" + spec.Abbr + ":" + scaleName, src: spec.Source(scale), stages: &s.metrics.stageNative}
+		in.info = TraceInfo{Name: spec.Name, Abbr: spec.Abbr, Scale: scaleName}
+		return in, nil
+	case req.TraceCSV != "":
+		// The embedded trace is in memory, so its canonical hash is cheap
+		// to take up front and repeats skip the profiling pass.
+		cs := trace.NewCSVStreamUnhashed(strings.NewReader(req.TraceCSV))
+		sum, err := trace.CanonicalHash(cs)
+		if err != nil {
+			return nil, badRequestf("bad trace: %v", err)
+		}
+		in := &profileInput{src: csvText{req.TraceCSV, cs.Info()}, stages: &s.metrics.stageCSV, badInput: "bad trace"}
+		in.identify(cs.Info(), sum)
+		return in, nil
+	default:
+		return nil, badRequestf("request needs a workload abbreviation or a trace")
+	}
+}
+
+// profile is the one compute path behind every profile entry point:
+// see "Profile path" in doc.go.
+func (s *Service) profile(in *profileInput, opt profileOptions) (*ProfileResult, bool, error) {
+	var (
+		prof    entropy.Profile
+		kernels int
+	)
+	pass := func(sem chan struct{}) error {
+		sem <- struct{}{}
+		defer func() { <-sem }()
+		var err error
+		prof, kernels, err = s.profilePipeline(in.src.Stream(), opt, in.stages)
+		// This pass read the input's container; any later pass over the
+		// same input (Advise's candidates) reads memory.
+		in.stages = &s.metrics.stageNative
+		return in.fail(err)
+	}
+	oneShot := in.id == ""
+	if oneShot {
+		if err := pass(s.streamSem); err != nil {
+			return nil, false, err
+		}
+		in.drained()
+	}
+	key := opt.cacheKey(in.id)
 	return s.cache.GetOrCompute(key, func() (*ProfileResult, error) {
-		s.profileSem <- struct{}{}
-		defer func() { <-s.profileSem }()
-		src, info, err := build()
-		if err != nil {
-			return nil, err
+		if !oneShot {
+			if err := pass(s.profileSem); err != nil {
+				return nil, err
+			}
 		}
-		prof, kernels, err := s.profilePipeline(src.Stream(), opt, stages)
-		if err != nil {
-			return nil, err
-		}
-		info.Kernels = kernels
-		return assembleResult(prof, info, opt, key), nil
+		return assembleResult(prof, kernels, in.info, opt, key), nil
 	})
 }
 
 // kernelCounter counts kernel headers as they flow by, so TraceInfo can
-// report the kernel count without materializing the trace. It is the
-// single counting point for every service profile path (the decoder and
-// accumulator deliberately do not keep their own counts).
+// report the kernel count without materializing the trace (the decoders
+// and the accumulator deliberately keep no counts of their own).
 type kernelCounter struct {
 	s trace.Stream
 	n int
@@ -645,8 +642,8 @@ func (s *Service) profilePipeline(st trace.Stream, opt profileOptions, stages *s
 	return prof, kc.n, nil
 }
 
-func assembleResult(prof entropy.Profile, info TraceInfo, opt profileOptions, key string) *ProfileResult {
-	info.Requests = prof.Requests
+func assembleResult(prof entropy.Profile, kernels int, info TraceInfo, opt profileOptions, key string) *ProfileResult {
+	info.Kernels, info.Requests = kernels, prof.Requests
 	l := layout.HynixGDDR5()
 	// Bits below the block offset — and, when coalescing is on, below
 	// the line size — are structurally zero: they carry no entropy by
@@ -677,15 +674,13 @@ func assembleResult(prof entropy.Profile, info TraceInfo, opt profileOptions, ke
 		Bits:        opt.bits,
 		LineBytes:   opt.lineBytes,
 		Scheme:      string(opt.scheme),
+		Seed:        opt.seed, // options() zeroes it for unmapped profiles
 		PerBit:      prof.PerBit,
 		MeanChannel: prof.Mean(ch),
 		MeanBank:    prof.Mean(bank),
 		MinChanBank: prof.Min(append(append([]int(nil), ch...), bank...)),
 		Valley:      prof.ChannelBankValley(ch, bank, valleyLow, valleyHigh),
 		CacheKey:    key,
-	}
-	if opt.scheme != "" {
-		res.Seed = opt.seed
 	}
 	res.ValleyRanges = []BitRange{}
 	for _, r := range prof.ValleyRanges(valleyLow, valleyHigh) {

@@ -4,26 +4,61 @@ import "testing"
 
 // TestHandlerScheduleZeroAlloc is the in-repo guard for the pooled
 // engine's core guarantee: once the slab has grown to the peak pending
-// count, handler-style scheduling and firing allocate nothing. The CI
-// benchmark smoke job additionally asserts 0 allocs/op on
-// BenchmarkEngineChurn, but this test catches regressions in every
-// plain `go test` run.
+// count, handler-style scheduling and firing allocate nothing. Besides
+// a 64-event burst it runs the shapes of the engine microbenchmarks: the
+// self-rescheduling chain of BenchmarkEngineChurn and the 1024-deep
+// pending queue of BenchmarkEngineFanout. AllocsPerRun's warm-up run
+// grows the slab, so every measured run must allocate nothing.
 func TestHandlerScheduleZeroAlloc(t *testing.T) {
-	var e Engine
-	ping := func(any) {}
-	// Warm the slab to steady-state capacity.
-	for i := 0; i < 64; i++ {
-		e.ScheduleCall(Time(i), ping, nil)
+	shapes := map[string]func(e *Engine) func(){
+		"burst": func(e *Engine) func() {
+			ping := func(any) {}
+			return func() {
+				for i := 0; i < 64; i++ {
+					e.ScheduleCall(Time(i%7), ping, nil)
+				}
+				e.Run()
+			}
+		},
+		"churn": func(e *Engine) func() {
+			n := 0
+			var step Handler
+			step = func(any) {
+				if n++; n < 4096 {
+					e.ScheduleCall(1, step, nil)
+				}
+			}
+			return func() {
+				n = 0
+				e.ScheduleCall(1, step, nil)
+				e.Run()
+			}
+		},
+		"fanout": func(e *Engine) func() {
+			const width = 1024
+			n := 0
+			var step Handler
+			step = func(any) {
+				if n++; n <= 4*width {
+					e.ScheduleCall(Time(1+(n*2654435761)%97), step, nil)
+				}
+			}
+			return func() {
+				n = 0
+				for i := 0; i < width; i++ {
+					e.ScheduleCall(Time(1+i%97), step, nil)
+				}
+				e.Run()
+			}
+		},
 	}
-	e.Run()
-	avg := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 64; i++ {
-			e.ScheduleCall(Time(i%7), ping, nil)
-		}
-		e.Run()
-	})
-	if avg != 0 {
-		t.Errorf("steady-state scheduling allocates %v allocs per 64-event burst, want 0", avg)
+	for name, shape := range shapes {
+		t.Run(name, func(t *testing.T) {
+			var e Engine
+			if avg := testing.AllocsPerRun(20, shape(&e)); avg != 0 {
+				t.Errorf("steady-state %s scheduling allocates %v allocs per run, want 0", name, avg)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,8 @@ import "testing"
 // one event in flight at a time, each firing schedules the next. This is
 // the pattern every substrate model (SM advance, DRAM kick, NoC hop)
 // drives the engine with, so its allocs/op is the engine's steady-state
-// allocation rate — the CI smoke job asserts it stays at zero.
+// allocation rate — TestHandlerScheduleZeroAlloc asserts it stays at
+// zero.
 func BenchmarkEngineChurn(b *testing.B) {
 	var e Engine
 	b.ReportAllocs()

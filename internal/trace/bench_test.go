@@ -90,7 +90,8 @@ func BenchmarkBinaryStream(b *testing.B) {
 
 // BenchmarkMmapSource streams batches out of an open mapping: the
 // steady-state per-batch cost after the one-time open/validate. This is
-// the zero-allocation path CI pins (batches alias the mapping).
+// the zero-allocation path TestIngestAllocs pins (batches alias the
+// mapping).
 func BenchmarkMmapSource(b *testing.B) {
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, benchApp()); err != nil {
