@@ -6,10 +6,30 @@ import "testing"
 // engine's core guarantee: once the slab has grown to the peak pending
 // count, handler-style scheduling and firing allocate nothing. Besides
 // a 64-event burst it runs the shapes of the engine microbenchmarks: the
-// self-rescheduling chain of BenchmarkEngineChurn and the 1024-deep
-// pending queue of BenchmarkEngineFanout. AllocsPerRun's warm-up run
-// grows the slab, so every measured run must allocate nothing.
+// self-rescheduling chain of BenchmarkEngineChurn and the 1024- and
+// 16384-deep pending queues of BenchmarkEngineFanout (the paper suite
+// peaks at about 18k pending events on MT at small scale).
+// AllocsPerRun's warm-up run grows the slab, so every measured run must
+// allocate nothing.
 func TestHandlerScheduleZeroAlloc(t *testing.T) {
+	fanout := func(width int) func(e *Engine) func() {
+		return func(e *Engine) func() {
+			n := 0
+			var step Handler
+			step = func(any) {
+				if n++; n <= 4*width {
+					e.ScheduleCall(Time(1+(n*2654435761)%97), step, nil)
+				}
+			}
+			return func() {
+				n = 0
+				for i := 0; i < width; i++ {
+					e.ScheduleCall(Time(1+i%97), step, nil)
+				}
+				e.Run()
+			}
+		}
+	}
 	shapes := map[string]func(e *Engine) func(){
 		"burst": func(e *Engine) func() {
 			ping := func(any) {}
@@ -34,23 +54,8 @@ func TestHandlerScheduleZeroAlloc(t *testing.T) {
 				e.Run()
 			}
 		},
-		"fanout": func(e *Engine) func() {
-			const width = 1024
-			n := 0
-			var step Handler
-			step = func(any) {
-				if n++; n <= 4*width {
-					e.ScheduleCall(Time(1+(n*2654435761)%97), step, nil)
-				}
-			}
-			return func() {
-				n = 0
-				for i := 0; i < width; i++ {
-					e.ScheduleCall(Time(1+i%97), step, nil)
-				}
-				e.Run()
-			}
-		},
+		"fanout":       fanout(1024),
+		"fanout-16384": fanout(16384),
 	}
 	for name, shape := range shapes {
 		t.Run(name, func(t *testing.T) {

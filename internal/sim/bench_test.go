@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEngineChurn is the steady-state scheduling microbenchmark:
 // one event in flight at a time, each firing schedules the next. This is
@@ -27,26 +30,30 @@ func BenchmarkEngineChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineFanout keeps a deep pending queue (1024 events) to
-// exercise heap sift costs under realistic occupancy.
+// BenchmarkEngineFanout keeps a deep pending queue to exercise the
+// queue under realistic occupancy: 1024 events, and 16384, about the
+// peak the paper suite reaches on MT at small scale.
 func BenchmarkEngineFanout(b *testing.B) {
-	const width = 1024
-	var e Engine
-	b.ReportAllocs()
-	n := 0
-	var step Handler
-	step = func(arg any) {
-		n++
-		if n <= b.N {
-			// Pseudo-random-ish delays spread events across the heap.
-			e.ScheduleCall(Time(1+(n*2654435761)%97), step, nil)
-		}
+	for _, width := range []int{1024, 16384} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			var e Engine
+			b.ReportAllocs()
+			n := 0
+			var step Handler
+			step = func(arg any) {
+				n++
+				if n <= b.N {
+					// Pseudo-random-ish delays spread events across the queue.
+					e.ScheduleCall(Time(1+(n*2654435761)%97), step, nil)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < width; i++ {
+				e.ScheduleCall(Time(1+i%97), step, nil)
+			}
+			e.Run()
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < width; i++ {
-		e.ScheduleCall(Time(1+i%97), step, nil)
-	}
-	e.Run()
 }
 
 // BenchmarkEngineClosure measures the legacy closure pattern — a fresh
