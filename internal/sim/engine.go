@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Time is a simulation timestamp or duration in picoseconds.
@@ -66,29 +67,37 @@ func (c Clock) ToCycles(t Time) float64 { return float64(t) / float64(c.Period) 
 // paths.
 type Handler func(arg any)
 
-// eventRec is one slot in the engine's event slab. Records are recycled
-// through a free list, so steady-state scheduling never allocates.
+// eventRec is one slot in the engine's event slab. next threads the
+// record onto its bucket's FIFO list while pending and onto the free
+// list once fired, as a slot number plus one so that 0 ends a list.
 type eventRec struct {
-	at  Time
-	seq uint64
-	h   Handler
-	arg any
+	at   Time
+	next int32
+	h    Handler
+	arg  any
 }
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 //
-// Events live in a slab of recycled records indexed by a 4-ary min-heap
-// of slot numbers, ordered by (time, schedule sequence): events
-// scheduled for the same instant fire in scheduling order, which makes
-// simulations reproducible run to run — see doc.go for the full
-// determinism contract.
+// Pending events live in a slab of recycled records, queued in a radix
+// heap keyed on event time. An event at t sits in bucket
+// bits.Len64(t ^ last), where last is the latest minimum: bucket 0
+// holds the events due at last, and each bucket's events precede every
+// higher bucket's. Inserting compares no keys; when bucket 0 runs dry,
+// the lowest non-empty bucket is redistributed around its minimum.
+// Buckets are FIFO and equal times always share one, so events
+// scheduled for the same instant fire in scheduling order — see doc.go
+// for the full determinism contract.
 type Engine struct {
-	now   Time
-	seq   uint64
-	fired uint64
-	slab  []eventRec
-	free  []int32 // recycled slab slots (LIFO)
-	heap  []int32 // slab indices ordered by (at, seq)
+	now     Time
+	last    Time // radix base: last <= now, and every pending event is at >= last
+	fired   uint64
+	pending int
+	free    int32 // head of the recycled-slot list
+	slab    []eventRec
+	head    [65]int32 // per-bucket FIFO lists of pending events
+	tail    [65]int32
+	first   [65]Time // earliest event time in each non-empty bucket
 }
 
 // Now returns the current simulation time.
@@ -98,7 +107,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Events() uint64 { return e.fired }
 
 // Pending returns the number of scheduled-but-unfired events.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.pending }
 
 // Schedule runs fn after delay. A negative delay panics: the engine cannot
 // rewrite history.
@@ -136,23 +145,22 @@ func (e *Engine) AtCall(t Time, h Handler, arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
-	e.seq++
-	var idx int32
-	if n := len(e.free); n > 0 {
-		idx = e.free[n-1]
-		e.free = e.free[:n-1]
+	ref := e.free
+	if ref != 0 {
+		e.free = e.slab[ref-1].next
 	} else {
-		idx = int32(len(e.slab))
 		e.slab = append(e.slab, eventRec{})
+		ref = int32(len(e.slab))
 	}
-	r := &e.slab[idx]
-	r.at, r.seq, r.h, r.arg = t, e.seq, h, arg
-	e.push(idx)
+	r := &e.slab[ref-1]
+	r.at, r.h, r.arg = t, h, arg
+	e.link(bits.Len64(uint64(t^e.last)), ref, t)
+	e.pending++
 }
 
 // Run executes events until the queue drains and returns the final time.
 func (e *Engine) Run() Time {
-	for len(e.heap) > 0 {
+	for e.pending > 0 {
 		e.step()
 	}
 	return e.now
@@ -160,11 +168,16 @@ func (e *Engine) Run() Time {
 
 // RunUntil executes events with timestamps <= deadline. It returns true if
 // the queue drained, false if the deadline was hit first. Time advances to
-// min(deadline, last event time).
+// min(deadline, last event time) and never moves backwards.
 func (e *Engine) RunUntil(deadline Time) bool {
-	for len(e.heap) > 0 {
-		if e.slab[e.heap[0]].at > deadline {
-			e.now = deadline
+	for e.pending > 0 {
+		next := e.last
+		if e.head[0] == 0 {
+			next = e.first[e.lowest()]
+		}
+		if next > deadline {
+			// Stop without redistributing, so that last stays <= now.
+			e.now = max(e.now, deadline)
 			return false
 		}
 		e.step()
@@ -178,97 +191,84 @@ func (e *Engine) RunUntil(deadline Time) bool {
 // repeat. A non-positive budget executes nothing and reports whether the
 // queue is already empty.
 func (e *Engine) RunBounded(maxEvents int) bool {
-	for ; maxEvents > 0 && len(e.heap) > 0; maxEvents-- {
+	for ; maxEvents > 0 && e.pending > 0; maxEvents-- {
 		e.step()
 	}
-	return len(e.heap) == 0
+	return e.pending == 0
 }
 
 // Reset returns the engine to time zero with an empty queue, keeping
-// the slab, free-list and heap capacity for reuse. Any still-pending
-// events are dropped. A Reset engine behaves exactly like a zero-value
-// Engine, so a reused engine reproduces a fresh engine's run bit for
-// bit (the determinism regression tests pin this).
+// the slab capacity for reuse. Any still-pending events are dropped. A
+// Reset engine behaves exactly like a zero-value Engine, so a reused
+// engine reproduces a fresh engine's run bit for bit (the determinism
+// regression tests pin this).
 func (e *Engine) Reset() {
-	for i := range e.slab {
-		e.slab[i].h, e.slab[i].arg = nil, nil
-	}
-	e.slab = e.slab[:0]
-	e.free = e.free[:0]
-	e.heap = e.heap[:0]
-	e.now, e.seq, e.fired = 0, 0, 0
+	clear(e.slab) // drop handler and arg references
+	*e = Engine{slab: e.slab[:0]}
 }
 
 // step fires the earliest event. The slot is recycled before the
 // handler runs so the handler's own scheduling can reuse it.
 func (e *Engine) step() {
-	idx := e.pop()
-	r := &e.slab[idx]
+	ref := e.head[0]
+	if ref == 0 {
+		ref = e.redistribute()
+	}
+	r := &e.slab[ref-1]
+	e.head[0] = r.next
 	e.now = r.at
 	h, arg := r.h, r.arg
 	r.h, r.arg = nil, nil // drop references so pooled args can be collected
-	e.free = append(e.free, idx)
+	r.next, e.free = e.free, ref
+	e.pending--
 	e.fired++
 	h(arg)
 }
 
-// less orders slab records by (time, schedule sequence).
-func (e *Engine) less(a, b int32) bool {
-	ra, rb := &e.slab[a], &e.slab[b]
-	if ra.at != rb.at {
-		return ra.at < rb.at
+// link appends slot ref, an event at t, to bucket b's FIFO list.
+func (e *Engine) link(b int, ref int32, t Time) {
+	e.slab[ref-1].next = 0
+	if e.head[b] == 0 {
+		e.head[b], e.first[b] = ref, t
+	} else {
+		e.slab[e.tail[b]-1].next = ref
+		e.first[b] = min(e.first[b], t)
 	}
-	return ra.seq < rb.seq
+	e.tail[b] = ref
 }
 
-// push inserts a slab index into the 4-ary heap. A 4-ary layout halves
-// tree depth versus binary, and sift costs stay cheap because the
-// comparator only touches two slab records per level.
-func (e *Engine) push(idx int32) {
-	e.heap = append(e.heap, idx)
-	i := len(e.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !e.less(e.heap[i], e.heap[p]) {
-			break
-		}
-		e.heap[i], e.heap[p] = e.heap[p], e.heap[i]
-		i = p
+// lowest returns the lowest non-empty bucket above 0. The queue must
+// hold an event outside bucket 0.
+func (e *Engine) lowest() int {
+	b := 1
+	for e.head[b] == 0 {
+		b++
 	}
+	return b
 }
 
-// pop removes and returns the minimum slab index.
-func (e *Engine) pop() int32 {
-	h := e.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	e.heap = h[:last]
-	h = e.heap
-	n := last
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if e.less(h[c], h[best]) {
-				best = c
-			}
-		}
-		if !e.less(h[best], h[i]) {
-			break
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
+// redistribute refills the empty bucket 0 and returns its first event.
+// It advances last to the earliest time in the lowest non-empty bucket
+// and relinks that bucket's events, in list order, into bucket
+// Len64(at ^ last). All of them land in lower buckets, which are empty,
+// so every bucket stays FIFO; events in higher buckets keep their
+// bucket under the new last. A lone event fires straight from its old
+// bucket.
+func (e *Engine) redistribute() int32 {
+	b := e.lowest()
+	ref := e.head[b]
+	e.head[b] = 0
+	e.last = e.first[b]
+	if e.slab[ref-1].next == 0 {
+		return ref
 	}
-	return top
+	for ref != 0 {
+		r := &e.slab[ref-1]
+		next := r.next
+		e.link(bits.Len64(uint64(r.at^e.last)), ref, r.at)
+		ref = next
+	}
+	return e.head[0]
 }
 
 // Server models a single resource that serves one request at a time in

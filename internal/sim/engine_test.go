@@ -117,6 +117,33 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
+// TestEngineRunUntilNeverRewinds: a deadline already behind Now() fires
+// nothing and leaves the clock alone, so nothing can be scheduled
+// before an event that has fired.
+func TestEngineRunUntilNeverRewinds(t *testing.T) {
+	var e Engine
+	var order []Time
+	note := func() { order = append(order, e.Now()) }
+	e.Schedule(100, func() {
+		note()
+		e.Schedule(0, note)
+		e.Schedule(100, note)
+	})
+	if e.RunBounded(1) {
+		t.Fatal("RunBounded(1) drained with events pending")
+	}
+	if e.RunUntil(50) {
+		t.Fatal("RunUntil(50) drained with events pending")
+	}
+	if e.Now() != 100 || e.Pending() != 2 {
+		t.Fatalf("after RunUntil(50): now=%v pending=%d, want now=100 pending=2", e.Now(), e.Pending())
+	}
+	e.Run()
+	if want := []Time{100, 100, 200}; len(order) != len(want) || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
+		t.Fatalf("fired at %v, want %v", order, want)
+	}
+}
+
 func TestEngineRunBounded(t *testing.T) {
 	var e Engine
 	fired := 0
