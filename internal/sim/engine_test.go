@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -139,7 +140,7 @@ func TestEngineRunUntilNeverRewinds(t *testing.T) {
 		t.Fatalf("after RunUntil(50): now=%v pending=%d, want now=100 pending=2", e.Now(), e.Pending())
 	}
 	e.Run()
-	if want := []Time{100, 100, 200}; len(order) != len(want) || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
+	if want := []Time{100, 100, 200}; !slices.Equal(order, want) {
 		t.Fatalf("fired at %v, want %v", order, want)
 	}
 }

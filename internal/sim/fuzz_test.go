@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // orderProg decodes fuzz bytes into a schedule program and checks the
 // engine against a reference model: a plain list of pending events from
@@ -155,23 +158,19 @@ func (p *orderProg) run() {
 // scheduling order) with Now() at its time, and Pending(), Events() and
 // Now() must match the reference model after every step.
 func FuzzEngineOrder(f *testing.F) {
+	// at encodes a delay of d ps (d < 65536).
 	at := func(d int) []byte { return []byte{0x80, byte(d >> 8), byte(d)} }
-	cat := func(parts ...[]byte) []byte {
-		var out []byte
-		for _, p := range parts {
-			out = append(out, p...)
-		}
-		return out
-	}
 	// The RunUntil trap: events at 100 and 101, RunUntil(50), then
-	// events at 60 and 99. A queue that rebases past Now() while
-	// peeking at the deadline misfiles the later, earlier events.
-	f.Add(cat([]byte{0}, at(100), []byte{0}, at(101), []byte{4}, at(50),
+	// events at 60 and 99. A queue that moves its base to 100 while
+	// checking the deadline misfiles the two events scheduled after it.
+	f.Add(slices.Concat([]byte{0}, at(100), []byte{0}, at(101), []byte{4}, at(50),
 		[]byte{0}, at(10), []byte{0}, at(49), []byte{5}))
 	// Equal-time ties scheduled up front and from handlers.
 	f.Add([]byte{7, 7, 0, 0x41, 2, 2, 3, 2, 7, 1, 0, 5})
-	// Far-apart times, a bounded drain, a mid-run Reset, a refill.
-	f.Add(cat([]byte{0, 0xe0, 0xff, 1, 0xc8, 0x10, 0}, at(7), []byte{3, 2, 6, 0}, at(3), []byte{7, 5}))
+	// Events at 255<<26, 64 and 7; fire one, Reset with two pending,
+	// then events at 3 and 0 and a Run.
+	f.Add(slices.Concat([]byte{0, 0xe0, 0xff, 1, 0xc8, 0x10, 0}, at(7),
+		[]byte{3, 1, 0, 6, 0}, at(3), []byte{7, 5}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Longer programs add little coverage and make the fuzzer's
