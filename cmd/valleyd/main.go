@@ -9,7 +9,6 @@
 //	valleyd [-addr :8080] [-workers N] [-queue 256] [-cache 512] [-sim-cache 256]
 //	        [-max-trace-bytes N] [-trace-dir DIR] [-spill-dir DIR] [-spill-max-bytes N]
 //	        [-default-deadline 0] [-log-level info] [-log-format text] [-debug-addr :6060]
-//	        [-mode single|coordinator|worker] [-peers URL,URL,...] [-peer-stall 60s]
 //
 // Endpoints:
 //
@@ -48,20 +47,6 @@
 // predicts cannot finish in time are shed up front with 429 +
 // Retry-After.
 //
-// Cluster mode: -mode=coordinator -peers=http://w1:8080,http://w2:8080
-// shards each sweep's cells across the named worker daemons by
-// rendezvous hashing over their simulation-cache keys, so a repeated
-// cell always lands on the worker whose cache (including its -spill-dir
-// tier) is already warm and comes back "cached": true. Workers are
-// plain valleyd daemons — -mode=worker is an alias for single-node mode
-// that documents the role; every daemon serves POST /v1/cells. The
-// coordinator steals cells from slow or dead workers (bounded by
-// -peer-stall), retries them on the next-ranked peer, and degrades to
-// local execution when no peer is reachable; X-Trace-Id and
-// X-Deadline-Ms propagate on every coordinator→worker hop. See the
-// valleyd_cluster_* metric families for dispatch, steal and peer-health
-// accounting.
-//
 // Observability: every request gets a trace_id (client-supplied
 // X-Trace-Id or generated) carried by its logs, its job's span tree and
 // every NDJSON event. -log-level and -log-format select the slog
@@ -80,12 +65,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"valleymap"
-	"valleymap/internal/cluster"
 	"valleymap/internal/fault"
 )
 
@@ -103,9 +86,6 @@ func main() {
 	logLevel := flag.String("log-level", "info", "log threshold: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log encoding: text or json")
 	debugAddr := flag.String("debug-addr", "", "optional second listen address serving net/http/pprof under /debug/pprof/ (empty = disabled)")
-	mode := flag.String("mode", "single", "single, coordinator (shard sweeps across -peers) or worker (single-node daemon serving a coordinator)")
-	peers := flag.String("peers", "", "comma-separated worker base URLs for -mode=coordinator (e.g. http://worker1:8080,http://worker2:8080)")
-	peerStall := flag.Duration("peer-stall", 0, "silence budget per worker batch before its cells are stolen (0 = 60s; coordinator only)")
 	verbose := flag.Bool("v", false, "debug logging (alias for -log-level debug)")
 	flag.Parse()
 
@@ -126,34 +106,6 @@ func main() {
 		slog.Warn("fault-injection build: chaos hooks are compiled in", "marker", fault.Marker)
 	}
 
-	var clu *cluster.Client
-	switch *mode {
-	case "single", "worker":
-		// A worker is a single-node daemon by another name: the role
-		// flag exists so deployments read honestly, and every daemon
-		// serves /v1/cells regardless.
-		if *peers != "" {
-			slog.Error("-peers requires -mode=coordinator", "mode", *mode)
-			os.Exit(2)
-		}
-	case "coordinator":
-		var list []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimRight(strings.TrimSpace(p), "/"); p != "" {
-				list = append(list, p)
-			}
-		}
-		if len(list) == 0 {
-			slog.Error("-mode=coordinator requires -peers with at least one worker URL")
-			os.Exit(2)
-		}
-		clu = cluster.New(cluster.Options{Peers: list, StallTimeout: *peerStall, Logger: logger})
-		slog.Info("coordinator mode", "peers", list)
-	default:
-		slog.Error("bad -mode (want single, coordinator or worker)", "mode", *mode)
-		os.Exit(2)
-	}
-
 	svc := valleymap.NewService(valleymap.ServiceConfig{
 		Workers:         *workers,
 		QueueDepth:      *queue,
@@ -165,7 +117,6 @@ func main() {
 		SpillMaxBytes:   *spillMaxBytes,
 		DefaultDeadline: *defaultDeadline,
 		Logger:          logger,
-		Cluster:         clu,
 	})
 	defer svc.Close()
 

@@ -22,16 +22,4 @@ const (
 	WorkerDelay = "worker.delay"
 	// CellPanic (Fail): a sweep cell panics mid-compute.
 	CellPanic = "cell.panic"
-	// PeerDown (Fail): a coordinator→worker cell batch fails before the
-	// request is sent, as if the peer were unreachable; the peer is
-	// marked down and its cells are re-dispatched.
-	PeerDown = "peer.down"
-	// PeerSlow (Sleep): a coordinator→worker cell batch stalls for the
-	// injected duration before the request is sent (slow peer; long
-	// enough delays trip the stall watchdog and trigger steals).
-	PeerSlow = "peer.slow"
-	// PeerTorn (Fail): a worker's NDJSON update stream is abandoned
-	// mid-batch after a delivered cell, simulating a connection torn by
-	// a dying peer; undelivered cells are stolen.
-	PeerTorn = "peer.torn"
 )

@@ -296,13 +296,3 @@ func TestCounterAddZeroAllocConcurrent(t *testing.T) {
 		t.Fatalf("concurrent adds = %v, want %v", got, want)
 	}
 }
-
-func TestGaugeVecFuncSortsLabels(t *testing.T) {
-	g := NewGaugeVecFunc("peer_up", "help", "peer", func() map[string]float64 {
-		return map[string]float64{"http://b": 0, "http://a": 1}
-	})
-	want := "# HELP peer_up help\n# TYPE peer_up gauge\npeer_up{peer=\"http://a\"} 1\npeer_up{peer=\"http://b\"} 0\n"
-	if out := string(g.Collect(nil)); out != want {
-		t.Errorf("exposition = %q, want %q", out, want)
-	}
-}

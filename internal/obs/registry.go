@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -121,34 +120,6 @@ type GaugeFunc struct {
 func (g GaugeFunc) Collect(b []byte) []byte {
 	b = appendHeader(b, g.Name, g.Help, "gauge")
 	return appendSample(b, g.Name, "", g.Fn())
-}
-
-// gaugeVecFunc is a one-label gauge family sampled at render time.
-type gaugeVecFunc struct {
-	name, help, label string
-	fn                func() map[string]float64
-}
-
-// NewGaugeVecFunc builds a gauge family with one label, sampled at
-// render time: fn returns the value for each label value. Series render
-// in label-value order.
-func NewGaugeVecFunc(name, help, label string, fn func() map[string]float64) Collector {
-	return gaugeVecFunc{name: name, help: help, label: label, fn: fn}
-}
-
-// Collect implements Collector.
-func (g gaugeVecFunc) Collect(b []byte) []byte {
-	b = appendHeader(b, g.name, g.help, "gauge")
-	values := g.fn()
-	keys := make([]string, 0, len(values))
-	for k := range values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b = appendSample(b, g.name, labelPairs(g.name, []string{g.label}, []string{k}), values[k])
-	}
-	return b
 }
 
 // Registry is an ordered set of collectors rendered into one exposition

@@ -11,7 +11,6 @@ package service
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -244,142 +243,6 @@ func TestChaosStorm(t *testing.T) {
 	}
 	if j := waitJob(t, svc, job.ID); j.Status != JobDone {
 		t.Errorf("post-storm job ended %s: %s", j.Status, j.Error)
-	}
-}
-
-// TestChaosClusterWorkerDeath is the cluster leg of the chaos suite: a
-// worker dies mid-sweep — listener and service torn down with cells
-// still outstanding in its batch — and the coordinator must steal the
-// dead worker's cells, land the job on done with every cell accounted
-// for exactly once, keep the transcript dense, and bit-match
-// single-node execution.
-func TestChaosClusterWorkerDeath(t *testing.T) {
-	fault.Reset()
-	t.Cleanup(fault.Reset)
-	testutil.CheckGoroutineLeaks(t)
-
-	truth := singleNodeTruth(t, clusterSweep)
-
-	w1, s1, u1 := startWorker(t, "", "")
-	w2, s2, u2 := startWorker(t, "", "")
-	defer stopWorker(t, w2, s2)
-	coord := newCoordinator(t, []string{u1, u2})
-
-	// Pace the cells so the kill below lands mid-sweep, not after it:
-	// each of the 16 cells stalls 20ms, so at the first delivered cell
-	// both workers still hold most of their batches.
-	fault.InjectDelay(fault.WorkerDelay, 1.0, 20*time.Millisecond)
-
-	job, err := coord.SimulateCtx(context.Background(), clusterSweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, ok := coord.JobEvents(job.ID, 0)
-	if !ok {
-		t.Fatal("no event subscription for the cluster job")
-	}
-	defer sub.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	var evs []JobEvent
-	killed := false
-	for {
-		ev, eos, err := sub.Next(ctx)
-		if err != nil {
-			t.Fatalf("event stream did not terminate: %v", err)
-		}
-		if eos {
-			break
-		}
-		evs = append(evs, ev)
-		if !killed && ev.Type == EventCell {
-			// First finished cell: the sweep is demonstrably mid-flight.
-			stopWorker(t, w1, s1)
-			killed = true
-		}
-	}
-	if !killed {
-		t.Fatal("no cell event before end of stream — the kill never landed mid-sweep")
-	}
-	checkChaosTranscript(t, evs)
-	if last := evs[len(evs)-1]; last.Type != EventDone {
-		t.Fatalf("terminal event %q (error %q), want done — a dead worker must not fail the sweep", last.Type, last.Error)
-	}
-	cells := map[string]bool{}
-	for _, ev := range evs {
-		if ev.Type == EventCell {
-			k := ev.Cell.Workload + "/" + ev.Cell.Scheme
-			if cells[k] {
-				t.Fatalf("cell %s delivered twice across the steal", k)
-			}
-			cells[k] = true
-		}
-	}
-	if want := len(clusterSweep.Workloads) * len(clusterSweep.Schemes); len(cells) != want {
-		t.Fatalf("transcript carries %d distinct cells, want %d — the dead worker's cells were lost", len(cells), want)
-	}
-
-	j := waitJob(t, coord, job.ID)
-	if j.Status != JobDone {
-		t.Fatalf("job ended %s: %s", j.Status, j.Error)
-	}
-	checkAgainstTruth(t, j, truth)
-
-	// Non-vacuity: the dead worker's outstanding cells went somewhere —
-	// stolen onto the surviving peer or run in the local fallback.
-	if coord.metrics.clusterSteals.Value() == 0 && coord.metrics.clusterLocalCells.Value() == 0 {
-		t.Error("worker death produced neither steals nor local fallback — the kill landed after its batch finished")
-	}
-	if fault.Fired(fault.WorkerDelay) == 0 {
-		t.Error("WorkerDelay fault point never fired — the seam is dead")
-	}
-}
-
-// TestChaosClusterPeerFaultSeams arms all three peer fault points —
-// unreachable peers, slow peers, streams torn after a delivered cell —
-// over live workers, and asserts repeated sweeps still land done and
-// bit-exact with every seam proven live. This is the injected-fault
-// counterpart of TestChaosClusterWorkerDeath's real kill.
-func TestChaosClusterPeerFaultSeams(t *testing.T) {
-	fault.Reset()
-	t.Cleanup(fault.Reset)
-	testutil.CheckGoroutineLeaks(t)
-
-	truth := singleNodeTruth(t, clusterSweep)
-
-	w1, s1, u1 := startWorker(t, "", "")
-	defer stopWorker(t, w1, s1)
-	w2, s2, u2 := startWorker(t, "", "")
-	defer stopWorker(t, w2, s2)
-	coord := newCoordinator(t, []string{u1, u2})
-
-	// One seam per sweep, each at probability 1 — deterministic firing
-	// instead of seeded coincidences. PeerDown fails every batch before
-	// any bytes move, so the sweep completes in the local fallback;
-	// PeerSlow delays every batch but lets it finish remotely; PeerTorn
-	// tears every stream after its first delivered cell, so completion
-	// is one delivered cell per peer plus steals. The sleep lets the
-	// previous seam's down cooldowns lapse so each sweep starts with
-	// both peers eligible again.
-	seams := []struct {
-		point string
-		arm   func()
-	}{
-		{fault.PeerDown, func() { fault.InjectFail(fault.PeerDown, 1.0) }},
-		{fault.PeerSlow, func() { fault.InjectDelay(fault.PeerSlow, 1.0, 2*time.Millisecond) }},
-		{fault.PeerTorn, func() { fault.InjectFail(fault.PeerTorn, 1.0) }},
-	}
-	for _, s := range seams {
-		fault.Reset()
-		s.arm()
-		time.Sleep(300 * time.Millisecond) // outlive the 200ms down cooldown
-		j := runClusterSweep(t, coord, clusterSweep)
-		checkAgainstTruth(t, j, truth)
-		checkChaosTranscript(t, drainJobEvents(t, coord, j.ID))
-		if fault.Fired(s.point) == 0 {
-			t.Errorf("%s fault point never fired — the seam is dead", s.point)
-		}
 	}
 }
 

@@ -1,14 +1,11 @@
 package service
 
-// The cell-execution core and the dispatch layer. executeCell is the
-// transport-agnostic heart of a sweep: one (workload, scale, scheme,
-// config, seed) cell through the two-tier cache, the pooled engine and
-// the admission cost model, identical whether the cell was submitted
-// by a local sweep, a coordinator's remote batch (cluster_http.go) or
-// an embedder (ExecuteCell), and cellTask queues any cell on the pool.
-// Above them, dispatchLocal runs a sweep's cells on the in-process pool
-// and dispatchCluster (cluster_dispatch.go) shards them across peer
-// valleyd workers by cache-affinity rendezvous hashing.
+// The cell-execution core and the dispatcher. executeCell is the heart
+// of a sweep: one (workload, scale, scheme, config, seed) cell through
+// the two-tier cache, the pooled engine and the admission cost model,
+// identical whether the cell was submitted by a sweep or by an embedder
+// (ExecuteCell), and cellTask queues a sweep's cell on the pool. Above
+// them, dispatchLocal runs every cell of a sweep on the in-process pool.
 
 import (
 	"context"
@@ -35,7 +32,7 @@ var errClosed = errors.New("service shutting down")
 // cellExec is one resolved cell (run coordinates, workload, scheme,
 // sim-cache key) plus its shared trace slot and observability context.
 // jobID may be empty, tr nil and span zero (the obs API is nil-safe):
-// that is how /v1/cells runs the core without a job or span trace.
+// that is how ExecuteCell runs the core without a job or span trace.
 type cellExec struct {
 	rc    *runCoords
 	sp    workload.Spec
@@ -188,9 +185,9 @@ type CellSpec struct {
 
 // ExecuteCell resolves and runs one cell through the execution core on
 // the calling goroutine: cache first (either tier), then a fresh
-// simulation. It is the single-cell entry point embedders and the
-// worker-side batch endpoint build on; sweep-relative aggregation
-// (speedups) is the dispatcher's business, not the core's.
+// simulation. It is the single-cell entry point for embedders;
+// sweep-relative aggregation (speedups) is the sweep's business, not
+// the core's.
 func (s *Service) ExecuteCell(ctx context.Context, spec CellSpec) (CellResult, error) {
 	rc, err := resolveCoords(spec.Config, spec.Scale, spec.Seed)
 	if err != nil {
@@ -221,10 +218,9 @@ func (rc *runCoords) resolveCell(abbr, scheme string) (cellExec, error) {
 
 // cellTask wraps cell i for pool submission: queue-wait accounting, the
 // cell span with its queue_wait child, the panic fence and the outcome
-// classification. Every cell that runs on the pool — a local sweep's, a
-// cluster fallback's or a /v1/cells batch's — is queued through it, and
-// the task calls report exactly once, with the finished cell or the
-// error that stopped it.
+// classification. Every sweep cell is queued through it, and the task
+// calls report exactly once, with the finished cell or the error that
+// stopped it.
 func (s *Service) cellTask(ctx context.Context, i int, ce cellExec, report func(i int, done CellResult, err error)) func() {
 	submitAt := time.Now()
 	return func() {
@@ -272,12 +268,10 @@ func (s *Service) cellTask(ctx context.Context, i int, ce cellExec, report func(
 	}
 }
 
-// dispatchLocal runs the listed cells of a sweep on the in-process
+// dispatchLocal runs every cell of a sweep's plan on the in-process
 // worker pool (or inline on the dispatcher goroutine in degraded mode)
-// and blocks until every submitted cell has reported. It is the
-// single-node execution path and the cluster dispatcher's last-resort
-// fallback.
-func (s *Service) dispatchLocal(ctx context.Context, sw *sweep, cells []int) {
+// and blocks until every submitted cell has reported.
+func (s *Service) dispatchLocal(ctx context.Context, sw *sweep) {
 	var wg sync.WaitGroup
 	report := func(i int, done CellResult, err error) {
 		defer wg.Done()
@@ -287,7 +281,7 @@ func (s *Service) dispatchLocal(ctx context.Context, sw *sweep, cells []int) {
 		}
 		sw.deliver(i, done)
 	}
-	for _, i := range cells {
+	for i := range sw.plan.cells {
 		if ctx.Err() != nil {
 			// Canceled mid-fan-out: stop submitting. Cells already
 			// queued or running drain through their own ctx checks.

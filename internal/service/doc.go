@@ -39,35 +39,9 @@
 // outcome reaches the job. executeCell (dispatch.go) runs one cell
 // through the two-tier cache and the pooled engine, not knowing who
 // asked, and cellTask is the only way a cell is queued on the pool:
-// queue wait, cell span, panic fence, one report per cell. Two
-// dispatchers only decide where cells run: dispatchCluster
-// (cluster_dispatch.go) shards them across peer workers by rendezvous
-// hashing over their keys, stealing from slow or dead peers, and
-// dispatchLocal runs the rest — every cell on a single node — on the
-// local pool, so event ordering, aggregation and admission accounting
-// are dispatcher-blind. On a worker, POST /v1/cells (cluster_http.go)
-// resolves a batch's coordinates once, queues each cell through
-// cellTask and streams one NDJSON update per finished cell.
-//
-// # Cluster mode
-//
-// A coordinator (Config.Cluster set, built by valleyd
-// -mode=coordinator -peers=...) routes each cell to the peer that
-// rendezvous-hashing ranks highest for the cell's sim-cache key.
-// The key is content-addressed, so a repeated cell always ranks the
-// same peer first and lands on a warm cache — including across full
-// cluster restarts when workers keep their -spill-dir tiers. The
-// coordinator never caches remote results; repeat sweeps reporting
-// "cached": true prove the owning worker served them. Peers that
-// fail, stall past the batch watchdog, or tear their stream are
-// marked down for a cooldown, their undelivered cells re-ranked onto
-// the next peer (valleyd_cluster_steals_total) or the local pool
-// (valleyd_cluster_local_cells_total); with no reachable peer at all
-// the sweep degrades to plain local execution. Dispatch volume per
-// peer is valleyd_cluster_cells_dispatched_total{peer} and live peer
-// health valleyd_cluster_peer_up{peer}. X-Trace-Id and X-Deadline-Ms
-// propagate on every hop, so worker logs correlate with the
-// coordinator's and remote cells observe the sweep's budget.
+// queue wait, cell span, panic fence, one report per cell. One
+// dispatcher, dispatchLocal, runs every cell of a plan on the local
+// pool, or inline in degraded mode.
 //
 // # Streaming sweeps
 //
@@ -155,9 +129,8 @@
 //
 // The failure paths above are exercised by a chaos suite driven
 // through internal/fault: build-tagged injection points at the spill
-// tier's writes and reads, the mmap opener, the sweep cells and the
-// coordinator→worker batch path (dead, slow and torn peers). In normal
-// builds every hook is a compiled-out no-op; see internal/fault's
+// tier's writes and reads, the mmap opener and the sweep cells. In
+// normal builds every hook is a compiled-out no-op; see internal/fault's
 // package documentation for the seam contract and chaos_test.go for
 // the suite.
 //

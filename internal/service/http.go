@@ -23,8 +23,6 @@ import (
 //	POST   /v1/simulate         enqueue a workload x scheme sweep job (202);
 //	                            ?stream=1 streams NDJSON events instead (200);
 //	                            ?deadline_ms= / X-Deadline-Ms bound the job's runtime
-//	POST   /v1/cells            execute a coordinator's cell batch, streaming
-//	                            NDJSON updates (the worker half of cluster mode)
 //	GET    /v1/jobs/{id}        poll a sweep job
 //	DELETE /v1/jobs/{id}        cancel an in-flight sweep job
 //	GET    /v1/jobs/{id}/events stream the job's events as NDJSON (?from=seq resumes)
@@ -39,7 +37,6 @@ func (s *Service) Handler() http.Handler {
 		{"POST", "/v1/profile", "/v1/profile", s.handleProfile},
 		{"POST", "/v1/advise", "/v1/advise", s.handleAdvise},
 		{"POST", "/v1/simulate", "/v1/simulate", s.handleSimulate},
-		{"POST", "/v1/cells", "/v1/cells", s.handleCells},
 		{"GET", "/v1/jobs/{id}", "/v1/jobs", s.handleJob},
 		{"DELETE", "/v1/jobs/{id}", "/v1/jobs", s.handleJobCancel},
 		{"GET", "/v1/jobs/{id}/events", "/v1/jobs/events", s.handleJobEvents},

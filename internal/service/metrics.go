@@ -39,12 +39,6 @@ type Metrics struct {
 	streamEventsDropped *obs.Counter
 	workerPanics        *obs.Counter
 
-	// Cluster dispatch accounting (coordinator side), keyed by the
-	// configured peer URL — a closed set, so the label space is bounded.
-	clusterDispatched *obs.CounterVec
-	clusterSteals     *obs.Counter
-	clusterLocalCells *obs.Counter
-
 	// Tiered sim-cache accounting: hits by serving tier, and the spill
 	// tier's write-behind/janitor activity. spillErrors counts damage
 	// events (failed writes, corrupt or unreadable entries) that
@@ -75,7 +69,7 @@ type stageSet struct {
 }
 
 // NewMetrics registers every counter and histogram family. The service
-// registers the sampled gauges as it wires the pool, caches and cluster.
+// registers the sampled gauges as it wires the pool and caches.
 func NewMetrics() *Metrics {
 	m := &Metrics{reg: obs.NewRegistry()}
 	counter := func(name, help string) *obs.Counter {
@@ -116,14 +110,6 @@ func NewMetrics() *Metrics {
 	m.streamEventsDropped = counter("valleyd_stream_events_dropped_total",
 		"Slow-consumer wakeup drops on job event streams (lag accounting; no events are lost).")
 	m.workerPanics = counter("valleyd_worker_panics_total", "Panics recovered in sweep cells and pool workers.")
-
-	m.clusterDispatched = obs.NewCounterVec("valleyd_cluster_cells_dispatched_total",
-		"Sweep cells dispatched to each peer worker.", "peer")
-	m.reg.Register(m.clusterDispatched)
-	m.clusterSteals = counter("valleyd_cluster_steals_total",
-		"Cells re-dispatched after a failed attempt on a slow or dead peer.")
-	m.clusterLocalCells = counter("valleyd_cluster_local_cells_total",
-		"Cells a coordinator executed locally because no healthy peer could take them.")
 
 	tierHits := obs.NewCounterVec("valleyd_cache_tier_hits_total",
 		"Simulation-cache hits by serving tier (mem: resident or in-flight join; disk: promoted from the spill store).", "tier")
@@ -178,7 +164,6 @@ var knownPaths = map[string]struct{}{
 	"/v1/profile":     {},
 	"/v1/advise":      {},
 	"/v1/simulate":    {},
-	"/v1/cells":       {},
 	"/v1/jobs":        {},
 	"/v1/jobs/events": {},
 	"/v1/jobs/trace":  {},

@@ -10,9 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
-
-	"valleymap/internal/cluster"
 )
 
 // TestMetricsExpositionLint holds the full /metrics document to the
@@ -46,18 +43,15 @@ func TestMetricsExpositionLint(t *testing.T) {
 
 // TestMetricsFamiliesGolden pins the exposition's shape: every HELP and
 // TYPE line and every series identity (name plus labels, value
-// stripped), sorted. The config turns on every conditional family — a
-// spill directory for the spill gauges, a cluster client over an
-// unreachable peer for the dispatch and peer-health series — so a
-// family that silently disappears, changes type or help text, or grows
-// a label shows up as a golden diff. Run with -update after an
-// intentional change.
+// stripped), sorted. The config turns on the one conditional family
+// set, the spill gauges, with a spill directory, so a family that
+// silently disappears, changes type or help text, or grows a label
+// shows up as a golden diff. Run with -update after an intentional
+// change.
 func TestMetricsFamiliesGolden(t *testing.T) {
-	const deadPeer = "http://127.0.0.1:1"
 	body := scrapeAfterTraffic(t, Config{
 		Workers:  1,
 		SpillDir: filepath.Join(t.TempDir(), "spill"),
-		Cluster:  cluster.New(cluster.Options{Peers: []string{deadPeer}, DownCooldown: time.Minute}),
 	})
 	lintExposition(t, body)
 

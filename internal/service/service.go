@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"valleymap/internal/cache"
-	"valleymap/internal/cluster"
 	"valleymap/internal/entropy"
 	"valleymap/internal/experiments"
 	"valleymap/internal/gpusim"
@@ -95,14 +94,6 @@ type Config struct {
 	// slog.Default()). Request-scoped children carry trace_id, path and
 	// tenant; sweep logs carry job_id and trace_id.
 	Logger *slog.Logger
-	// Cluster, when set, turns this service into a sweep coordinator:
-	// cells are sharded across the client's peer workers by rendezvous
-	// hashing over their sim-cache keys (repeat cells land on the
-	// worker whose cache is warm), straggler cells are stolen from
-	// slow or dead peers, and the service degrades to local execution
-	// when no peer is reachable. Nil (the default) runs every cell
-	// locally.
-	Cluster *cluster.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -194,22 +185,6 @@ func New(cfg Config) *Service {
 		start:      time.Now(),
 	}
 	s.jobs.onDrop = m.streamEventsDropped.Inc
-	if cfg.Cluster != nil {
-		// The peer-up gauge samples the cluster client's cooldown
-		// table at scrape time.
-		m.reg.Register(obs.NewGaugeVecFunc("valleyd_cluster_peer_up",
-			"Peer health by configured worker (1 = reachable, 0 = in its down cooldown).", "peer",
-			func() map[string]float64 {
-				up := map[string]float64{}
-				for p, ok := range cfg.Cluster.PeerStates() {
-					up[p] = 0
-					if ok {
-						up[p] = 1
-					}
-				}
-				return up
-			}))
-	}
 	return s
 }
 
@@ -753,9 +728,9 @@ type simCell struct {
 	Seconds float64                `json:"seconds"`
 }
 
-// runCoords are the run coordinates every cell of a sweep or a
-// /v1/cells batch shares: the simulated system, the trace scale and the
-// mapper seed, each with its wire name.
+// runCoords are the run coordinates every cell of a sweep shares: the
+// simulated system, the trace scale and the mapper seed, each with its
+// wire name.
 type runCoords struct {
 	cfg       gpusim.Config
 	cfgName   string
@@ -782,8 +757,7 @@ func resolveCoords(config, scale string, seed int64) (*runCoords, error) {
 	return &runCoords{cfg: cfg, cfgName: cfgName, scale: sc, scaleName: scaleName, seed: seed}, nil
 }
 
-// cellKey is the sim-cache key of one cell under these coordinates, and
-// the affinity key a coordinator ranks peers by.
+// cellKey is the sim-cache key of one cell under these coordinates.
 func (rc *runCoords) cellKey(abbr string, sc mapping.Scheme) string {
 	return fmt.Sprintf("sim|%s|%s|%s|%s|%d", abbr, rc.scaleName, sc, rc.cfgName, rc.seed)
 }
@@ -837,9 +811,8 @@ func (p sweepPlan) result() *SimulateResult {
 }
 
 // resolveSweep validates req against the workload, set, scheme, config
-// and scale vocabularies. A workload or scheme may appear once: every
-// cell of a sweep has its own coordinates, which is what lets a cluster
-// dispatcher route a peer's answer back to exactly one grid slot.
+// and scale vocabularies. A workload or scheme may appear once, because
+// a (workload, scheme) pair names exactly one slot of the result grid.
 // Duplicates are checked after resolving, since "pae" and "PAE" are one
 // scheme.
 func resolveSweep(req SimulateRequest) (sweepPlan, error) {
@@ -1054,8 +1027,7 @@ func (sa *sharedApp) get(sp workload.Spec, scale workload.Scale) *trace.App {
 
 // sweep is one running sweep: its plan, the job it reports to, the span
 // trace it records into, the per-workload shared trace builds and the
-// result being filled, plus the first cell error. Every dispatcher
-// takes one.
+// result being filled, plus the first cell error.
 type sweep struct {
 	plan     sweepPlan
 	jobID    string
@@ -1082,7 +1054,7 @@ func (sw *sweep) cell(i int) cellExec {
 // deliver publishes a finished cell on the job's event stream the
 // moment it lands (streaming clients see it before job completion) and
 // files it into its grid slot. Each slot is delivered at most once per
-// sweep, whichever dispatcher ran it, so the write needs no lock.
+// sweep, so the write needs no lock.
 func (sw *sweep) deliver(i int, done CellResult) {
 	sw.result.Cells[i] = done
 	sw.jobs.cellDone(sw.jobID, done)
@@ -1113,19 +1085,7 @@ func (s *Service) runSweep(ctx context.Context, sw *sweep, release func()) {
 		s.metrics.degradedSweeps.Inc()
 		sw.root.Annotate(obs.Attr{Key: "degraded", Value: "true"})
 	}
-	// Dispatch: cluster-sharded when a peer set is configured, and
-	// whatever the cluster does not place — every cell when no peer is
-	// reachable — on the local pool. Degraded sweeps (fully cached, pool
-	// saturated) always run locally: their value is answering from the
-	// local cache without queueing.
-	local := make([]int, len(sw.plan.cells))
-	for i := range local {
-		local[i] = i
-	}
-	if !sw.degraded && s.cfg.Cluster != nil {
-		local = s.dispatchCluster(ctx, sw, local)
-	}
-	s.dispatchLocal(ctx, sw, local)
+	s.dispatchLocal(ctx, sw)
 	elapsed := time.Since(start)
 	s.metrics.sweepSeconds.Add(elapsed.Seconds())
 	if cause := context.Cause(ctx); cause != nil {

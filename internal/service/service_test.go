@@ -455,7 +455,9 @@ func TestSimulateJobLifecycle(t *testing.T) {
 // TestSimulateResultCache pins the simulation-result cache: a repeated
 // sweep serves every cell from cache (Cached=true, hit counters move,
 // no new simulations) with identical metrics, and both sweeps record
-// wall times.
+// wall times. Every cell, cold or cached, is queued through cellTask, so
+// each lands in valleyd_queue_wait_seconds and
+// valleyd_cell_simulation_seconds exactly once.
 func TestSimulateResultCache(t *testing.T) {
 	s := New(Config{Workers: 4})
 	defer s.Close()
@@ -482,6 +484,9 @@ func TestSimulateResultCache(t *testing.T) {
 	if hits, misses := s.Metrics().SimCacheCounts(); hits != 0 || misses != 4 {
 		t.Fatalf("after cold sweep hits=%d misses=%d, want 0/4", hits, misses)
 	}
+	if waits, cells := s.metrics.queueWait.Count(), s.metrics.cellSeconds.Count(); waits != 4 || cells != 4 {
+		t.Errorf("after cold sweep observed %d queue waits and %d cell times, want 4 each", waits, cells)
+	}
 	if first.Seconds <= 0 {
 		t.Error("cold sweep recorded no duration")
 	}
@@ -497,6 +502,9 @@ func TestSimulateResultCache(t *testing.T) {
 	second := sweep()
 	if hits, _ := s.Metrics().SimCacheCounts(); hits != 4 {
 		t.Fatalf("after warm sweep hits=%d, want 4", hits)
+	}
+	if waits, cells := s.metrics.queueWait.Count(), s.metrics.cellSeconds.Count(); waits != 8 || cells != 8 {
+		t.Errorf("after warm sweep observed %d queue waits and %d cell times, want 8 each", waits, cells)
 	}
 	for i, c := range second.Cells {
 		if !c.Cached {
@@ -532,8 +540,8 @@ func TestSimulateValidation(t *testing.T) {
 		{"both", SimulateRequest{Workloads: []string{"MT"}, Set: "valley"}, isBadRequest, ""},
 		{"bad scheme", SimulateRequest{Workloads: []string{"MT"}, Schemes: []string{"???"}}, isBadRequest, `"???"`},
 		{"bad config", SimulateRequest{Workloads: []string{"MT"}, Config: "quantum"}, isBadRequest, `"quantum"`},
-		// Every grid cell needs its own coordinates, or a coordinator
-		// cannot route a peer's answer back to exactly one slot.
+		// A (workload, scheme) pair names exactly one slot of the
+		// result grid, so neither axis may repeat.
 		{"duplicate workload", SimulateRequest{Workloads: []string{"MT", "MT"}, Schemes: []string{"BASE"}, Scale: "tiny"}, isBadRequest, `"MT"`},
 		{"duplicate scheme after parsing", SimulateRequest{Workloads: []string{"MT"}, Schemes: []string{"pae", "PAE"}, Scale: "tiny"}, isBadRequest, `"PAE"`},
 	}
