@@ -174,62 +174,3 @@ func TestVictimReconstruction(t *testing.T) {
 		t.Errorf("victims = %#x, want [%#x]", victims, addr&^127)
 	}
 }
-
-func TestMSHRMergeAndLimit(t *testing.T) {
-	m := NewMSHRFile(2)
-	if !m.CanAccept(0x100) {
-		t.Fatal("empty file refused")
-	}
-	if !m.Add(0x100) {
-		t.Fatal("first miss not primary")
-	}
-	if m.Add(0x100) {
-		t.Fatal("merge reported primary")
-	}
-	m.Add(0x200)
-	if m.CanAccept(0x300) {
-		t.Error("full file accepted a new line")
-	}
-	if !m.CanAccept(0x200) {
-		t.Error("full file refused a merge")
-	}
-	if !m.Full() || m.Len() != 2 {
-		t.Errorf("Full=%v Len=%d", m.Full(), m.Len())
-	}
-	if n := m.Complete(0x100); n != 2 {
-		t.Errorf("waiters = %d, want 2", n)
-	}
-	if m.Pending(0x100) {
-		t.Error("completed line still pending")
-	}
-	if n := m.Complete(0x999); n != 0 {
-		t.Errorf("unknown complete = %d", n)
-	}
-	if !m.CanAccept(0x300) {
-		t.Error("freed entry not reusable")
-	}
-}
-
-func TestMSHRUnlimited(t *testing.T) {
-	m := NewMSHRFile(0)
-	for i := 0; i < 1000; i++ {
-		if !m.CanAccept(uint64(i * 64)) {
-			t.Fatal("unlimited file refused")
-		}
-		m.Add(uint64(i * 64))
-	}
-	if m.Full() {
-		t.Error("unlimited file reports full")
-	}
-}
-
-func TestMSHROverflowPanics(t *testing.T) {
-	m := NewMSHRFile(1)
-	m.Add(0x100)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on overflow Add")
-		}
-	}()
-	m.Add(0x200)
-}

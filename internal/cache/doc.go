@@ -1,8 +1,8 @@
 // Package cache has two halves.
 //
 // The hardware half (cache.go) models the set-associative, write-back,
-// write-allocate caches of the simulated GPU (Table I) — per-SM L1D,
-// LLC slices, MSHR bookkeeping.
+// write-allocate caches of the simulated GPU (Table I): the per-SM L1D
+// and the LLC slices.
 //
 // The service half is the tiered content-addressed result store behind
 // valleyd's profile and simulation caches:

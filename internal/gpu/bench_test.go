@@ -111,9 +111,9 @@ func coversEveryPath(st Stats) bool {
 }
 
 // TestSMRelaunchZeroAlloc pins the SM's pooling: once one launch of
-// mixedTB has grown the record pools, the MSHR file and the stall ring,
-// relaunching it allocates nothing, although it misses, merges, stalls
-// and hits.
+// mixedTB has grown the record pools, the MSHRs' waiter slices and the
+// stall ring, relaunching it allocates nothing, although it misses,
+// merges, stalls and hits.
 func TestSMRelaunchZeroAlloc(t *testing.T) {
 	sm, _, launch := newSMBench()
 	launch()
@@ -122,5 +122,17 @@ func TestSMRelaunchZeroAlloc(t *testing.T) {
 	}
 	if st := sm.Stats(); st.TBsCompleted != 22 || !coversEveryPath(st) {
 		t.Errorf("mixedTB did not exercise every path: %+v", st)
+	}
+	// Every entry is free again and keeps its waiter slice's capacity,
+	// but no pointer to a retired warp.
+	if sm.mshrUsed != 0 {
+		t.Errorf("%d MSHRs still occupied after the TB drained", sm.mshrUsed)
+	}
+	for i, e := range sm.mshrs {
+		for _, ws := range e.waiters[:cap(e.waiters)] {
+			if ws != nil {
+				t.Fatalf("free MSHR %d still points at a warp", i)
+			}
+		}
 	}
 }

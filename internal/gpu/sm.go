@@ -10,6 +10,8 @@
 package gpu
 
 import (
+	"fmt"
+
 	"valleymap/internal/cache"
 	"valleymap/internal/sim"
 	"valleymap/internal/trace"
@@ -184,9 +186,10 @@ type txEvent struct {
 	write bool
 }
 
-// pendingLine tracks one in-flight L1 miss and the warps waiting on it;
-// pooled per SM.
-type pendingLine struct {
+// mshr is one L1 miss-status holding register: an outstanding line and
+// the warps waiting on it.
+type mshr struct {
+	line    uint64
 	waiters []*warpState
 }
 
@@ -197,10 +200,14 @@ type SM struct {
 	eng    *sim.Engine
 	fabric Fabric
 
-	l1      *cache.Cache
-	mshr    *cache.MSHRFile
-	pending map[uint64]*pendingLine
-	lsu     sim.Server
+	l1  *cache.Cache
+	lsu sim.Server
+
+	// mshrs is the L1 MSHR file, cfg.MSHRs entries. The first mshrUsed
+	// hold outstanding misses; free entries keep their waiter slices'
+	// capacity for reuse.
+	mshrs    []mshr
+	mshrUsed int
 
 	// stalled holds read transactions refused by a full MSHR file, in
 	// arrival order (head-indexed ring so draining does not reallocate);
@@ -212,7 +219,6 @@ type SM struct {
 	warpFree []*warpState
 	tbFree   []*tbRun
 	txFree   []*txEvent
-	lineFree []*pendingLine
 
 	activeTBs int
 	stats     Stats
@@ -224,16 +230,19 @@ type stalledTx struct {
 	ws    *warpState
 }
 
-// New builds an SM.
+// New builds an SM. It panics if cfg.MSHRs < 1: with no MSHR entry,
+// every L1 miss would stall forever.
 func New(eng *sim.Engine, id int, cfg Config, fabric Fabric) *SM {
+	if cfg.MSHRs < 1 {
+		panic(fmt.Sprintf("gpu: MSHRs = %d, want >= 1", cfg.MSHRs))
+	}
 	return &SM{
-		ID:      id,
-		cfg:     cfg,
-		eng:     eng,
-		fabric:  fabric,
-		l1:      cache.MustNew(cfg.L1),
-		mshr:    cache.NewMSHRFile(cfg.MSHRs),
-		pending: make(map[uint64]*pendingLine),
+		ID:     id,
+		cfg:    cfg,
+		eng:    eng,
+		fabric: fabric,
+		l1:     cache.MustNew(cfg.L1),
+		mshrs:  make([]mshr, cfg.MSHRs),
 	}
 }
 
@@ -288,23 +297,6 @@ func (s *SM) getTx() *txEvent {
 		return t
 	}
 	return &txEvent{sm: s}
-}
-
-func (s *SM) getLine() *pendingLine {
-	if n := len(s.lineFree); n > 0 {
-		p := s.lineFree[n-1]
-		s.lineFree = s.lineFree[:n-1]
-		return p
-	}
-	return &pendingLine{}
-}
-
-func (s *SM) putLine(p *pendingLine) {
-	for i := range p.waiters {
-		p.waiters[i] = nil
-	}
-	p.waiters = p.waiters[:0]
-	s.lineFree = append(s.lineFree, p)
 }
 
 // Engine event handlers: package-level functions paired with pooled
@@ -447,9 +439,8 @@ func (s *SM) read(addr uint64, ws *warpState) {
 	line := addr &^ uint64(s.cfg.L1.LineBytes-1)
 
 	// A miss already in flight: merge regardless of tag-array state.
-	if p, ok := s.pending[line]; ok {
-		s.mshr.Add(line)
-		p.waiters = append(p.waiters, ws)
+	if i := s.pendingMSHR(line); i >= 0 {
+		s.mshrs[i].waiters = append(s.mshrs[i].waiters, ws)
 		return
 	}
 	if s.l1.Probe(line) {
@@ -460,32 +451,45 @@ func (s *SM) read(addr uint64, ws *warpState) {
 	// Primary miss. Check MSHR capacity before touching the tag array:
 	// installing the line and then stalling would let the retry "hit"
 	// without ever fetching the data.
-	if s.mshr.Full() {
+	if s.mshrUsed == len(s.mshrs) {
 		s.stalled = append(s.stalled, stalledTx{addr: addr, since: now, ws: ws})
 		return
 	}
 	s.l1.Access(line, false) // allocate; write-through L1 victims are clean
-	s.mshr.Add(line)
-	p := s.getLine()
-	p.waiters = append(p.waiters, ws)
-	s.pending[line] = p
+	e := &s.mshrs[s.mshrUsed]
+	s.mshrUsed++
+	e.line = line
+	e.waiters = append(e.waiters, ws)
 	s.fabric.IssueRead(now, s.ID, line, s)
+}
+
+// pendingMSHR returns the index of the MSHR holding line, or -1 if no
+// miss to line is outstanding.
+func (s *SM) pendingMSHR(line uint64) int {
+	for i := range s.mshrs[:s.mshrUsed] {
+		if s.mshrs[i].line == line {
+			return i
+		}
+	}
+	return -1
 }
 
 // FillLine implements ReadSink: it completes an outstanding miss, wakes
 // waiters and retries stalled transactions now that an MSHR entry is
 // free.
 func (s *SM) FillLine(line uint64, at sim.Time) {
-	p := s.pending[line]
-	delete(s.pending, line)
-	s.mshr.Complete(line)
-	if p != nil {
-		for _, ws := range p.waiters {
+	if i := s.pendingMSHR(line); i >= 0 {
+		e := &s.mshrs[i]
+		for j, ws := range e.waiters {
 			s.readDone(ws, at)
+			e.waiters[j] = nil
 		}
-		s.putLine(p)
+		e.waiters = e.waiters[:0]
+		// Free the entry by swapping it past the occupied prefix.
+		s.mshrUsed--
+		s.mshrs[i], s.mshrs[s.mshrUsed] = s.mshrs[s.mshrUsed], s.mshrs[i]
 	}
-	for s.stalledHead < len(s.stalled) && !s.mshr.Full() {
+	for s.stalledHead < len(s.stalled) && s.mshrUsed < len(s.mshrs) {
 		tx := s.stalled[s.stalledHead]
 		s.stalled[s.stalledHead] = stalledTx{}
 		s.stalledHead++

@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"valleymap/internal/sim"
@@ -12,12 +14,21 @@ type fakeFabric struct {
 	eng    *sim.Engine
 	delay  sim.Time
 	reads  []uint64
-	writes []uint64
+	readAt []sim.Time // issue time of each read
+	// firstFill is len(reads) when the first fill returned.
+	firstFill int
+	writes    []uint64
 }
 
 func (f *fakeFabric) IssueRead(now sim.Time, sm int, addr uint64, sink ReadSink) {
 	f.reads = append(f.reads, addr)
-	f.eng.At(now+f.delay, func() { sink.FillLine(addr, f.eng.Now()) })
+	f.readAt = append(f.readAt, now)
+	f.eng.At(now+f.delay, func() {
+		if f.firstFill == 0 {
+			f.firstFill = len(f.reads)
+		}
+		sink.FillLine(addr, f.eng.Now())
+	})
 }
 
 func (f *fakeFabric) IssueWrite(now sim.Time, sm int, addr uint64) {
@@ -169,9 +180,14 @@ func TestWritesDoNotBlockWarp(t *testing.T) {
 }
 
 func TestMSHRLimitStalls(t *testing.T) {
-	// 48 distinct lines from one warp instruction exceed the 32-entry
-	// MSHR file; all must still complete via the stall/retry path.
+	// TB A: warp 0 reads 32 distinct lines, filling the 32-entry MSHR
+	// file; warp 1 then misses on 16 more, which stall. TB B's one read
+	// reaches the SM after warp 0's (same stagger, later launch) and
+	// before warp 1's, to a line warp 0 has pending. All must complete.
+	const gap = 10
 	eng, fab, sm := newSM(10 * sim.Microsecond)
+	mshrs := DefaultConfig().MSHRs
+	cc := DefaultConfig().CoreClock
 	tb := &trace.TB{ID: 0}
 	for t := 0; t < 32; t++ {
 		tb.Requests = append(tb.Requests, trace.Request{Addr: uint64(t) * 4096, Warp: 0})
@@ -181,16 +197,57 @@ func TestMSHRLimitStalls(t *testing.T) {
 	}
 	progs := BuildPrograms(tb, 2, 128, nil)
 	completed := 0
-	sm.LaunchTB(progs, 10, func(sim.Time) { completed++ })
+	sm.LaunchTB(progs, gap, func(sim.Time) { completed++ })
+	merged := BuildPrograms(&trace.TB{Requests: []trace.Request{{Addr: 4}}}, 1, 128, nil)
+	var mergedDone sim.Time
+	sm.LaunchTB(merged, gap, func(now sim.Time) { mergedDone = now })
 	eng.Run()
-	if completed != 1 {
-		t.Fatalf("TB did not complete (completed=%d)", completed)
+	if completed != 1 || mergedDone == 0 {
+		t.Fatalf("TBs did not complete (completed=%d, merged TB done at %v)", completed, mergedDone)
 	}
 	if len(fab.reads) != 48 {
-		t.Errorf("fabric reads = %d, want 48", len(fab.reads))
+		t.Errorf("fabric reads = %d, want 48 (the merged read must not reach the fabric)", len(fab.reads))
 	}
 	if sm.Stats().MSHRStallTime == 0 {
 		t.Error("expected MSHR stall time with 48 outstanding lines")
+	}
+
+	// Exactly MSHRs reads reach the fabric before the first fill.
+	if fab.firstFill != mshrs {
+		t.Errorf("reads issued before the first fill = %d, want %d", fab.firstFill, mshrs)
+	}
+	// The merge happened while the file was full, without stalling: TB
+	// B's read completed with line 0's fill, the first one, and not an
+	// L1 hit later.
+	firstFill := fab.readAt[0] + fab.delay
+	if fab.reads[0] != 0 || mergedDone != firstFill+cc.Cycles(gap) {
+		t.Errorf("merged TB done at %v, want line 0's fill %v + %d-cycle gap", mergedDone, firstFill, gap)
+	}
+	// Each freed entry goes to the oldest stalled read, at the fill.
+	for i := 0; i < 16; i++ {
+		want := uint64(i+40) * 4096
+		if got := fab.reads[mshrs+i]; got != want {
+			t.Fatalf("read %d = %#x, want stalled line %#x (FIFO retry)", mshrs+i, got, want)
+		}
+		if at, fill := fab.readAt[mshrs+i], fab.readAt[i]+fab.delay; at != fill {
+			t.Errorf("stalled line %#x issued at %v, want the freeing fill at %v", want, at, fill)
+		}
+	}
+}
+
+func TestNewRejectsEmptyMSHRFile(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		cfg := DefaultConfig()
+		cfg.MSHRs = n
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, fmt.Sprintf("MSHRs = %d", n)) {
+					t.Errorf("New with MSHRs = %d panicked with %q, want the value named", n, msg)
+				}
+			}()
+			New(&sim.Engine{}, 0, cfg, nil)
+		}()
 	}
 }
 
