@@ -23,11 +23,20 @@ func main() {
 	verify := flag.Int("verify", 100000, "random addresses to round-trip through the inverse")
 	flag.Parse()
 
-	l := valleymap.HynixGDDR5()
-	if strings.ToLower(*layoutName) == "3d" {
-		l = valleymap.Stacked3D()
+	s, err := valleymap.ParseScheme(*scheme)
+	if err != nil {
+		badFlag(err)
 	}
-	m := valleymap.NewMapper(valleymap.Scheme(strings.ToUpper(*scheme)), l, *seed)
+	var l valleymap.Layout
+	switch strings.ToLower(*layoutName) {
+	case "hynix":
+		l = valleymap.HynixGDDR5()
+	case "3d":
+		l = valleymap.Stacked3D()
+	default:
+		badFlag(fmt.Errorf("unknown layout %q (want hynix or 3d)", *layoutName))
+	}
+	m := valleymap.NewMapper(s, l, *seed)
 	mat := m.Matrix()
 
 	fmt.Printf("%v\n", m)
@@ -55,4 +64,11 @@ func main() {
 		}
 		fmt.Printf("round-trip verified on %d random addresses\n", *verify)
 	}
+}
+
+// badFlag reports an invalid flag value on one line and exits 2, the
+// flag package's own code for bad usage.
+func badFlag(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(2)
 }

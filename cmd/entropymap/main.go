@@ -39,6 +39,21 @@ func main() {
 	seed := flag.Int64("seed", 1, "BIM seed")
 	flag.Parse()
 
+	sc, err := valleymap.ParseScale(*scale)
+	if err != nil {
+		badFlag(err)
+	}
+	opt := valleymap.AnalysisOptions{Window: *window}
+	title := "physical addresses (BASE)"
+	if *scheme != "" {
+		s, err := valleymap.ParseScheme(*scheme)
+		if err != nil {
+			badFlag(err)
+		}
+		opt.Transform = valleymap.NewMapper(s, valleymap.HynixGDDR5(), *seed).Map
+		title = fmt.Sprintf("after %s mapping", s)
+	}
+
 	// Both inputs stream: the generator emits TB by TB, file decoders
 	// yield batches as the file is read (binary files are mmapped and
 	// served zero-copy). Nothing materializes the trace.
@@ -57,23 +72,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *bench)
 			os.Exit(2)
 		}
-		var sc valleymap.Scale
-		switch strings.ToLower(*scale) {
-		case "tiny":
-			sc = valleymap.ScaleTiny
-		case "full":
-			sc = valleymap.ScaleFull
-		default:
-			sc = valleymap.ScaleSmall
-		}
 		src = spec.Source(sc)
-	}
-	opt := valleymap.AnalysisOptions{Window: *window}
-	title := "physical addresses (BASE)"
-	if *scheme != "" {
-		m := valleymap.NewMapper(valleymap.Scheme(strings.ToUpper(*scheme)), valleymap.HynixGDDR5(), *seed)
-		opt.Transform = m.Map
-		title = fmt.Sprintf("after %s mapping", strings.ToUpper(*scheme))
 	}
 	prof, err := valleymap.AnalyzeSource(src, opt)
 	if err != nil {
@@ -109,4 +108,11 @@ func main() {
 		fmt.Printf("  -> ENTROPY VALLEY")
 	}
 	fmt.Println()
+}
+
+// badFlag reports an invalid flag value on one line and exits 2, the
+// flag package's own code for bad usage.
+func badFlag(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(2)
 }

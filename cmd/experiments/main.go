@@ -47,18 +47,12 @@ func main() {
 		return
 	}
 
-	opt := valleymap.ExperimentOptions{Seed: *seed}
-	switch strings.ToLower(*scale) {
-	case "tiny":
-		opt.Scale = valleymap.ScaleTiny
-	case "small":
-		opt.Scale = valleymap.ScaleSmall
-	case "full":
-		opt.Scale = valleymap.ScaleFull
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := valleymap.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	opt := valleymap.ExperimentOptions{Scale: sc, Seed: *seed}
 
 	name := strings.ToLower(*exp)
 	names := []string{name}

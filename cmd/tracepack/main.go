@@ -40,13 +40,18 @@ func main() {
 	verify := flag.Bool("verify", false, "re-decode the written output and require its canonical hash to match the input's")
 	flag.Parse()
 
-	if err := run(*in, *workloadAbbr, *scale, *out, *verify); err != nil {
+	sc, err := valleymap.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tracepack:", err)
+		os.Exit(2)
+	}
+	if err := run(*in, *workloadAbbr, sc, *out, *verify); err != nil {
 		fmt.Fprintln(os.Stderr, "tracepack:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, workloadAbbr, scale, out string, verify bool) error {
+func run(in, workloadAbbr string, scale valleymap.Scale, out string, verify bool) error {
 	src, inputHash, release, err := openInput(in, workloadAbbr, scale)
 	if err != nil {
 		return err
@@ -91,7 +96,7 @@ func run(in, workloadAbbr, scale, out string, verify bool) error {
 // input's canonical hash. For single-shot file streams the hash is read
 // off the decoder after the conversion drained it; restartable sources
 // (workload generators, mmap) can be hashed independently.
-func openInput(in, workloadAbbr, scale string) (valleymap.TraceSource, func() (string, error), func() error, error) {
+func openInput(in, workloadAbbr string, scale valleymap.Scale) (valleymap.TraceSource, func() (string, error), func() error, error) {
 	switch {
 	case in != "" && workloadAbbr != "":
 		return nil, nil, nil, fmt.Errorf("give either -in or -workload, not both")
@@ -100,18 +105,7 @@ func openInput(in, workloadAbbr, scale string) (valleymap.TraceSource, func() (s
 		if !ok {
 			return nil, nil, nil, fmt.Errorf("unknown workload %q", workloadAbbr)
 		}
-		var sc valleymap.Scale
-		switch strings.ToLower(scale) {
-		case "tiny":
-			sc = valleymap.ScaleTiny
-		case "small":
-			sc = valleymap.ScaleSmall
-		case "full":
-			sc = valleymap.ScaleFull
-		default:
-			return nil, nil, nil, fmt.Errorf("unknown scale %q (want tiny, small or full)", scale)
-		}
-		src := spec.Source(sc)
+		src := spec.Source(scale)
 		hash := func() (string, error) { return valleymap.TraceCanonicalHash(src) }
 		return src, hash, func() error { return nil }, nil
 	case in != "":

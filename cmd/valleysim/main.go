@@ -22,7 +22,7 @@ import (
 
 func main() {
 	bench := flag.String("bench", "MT", "benchmark abbreviation (Table II), e.g. MT, LU, BFS")
-	scheme := flag.String("scheme", "PAE", "mapping scheme: BASE, PM, RMP, PAE, FAE, ALL")
+	schemeName := flag.String("scheme", "PAE", "mapping scheme: BASE, PM, RMP, PAE, FAE, ALL")
 	scale := flag.String("scale", "small", "trace scale: tiny, small, full")
 	sms := flag.Int("sms", 12, "number of SMs (conventional memory)")
 	mem := flag.String("mem", "conv", "memory organization: conv (GDDR5) or 3d (stacked)")
@@ -41,22 +41,25 @@ func main() {
 		os.Exit(2)
 	}
 
-	var sc valleymap.Scale
-	switch strings.ToLower(*scale) {
-	case "tiny":
-		sc = valleymap.ScaleTiny
-	case "small":
-		sc = valleymap.ScaleSmall
-	case "full":
-		sc = valleymap.ScaleFull
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
-		os.Exit(2)
+	sc, err := valleymap.ParseScale(*scale)
+	if err != nil {
+		badFlag(err)
 	}
-
-	cfg := valleymap.ConventionalConfig(*sms)
-	if strings.ToLower(*mem) == "3d" {
+	scheme, err := valleymap.ParseScheme(*schemeName)
+	if err != nil {
+		badFlag(err)
+	}
+	if *sms < 1 {
+		badFlag(fmt.Errorf("-sms %d: want at least 1 SM", *sms))
+	}
+	var cfg valleymap.SimConfig
+	switch strings.ToLower(*mem) {
+	case "conv":
+		cfg = valleymap.ConventionalConfig(*sms)
+	case "3d":
 		cfg = valleymap.Stacked3DConfig()
+	default:
+		badFlag(fmt.Errorf("unknown memory organization %q (want conv or 3d)", *mem))
 	}
 
 	app := spec.Build(sc)
@@ -83,7 +86,7 @@ func main() {
 		return
 	}
 
-	m := valleymap.NewMapper(valleymap.Scheme(strings.ToUpper(*scheme)), cfg.Layout, *seed)
+	m := valleymap.NewMapper(scheme, cfg.Layout, *seed)
 	r := valleymap.Simulate(app, m, cfg)
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -111,4 +114,11 @@ func main() {
 		r.DRAMPower.Read, r.DRAMPower.Write)
 	fmt.Printf("system power:      %.2f W (GPU %.2f W)\n", r.SystemW, r.GPUPowerW)
 	fmt.Printf("perf/W:            %.3g insns/s/W\n", r.PerfPerW)
+}
+
+// badFlag reports an invalid flag value on one line and exits 2, the
+// flag package's own code for bad usage.
+func badFlag(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(2)
 }

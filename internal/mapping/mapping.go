@@ -41,7 +41,7 @@ func ParseScheme(name string) (Scheme, error) {
 			return s, nil
 		}
 	}
-	return "", fmt.Errorf("mapping: unknown scheme %q", name)
+	return "", fmt.Errorf("unknown scheme %q (want one of %v)", name, Schemes())
 }
 
 // Proposed lists the paper's three Broad-strategy contributions.

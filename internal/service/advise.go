@@ -56,7 +56,7 @@ func (s *Service) Advise(req AdviseRequest) (*AdviseResult, error) {
 		for _, name := range req.Schemes {
 			sc, err := mapping.ParseScheme(name)
 			if err != nil {
-				return nil, badRequestf("unknown scheme %q (want one of %v)", name, mapping.Schemes())
+				return nil, badRequestf("%v", err)
 			}
 			if sc == mapping.BASE {
 				return nil, badRequestf("BASE is the identity mapping; it cannot be a candidate")

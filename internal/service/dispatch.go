@@ -211,7 +211,7 @@ func (rc *runCoords) resolveCell(abbr, scheme string) (cellExec, error) {
 	}
 	sc, err := mapping.ParseScheme(scheme)
 	if err != nil {
-		return cellExec{}, badRequestf("unknown scheme %q (want one of %v)", scheme, mapping.Schemes())
+		return cellExec{}, badRequestf("%v", err)
 	}
 	return rc.cell(sp, sc), nil
 }

@@ -192,6 +192,38 @@ func TestHTTPProfileBadInputs(t *testing.T) {
 	}
 }
 
+// TestHTTPScaleSchemeErrorBodies pins the 400 bodies for a bad scale or
+// scheme on /v1/profile and /v1/simulate, word for word: clients match
+// on them, and the CLIs share the parsers that produce them.
+func TestHTTPScaleSchemeErrorBodies(t *testing.T) {
+	_, ts := newTestServer(t)
+	const (
+		badScale  = `unknown scale "huge" (want tiny, small or full)`
+		badScheme = `unknown scheme "XYZ" (want one of [BASE PM RMP PAE FAE ALL])`
+	)
+	cases := []struct {
+		path string
+		body any
+		want string
+	}{
+		{"/v1/profile", ProfileRequest{Workload: "MT", Scale: "huge"}, badScale},
+		{"/v1/profile", ProfileRequest{Workload: "MT", Scale: "tiny", Scheme: "XYZ"}, badScheme},
+		{"/v1/simulate", SimulateRequest{Workloads: []string{"MT"}, Scale: "huge"}, badScale},
+		{"/v1/simulate", SimulateRequest{Workloads: []string{"MT"}, Schemes: []string{"BASE", "XYZ"}, Scale: "tiny"}, badScheme},
+	}
+	for _, tc := range cases {
+		resp := postJSON(t, ts.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %+v: status %d, want 400", tc.path, tc.body, resp.StatusCode)
+		}
+		var e apiError
+		decodeBody(t, resp, &e)
+		if e.Error != tc.want {
+			t.Errorf("%s %+v: error %q, want %q", tc.path, tc.body, e.Error, tc.want)
+		}
+	}
+}
+
 func TestHTTPProfileCSVTooLarge(t *testing.T) {
 	svc := New(Config{Workers: 1, MaxTraceBytes: 64})
 	ts := httptest.NewServer(svc.Handler())

@@ -333,7 +333,7 @@ func (r ProfileRequest) options() (profileOptions, error) {
 	if r.Scheme != "" {
 		s, err := mapping.ParseScheme(r.Scheme)
 		if err != nil {
-			return o, badRequestf("unknown scheme %q (want one of %v)", r.Scheme, mapping.Schemes())
+			return o, badRequestf("%v", err)
 		}
 		o.scheme = s
 		if o.seed == 0 {
@@ -349,19 +349,6 @@ func (r ProfileRequest) options() (profileOptions, error) {
 
 func (o profileOptions) cacheKey(src string) string {
 	return fmt.Sprintf("%s|w=%d|b=%d|l=%d|x=%s:%d", src, o.window, o.bits, o.lineBytes, o.scheme, o.seed)
-}
-
-func parseScale(s string) (workload.Scale, string, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "tiny":
-		return workload.Tiny, "tiny", nil
-	case "", "small":
-		return workload.Small, "small", nil
-	case "full":
-		return workload.Full, "full", nil
-	default:
-		return 0, "", badRequestf("unknown scale %q (want tiny, small or full)", s)
-	}
 }
 
 // Profile computes (or retrieves) the entropy profile described by req.
@@ -507,12 +494,12 @@ func (s *Service) resolveInput(req ProfileRequest) (*profileInput, error) {
 		if !ok {
 			return nil, notFoundf("unknown workload %q (want one of %v)", req.Workload, workload.Abbrs())
 		}
-		scale, scaleName, err := parseScale(req.Scale)
+		scale, err := workload.ParseScale(req.Scale)
 		if err != nil {
-			return nil, err
+			return nil, badRequestf("%v", err)
 		}
-		in := &profileInput{id: "wl:" + spec.Abbr + ":" + scaleName, src: spec.Source(scale), stages: &s.metrics.stageNative}
-		in.info = TraceInfo{Name: spec.Name, Abbr: spec.Abbr, Scale: scaleName}
+		in := &profileInput{id: "wl:" + spec.Abbr + ":" + scale.String(), src: spec.Source(scale), stages: &s.metrics.stageNative}
+		in.info = TraceInfo{Name: spec.Name, Abbr: spec.Abbr, Scale: scale.String()}
 		return in, nil
 	case req.TraceCSV != "":
 		// The embedded trace is in memory, so its canonical hash is cheap
@@ -747,14 +734,14 @@ func resolveCoords(config, scale string, seed int64) (*runCoords, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc, scaleName, err := parseScale(scale)
+	sc, err := workload.ParseScale(scale)
 	if err != nil {
-		return nil, err
+		return nil, badRequestf("%v", err)
 	}
 	if seed == 0 {
 		seed = 1
 	}
-	return &runCoords{cfg: cfg, cfgName: cfgName, scale: sc, scaleName: scaleName, seed: seed}, nil
+	return &runCoords{cfg: cfg, cfgName: cfgName, scale: sc, scaleName: sc.String(), seed: seed}, nil
 }
 
 // cellKey is the sim-cache key of one cell under these coordinates.
@@ -852,7 +839,7 @@ func resolveSweep(req SimulateRequest) (sweepPlan, error) {
 		for _, name := range req.Schemes {
 			sc, err := mapping.ParseScheme(name)
 			if err != nil {
-				return sweepPlan{}, badRequestf("unknown scheme %q (want one of %v)", name, mapping.Schemes())
+				return sweepPlan{}, badRequestf("%v", err)
 			}
 			if slices.Contains(schemes, sc) {
 				return sweepPlan{}, badRequestf("duplicate scheme %q (%s is already in the sweep)", name, sc)

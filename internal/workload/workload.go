@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 
 	"valleymap/internal/trace"
 )
@@ -53,6 +54,20 @@ func (s Scale) String() string {
 	default:
 		return "full"
 	}
+}
+
+// ParseScale resolves a case-insensitive scale name, as CLI flags and
+// service requests spell it. An empty name means Small.
+func ParseScale(name string) (Scale, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "tiny":
+		return Tiny, nil
+	case "", "small":
+		return Small, nil
+	case "full":
+		return Full, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q (want tiny, small or full)", name)
 }
 
 // tbs scales a full-scale TB count down for smaller scales, keeping at

@@ -77,6 +77,23 @@ func TestScaleMonotone(t *testing.T) {
 	}
 }
 
+func TestParseScale(t *testing.T) {
+	for name, want := range map[string]Scale{"tiny": Tiny, " Small ": Small, "": Small, "FULL": Full} {
+		if got, err := ParseScale(name); err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, sc := range []Scale{Tiny, Small, Full} {
+		if got, err := ParseScale(sc.String()); err != nil || got != sc {
+			t.Errorf("ParseScale(%q) = %v, %v; want a round trip", sc, got, err)
+		}
+	}
+	_, err := ParseScale("huge")
+	if want := `unknown scale "huge" (want tiny, small or full)`; err == nil || err.Error() != want {
+		t.Errorf("ParseScale(huge) error = %v, want %s", err, want)
+	}
+}
+
 func TestTracesDeterministic(t *testing.T) {
 	for _, abbr := range []string{"MT", "SPMV", "MUM", "BFS"} {
 		spec, _ := ByAbbr(abbr)

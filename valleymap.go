@@ -79,6 +79,9 @@ const (
 // Schemes returns all six schemes in the paper's order.
 func Schemes() []Scheme { return mapping.Schemes() }
 
+// ParseScheme resolves a case-insensitive scheme name such as "pae".
+func ParseScheme(name string) (Scheme, error) { return mapping.ParseScheme(name) }
+
 // Mapper applies one scheme's BIM to physical addresses.
 type Mapper = mapping.Mapper
 
@@ -192,6 +195,10 @@ const (
 	ScaleSmall = workload.Small
 	ScaleFull  = workload.Full
 )
+
+// ParseScale resolves a case-insensitive scale name: tiny, small or
+// full. An empty name means small.
+func ParseScale(name string) (Scale, error) { return workload.ParseScale(name) }
 
 // Workloads returns the 16 benchmarks of Table II.
 func Workloads() []WorkloadSpec { return workload.Catalog() }
