@@ -191,17 +191,3 @@ func (c *Cache) reconstruct(set int, tag uint64) uint64 {
 	setBits := uint(bits.TrailingZeros(uint(len(c.sets))))
 	return ((tag << setBits) | uint64(set)) << c.setShift
 }
-
-// Invalidate drops a line if present, returning whether it was dirty.
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
-			present, dirty = true, w.dirty
-			w.valid = false
-			return
-		}
-	}
-	return
-}

@@ -101,20 +101,6 @@ func TestProbeDoesNotDisturb(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := MustNew(Config{Name: "t", SizeBytes: 256, LineBytes: 64, Ways: 2})
-	c.Access(0x40, true)
-	if p, d := c.Invalidate(0x40); !p || !d {
-		t.Errorf("invalidate = (%v,%v), want dirty present", p, d)
-	}
-	if c.Probe(0x40) {
-		t.Error("line still present")
-	}
-	if p, _ := c.Invalidate(0x40); p {
-		t.Error("double invalidate reported present")
-	}
-}
-
 // Property: a cache never holds more distinct lines than its capacity,
 // and hits+misses == accesses.
 func TestCapacityProperty(t *testing.T) {

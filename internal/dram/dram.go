@@ -182,16 +182,6 @@ func (c *Controller) Stats() Stats {
 	return s
 }
 
-// QueuedRequests returns the number of requests currently queued or in
-// flight across all banks (diagnostic).
-func (c *Controller) QueuedRequests() int {
-	n := 0
-	for i := range c.banks {
-		n += len(c.banks[i].queue)
-	}
-	return n
-}
-
 // Enqueue admits a transaction. The layout decodes bank and row from the
 // (already mapped) address.
 func (c *Controller) Enqueue(r *Request) {
@@ -322,11 +312,6 @@ func (c *Controller) service(bi int, now sim.Time) {
 	if len(b.queue) > 0 {
 		c.scheduleKick(bi, b.readyAt)
 	}
-}
-
-// BusUtilization reports the data-bus busy fraction over the horizon.
-func (c *Controller) BusUtilization(horizon sim.Time) float64 {
-	return c.bus.Utilization(horizon)
 }
 
 // System is the set of per-channel controllers.
