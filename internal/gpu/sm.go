@@ -125,7 +125,8 @@ type Config struct {
 	L1        cache.Config
 	// L1HitCycles is the load-to-use latency of an L1 hit.
 	L1HitCycles int
-	// MSHRs bounds outstanding L1 misses (32 in Table I).
+	// MSHRs bounds outstanding L1 misses (32 in Table I); New requires
+	// at least one.
 	MSHRs int
 	// MaxTBs is the TB occupancy limit of the SM.
 	MaxTBs int
