@@ -5,8 +5,9 @@
 // Fabric (NoC → LLC → DRAM) supplied by the system model.
 //
 // The SM schedules exclusively through the engine's handler API with
-// pooled warp, transaction and miss records, so its steady-state event
-// churn does not allocate (see internal/sim's package docs).
+// pooled warp and transaction records and tracks misses in a fixed MSHR
+// table, so its steady-state event churn does not allocate (see
+// internal/sim's package docs; TestSMRelaunchZeroAlloc pins it).
 package gpu
 
 import (
