@@ -15,17 +15,17 @@ type fakeFabric struct {
 	delay  sim.Time
 	reads  []uint64
 	readAt []sim.Time // issue time of each read
-	// firstFill is len(reads) when the first fill returned.
-	firstFill int
-	writes    []uint64
+	// readsAtFirstFill is len(reads) when the first fill returned.
+	readsAtFirstFill int
+	writes           []uint64
 }
 
 func (f *fakeFabric) IssueRead(now sim.Time, sm int, addr uint64, sink ReadSink) {
 	f.reads = append(f.reads, addr)
 	f.readAt = append(f.readAt, now)
 	f.eng.At(now+f.delay, func() {
-		if f.firstFill == 0 {
-			f.firstFill = len(f.reads)
+		if f.readsAtFirstFill == 0 {
+			f.readsAtFirstFill = len(f.reads)
 		}
 		sink.FillLine(addr, f.eng.Now())
 	})
@@ -213,8 +213,8 @@ func TestMSHRLimitStalls(t *testing.T) {
 	}
 
 	// Exactly MSHRs reads reach the fabric before the first fill.
-	if fab.firstFill != mshrs {
-		t.Errorf("reads issued before the first fill = %d, want %d", fab.firstFill, mshrs)
+	if fab.readsAtFirstFill != mshrs {
+		t.Errorf("reads issued before the first fill = %d, want %d", fab.readsAtFirstFill, mshrs)
 	}
 	// The merge happened while the file was full, without stalling: TB
 	// B's read completed with line 0's fill, the first one, and not an
