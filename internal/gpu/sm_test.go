@@ -235,7 +235,7 @@ func TestMSHRLimitStalls(t *testing.T) {
 	}
 }
 
-func TestNewRejectsEmptyMSHRFile(t *testing.T) {
+func TestNewRejectsZeroMSHRs(t *testing.T) {
 	for _, n := range []int{0, -1} {
 		cfg := DefaultConfig()
 		cfg.MSHRs = n
