@@ -154,10 +154,12 @@ func TestStreamingUploadMatchesMaterialized(t *testing.T) {
 		t.Error("first upload must not hit")
 	}
 
-	app, sum, err := trace.ReadCSVHashed(&syntheticCSV{total: gen.total, perTB: gen.perTB})
+	cs := trace.NewCSVStream(&syntheticCSV{total: gen.total, perTB: gen.perTB})
+	app, err := trace.CollectStream(cs, cs.Info())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := cs.SHA256()
 	if sum != streamed.Trace.SHA256 {
 		t.Fatalf("incremental hash %s != materialized hash %s", streamed.Trace.SHA256, sum)
 	}

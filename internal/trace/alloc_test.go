@@ -9,11 +9,12 @@ import (
 )
 
 // TestIngestAllocs pins the allocation ceilings of both binary ingest
-// paths over benchApp, per full pass. The streaming decoder allocates
-// fixed-size buffers plus kernel names (19 on a linux/amd64 host); an
-// MmapSource pass allocates only its stream struct, because batches
-// alias the mapping. A leap past either ceiling means a buffer stopped
-// being reused or a stack buffer started escaping.
+// paths over benchApp, per full pass. The reader decoder allocates
+// fixed-size buffers, its hasher and kernel names (14 on a linux/amd64
+// host); an MmapSource pass, a replay, allocates only its decoder
+// struct: batches alias the mapping, kernel headers were saved at open
+// and a replay builds no hasher. A leap past either ceiling means a
+// buffer stopped being reused or a stack buffer started escaping.
 func TestIngestAllocs(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, benchApp()); err != nil {

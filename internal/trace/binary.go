@@ -5,8 +5,11 @@ package trace
 // bounds-check plus (at most) a 16-byte copy per request instead of
 // tokenize + strconv per field, and the canonical record-stream hash
 // doubles as both the file checksum and the content-addressed cache
-// identity shared with CSV uploads. See doc.go for the full layout and
-// the format-stability contract.
+// identity shared with CSV uploads. BinaryStream is the one decoder,
+// for uploads and mapped files alike: it validates everything in one
+// pass, and a mapped file's later passes replay that pass's walk
+// without record checks or hashing (mmap.go). See doc.go for the full
+// layout and the format-stability contract.
 
 import (
 	"bufio"
@@ -109,7 +112,12 @@ func (c *canonFold) sum() [sha256.Size]byte {
 	return s
 }
 
+// sumHex is the hex digest; an unhashed stream's nil fold reports the
+// digest of no bytes.
 func (c *canonFold) sumHex() string {
+	if c == nil {
+		return hex.EncodeToString(sha256.New().Sum(nil))
+	}
 	s := c.sum()
 	return hex.EncodeToString(s[:])
 }
@@ -332,41 +340,50 @@ func WriteBinaryStream(w io.Writer, s Stream) error {
 // Streaming decoder
 // ---------------------------------------------------------------------
 
-// BinaryStream is a single-shot streaming decoder of the VTRC binary
-// trace format, the counterpart of CSVStream: it implements both Stream
-// and Source (Stream returns the decoder itself; it cannot be rewound),
-// enforces the same structural rules as the CSV decoder, folds the
-// canonical content digest incrementally, and verifies it against the
-// end-section checksum before reporting io.EOF — damaged input fails
-// cleanly, it never yields a silently truncated trace.
+// BinaryStream is the VTRC decoder, the counterpart of CSVStream: it
+// implements both Stream and Source (Stream returns the decoder itself;
+// it cannot be rewound), enforces the same structural rules as the CSV
+// decoder, folds the canonical content digest incrementally, and
+// verifies it against the end-section checksum before reporting io.EOF
+// — damaged input fails cleanly, it never yields a silently truncated
+// trace.
+//
+// It reads either a bufio.Reader (NewBinaryStream) or an in-memory
+// image, whose bytes it slices in place. An MmapSource validates its
+// image with one such pass at open; each of its streams is then a
+// replay: an unhashed BinaryStream over the same image that walks the
+// same sections but skips record checks, the hash and the checksum,
+// and takes kernel headers from the ones the validating pass saved.
 type BinaryStream struct {
-	br  *bufio.Reader
-	c   *canonFold
-	err error // sticky terminal state: io.EOF or a decode error
+	br   *bufio.Reader // the input of a reader stream
+	data []byte        // the unread rest of an image stream
+	buf  []byte        // a reader stream's take buffer
+	// c folds the canonical hash; it is nil only on a replay, which
+	// reads kernel headers from headers instead.
+	c       *canonFold
+	headers []KernelInfo
+	err     error // sticky terminal state: io.EOF or a decode error
 
-	started     bool
-	kernelIndex int
-	kernels     int
-	haveTB      bool
-	curTB       int
+	started bool
+	kernels int // kernel sections read; the current kernel is kernels-1
+	haveTB  bool
+	curTB   int
 
 	remaining uint64 // request records left in the current tb section
 	tbFirst   bool   // the next chunk is its TB's first batch
 
-	raw     []byte
-	reqs    []Request
-	batch   Batch
-	hdr     KernelInfo
-	scratch [8]byte // fixed-width field buffer; a field so it never escapes
+	reqs  []Request // decode buffer where records cannot be aliased
+	batch Batch
+	hdr   KernelInfo
 }
 
 // NewBinaryStream starts decoding the VTRC trace on r. Decoding is
 // lazy: bytes are consumed as batches are pulled. (The read buffer is
 // deliberately smaller than the 64 KiB record chunk buffer: bulk record
-// reads bypass it via ReadFull's large-read path, so it only ever holds
+// reads bypass it via bufio's large-read path, so it only ever holds
 // section headers.)
 func NewBinaryStream(r io.Reader) *BinaryStream {
-	return &BinaryStream{br: bufio.NewReaderSize(r, 1<<14), c: newCanonFold(), kernelIndex: -1}
+	return &BinaryStream{br: bufio.NewReaderSize(r, 1<<14), c: newCanonFold()}
 }
 
 // Info returns the metadata of an imported trace, mirroring CSVStream
@@ -381,7 +398,8 @@ func (s *BinaryStream) Stream() Stream { return s }
 // SHA256 returns the canonical record-stream digest. It is the
 // content-addressed identity of the trace once Next has returned io.EOF
 // (at which point it has also been verified against the file checksum);
-// calling it earlier hashes only the prefix decoded so far.
+// calling it earlier hashes only the prefix decoded so far, and on a
+// replay, which hashes nothing, it is the digest of no bytes.
 func (s *BinaryStream) SHA256() string { return s.c.sumHex() }
 
 func (s *BinaryStream) failf(format string, args ...any) (*Batch, error) {
@@ -389,36 +407,43 @@ func (s *BinaryStream) failf(format string, args ...any) (*Batch, error) {
 	return nil, s.err
 }
 
-// readFull fills b or records a sticky truncation error naming what was
-// being read. It loops over the concrete bufio.Reader rather than
-// calling io.ReadFull: the interface parameter there would force
-// callers' stack buffers to escape, one allocation per section field.
-func (s *BinaryStream) readFull(b []byte, what string) bool {
-	n := 0
-	for n < len(b) {
-		m, err := s.br.Read(b[n:])
-		n += m
-		if err != nil {
-			if err == io.EOF {
-				s.err = fmt.Errorf("trace binary: truncated %s", what)
-			} else {
-				s.err = err
-			}
-			return false
+// take returns the next n bytes of input, or records a sticky error
+// ("truncated <what>" when the input ends first). An image is sliced in
+// place; a reader fills the reusable buffer, so the bytes are valid
+// only until the next take. The loop calls bufio.Reader.Read rather
+// than io.ReadFull, which would spin on a reader that keeps returning
+// neither bytes nor an error.
+func (s *BinaryStream) take(n int, what string) ([]byte, bool) {
+	if s.br == nil {
+		if len(s.data) < n {
+			s.err = fmt.Errorf("trace binary: truncated %s", what)
+			return nil, false
 		}
-		if m == 0 {
+		b := s.data[:n]
+		s.data = s.data[n:]
+		return b, true
+	}
+	if cap(s.buf) < n {
+		s.buf = make([]byte, max(n, maxBatchRequests*recordBytes))
+	}
+	b := s.buf[:n]
+	for got := 0; got < n; {
+		m, err := s.br.Read(b[got:])
+		got += m
+		switch {
+		case got == n:
+		case err == io.EOF:
+			s.err = fmt.Errorf("trace binary: truncated %s", what)
+			return nil, false
+		case err != nil:
+			s.err = err
+			return nil, false
+		case m == 0:
 			s.err = io.ErrNoProgress
-			return false
+			return nil, false
 		}
 	}
-	return true
-}
-
-func (s *BinaryStream) readU64(what string) (uint64, bool) {
-	if !s.readFull(s.scratch[:], what) {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(s.scratch[:]), true
+	return b, true
 }
 
 // Next decodes up to one batch of requests (or one kernel header).
@@ -428,8 +453,8 @@ func (s *BinaryStream) Next() (*Batch, error) {
 	}
 	if !s.started {
 		s.started = true
-		var hdr [16]byte
-		if !s.readFull(hdr[:], "header") {
+		hdr, ok := s.take(16, "header")
+		if !ok {
 			return nil, s.err
 		}
 		if string(hdr[:4]) != binaryMagic {
@@ -448,25 +473,18 @@ func (s *BinaryStream) Next() (*Batch, error) {
 	if s.remaining > 0 {
 		return s.emitChunk()
 	}
-	tag, ok := s.readU64("section tag")
+	tag, ok := s.take(8, "section tag")
 	if !ok {
 		return nil, s.err
 	}
-	switch tag {
+	le := binary.LittleEndian
+	switch le.Uint64(tag) {
 	case secKernel:
-		warpsU, ok := s.readU64("kernel section")
+		f, ok := s.take(24, "kernel section")
 		if !ok {
 			return nil, s.err
 		}
-		gapU, ok := s.readU64("kernel section")
-		if !ok {
-			return nil, s.err
-		}
-		nameLen, ok := s.readU64("kernel section")
-		if !ok {
-			return nil, s.err
-		}
-		warps, gap := int64(warpsU), int64(gapU)
+		warps, gap, nameLen := int64(le.Uint64(f)), int64(le.Uint64(f[8:])), le.Uint64(f[16:])
 		if warps <= 0 || int64(int(warps)) != warps {
 			return s.failf("kernel %d: bad warp count %d", s.kernels, warps)
 		}
@@ -476,36 +494,34 @@ func (s *BinaryStream) Next() (*Batch, error) {
 		if nameLen > maxKernelName {
 			return s.failf("kernel %d: name length %d exceeds %d", s.kernels, nameLen, maxKernelName)
 		}
-		name := make([]byte, int(nameLen)+namePad(int(nameLen)))
-		if !s.readFull(name, "kernel name") {
+		name, ok := s.take(int(nameLen)+namePad(int(nameLen)), "kernel name")
+		if !ok {
 			return nil, s.err
 		}
-		for _, b := range name[nameLen:] {
-			if b != 0 {
-				return s.failf("kernel %d: nonzero name padding", s.kernels)
+		if s.c == nil {
+			s.hdr = s.headers[s.kernels]
+		} else {
+			for _, b := range name[nameLen:] {
+				if b != 0 {
+					return s.failf("kernel %d: nonzero name padding", s.kernels)
+				}
 			}
+			s.hdr = KernelInfo{Name: string(name[:nameLen]), WarpsPerTB: int(warps), ComputeGapCycles: int(gap)}
+			s.c.kernel(&s.hdr)
 		}
-		hdr := KernelInfo{Name: string(name[:nameLen]), WarpsPerTB: int(warps), ComputeGapCycles: int(gap)}
-		s.c.kernel(&hdr)
-		s.kernelIndex++
 		s.kernels++
 		s.haveTB = false
-		s.hdr = hdr
-		s.batch = Batch{Kernel: &s.hdr, KernelIndex: s.kernelIndex, TBID: -1}
+		s.batch = Batch{Kernel: &s.hdr, KernelIndex: s.kernels - 1, TBID: -1}
 		return &s.batch, nil
 	case secTB:
-		if s.kernelIndex < 0 {
+		if s.kernels == 0 {
 			return s.failf("tb section before any kernel section")
 		}
-		idU, ok := s.readU64("tb section")
+		f, ok := s.take(16, "tb section")
 		if !ok {
 			return nil, s.err
 		}
-		count, ok := s.readU64("tb section")
-		if !ok {
-			return nil, s.err
-		}
-		id := int64(idU)
+		id := int64(le.Uint64(f))
 		if int64(int(id)) != id {
 			return s.failf("tb id %d out of range", id)
 		}
@@ -514,68 +530,70 @@ func (s *BinaryStream) Next() (*Batch, error) {
 		}
 		s.curTB = int(id)
 		s.haveTB = true
-		s.c.tbStart(s.curTB)
-		s.remaining = count
-		s.tbFirst = true
-		if count == 0 {
+		if s.c != nil {
+			s.c.tbStart(s.curTB)
+		}
+		s.remaining = le.Uint64(f[8:])
+		if s.remaining == 0 {
 			// Empty TBs are representable (AppSource emits them too);
 			// the TB exists, it just has no requests.
-			s.tbFirst = false
-			s.batch = Batch{KernelIndex: s.kernelIndex, TBID: s.curTB, TBStart: true}
+			s.batch = Batch{KernelIndex: s.kernels - 1, TBID: s.curTB, TBStart: true}
 			return &s.batch, nil
 		}
+		s.tbFirst = true
 		return s.emitChunk()
 	case secEnd:
 		if s.kernels == 0 {
 			return s.failf("no kernels")
 		}
-		want := s.c.sum() // fold order: compute before reading the stored sum
-		var stored [sha256.Size]byte
-		if !s.readFull(stored[:], "checksum") {
+		stored, ok := s.take(sha256.Size, "checksum")
+		if !ok {
 			return nil, s.err
 		}
-		if want != stored {
+		if s.c != nil && s.c.sum() != [sha256.Size]byte(stored) {
 			return s.failf("checksum mismatch: content corrupted")
 		}
-		if _, err := s.br.ReadByte(); err == nil {
+		if len(s.data) > 0 {
 			return s.failf("data after end section")
-		} else if err != io.EOF {
-			s.err = err
-			return nil, err
+		}
+		if s.br != nil {
+			if _, err := s.br.ReadByte(); err == nil {
+				return s.failf("data after end section")
+			} else if err != io.EOF {
+				s.err = err
+				return nil, err
+			}
 		}
 		s.err = io.EOF
 		return nil, io.EOF
 	default:
-		return s.failf("unknown section tag %d", tag)
+		return s.failf("unknown section tag %d", le.Uint64(tag))
 	}
 }
 
-// emitChunk reads and validates up to one batch of the current tb
-// section's records, serving them zero-copy out of the read buffer when
-// the platform allows (see alias.go) and via a reusable decode buffer
-// otherwise. Steady-state decoding allocates nothing either way.
+// emitChunk takes up to one batch of the current tb section's records,
+// validating and hashing them unless this is a replay, and serves them
+// zero-copy out of the image or read buffer when the platform allows
+// (see alias.go) and via a reusable decode buffer otherwise.
+// Steady-state decoding allocates nothing either way.
 func (s *BinaryStream) emitChunk() (*Batch, error) {
-	n := s.remaining
-	if n > maxBatchRequests {
-		n = maxBatchRequests
-	}
-	if s.raw == nil {
-		s.raw = make([]byte, maxBatchRequests*recordBytes)
-	}
-	raw := s.raw[:int(n)*recordBytes]
-	if !s.readFull(raw, "tb requests") {
+	n := min(s.remaining, maxBatchRequests)
+	raw, ok := s.take(int(n)*recordBytes, "tb requests")
+	if !ok {
 		return nil, s.err
 	}
-	s.c.raw(raw)
-	if err := validateRecords(raw); err != nil {
-		return s.failf("tb %d: %v", s.curTB, err)
+	if s.c != nil {
+		s.c.raw(raw)
+		if err := validateRecords(raw); err != nil {
+			return s.failf("tb %d: %v", s.curTB, err)
+		}
 	}
 	reqs, ok := aliasRequests(raw)
 	if !ok {
 		reqs = copyRecords(raw, &s.reqs)
 	}
 	s.remaining -= n
-	s.batch = Batch{KernelIndex: s.kernelIndex, TBID: s.curTB, TBStart: s.tbFirst, Requests: reqs}
+	s.batch = Batch{KernelIndex: s.kernels - 1, TBID: s.curTB, TBStart: s.tbFirst, Requests: reqs}
 	s.tbFirst = false
 	return &s.batch, nil
 }
@@ -587,15 +605,4 @@ func (s *BinaryStream) emitChunk() (*Batch, error) {
 func ReadBinary(r io.Reader) (*App, error) {
 	bs := NewBinaryStream(r)
 	return CollectStream(bs, bs.Info())
-}
-
-// ReadBinaryHashed is ReadBinary plus the canonical content digest —
-// which, for a valid VTRC file, equals its end-section checksum.
-func ReadBinaryHashed(r io.Reader) (*App, string, error) {
-	bs := NewBinaryStream(r)
-	app, err := CollectStream(bs, bs.Info())
-	if err != nil {
-		return nil, "", err
-	}
-	return app, bs.SHA256(), nil
 }

@@ -35,10 +35,12 @@ func writeTempTrace(t *testing.T, data []byte) string {
 func TestBinaryRoundTrip(t *testing.T) {
 	app := sampleApp()
 	data := encodeBinary(t, app)
-	back, sum, err := ReadBinaryHashed(bytes.NewReader(data))
+	bs := NewBinaryStream(bytes.NewReader(data))
+	back, err := CollectStream(bs, bs.Info())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := bs.SHA256()
 	if len(back.Kernels) != len(app.Kernels) {
 		t.Fatalf("kernels = %d, want %d", len(back.Kernels), len(app.Kernels))
 	}
@@ -61,11 +63,11 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteCSV(&csv, app); err != nil {
 		t.Fatal(err)
 	}
-	_, csvSum, err := ReadCSVHashed(bytes.NewReader(csv.Bytes()))
-	if err != nil {
+	cs := NewCSVStream(bytes.NewReader(csv.Bytes()))
+	if _, err := CollectStream(cs, cs.Info()); err != nil {
 		t.Fatal(err)
 	}
-	if sum != csvSum {
+	if csvSum := cs.SHA256(); sum != csvSum {
 		t.Errorf("binary hash %s != csv hash %s for the same trace", sum, csvSum)
 	}
 }
@@ -226,7 +228,8 @@ func corruptBinaryCases(t testing.TB) map[string][]byte {
 
 // TestBinaryDecodersRejectCorruption feeds the corrupt corpus to all
 // three binary decode paths — streaming, materialized, mmap — and
-// requires each to reject.
+// requires each to reject, the mapped file with the streaming
+// decoder's exact error text.
 func TestBinaryDecodersRejectCorruption(t *testing.T) {
 	for name, data := range corruptBinaryCases(t) {
 		t.Run(name, func(t *testing.T) {
@@ -253,12 +256,11 @@ func TestBinaryDecodersRejectCorruption(t *testing.T) {
 			if _, err := bs.Next(); err != streamErr {
 				t.Errorf("error not sticky: %v then %v", streamErr, err)
 			}
-			if _, _, err := parseBinary(data); err == nil {
-				t.Error("mmap parser accepted corrupt input")
-			}
 			if src, err := OpenMmap(writeTempTrace(t, data)); err == nil {
 				src.Close()
 				t.Error("OpenMmap accepted corrupt input")
+			} else if streamErr != nil && err.Error() != streamErr.Error() {
+				t.Errorf("OpenMmap error %q != streaming error %q", err, streamErr)
 			}
 		})
 	}
@@ -274,8 +276,11 @@ func TestBinaryUnsupportedVersionError(t *testing.T) {
 	if err == nil || err.Error() != want {
 		t.Errorf("err = %v, want %q", err, want)
 	}
-	if _, _, err := parseBinary(data); err == nil || err.Error() != want {
-		t.Errorf("parseBinary err = %v, want %q", err, want)
+	if src, err := OpenMmap(writeTempTrace(t, data)); err == nil {
+		src.Close()
+		t.Errorf("OpenMmap accepted version 2, want %q", want)
+	} else if err.Error() != want {
+		t.Errorf("OpenMmap err = %v, want %q", err, want)
 	}
 }
 
@@ -319,6 +324,16 @@ func TestMmapSourceMatchesBinaryStream(t *testing.T) {
 	gotShape := describeBatches(t, src.Stream())
 	if !reflect.DeepEqual(wantShape, gotShape) {
 		t.Errorf("batch shape:\n got %+v\nwant %+v", gotShape, wantShape)
+	}
+	// A replay's batches hash to the digest verified at open, while the
+	// replay itself, like an unhashed CSV stream, hashes nothing.
+	if sum, err := CanonicalHash(src); err != nil || sum != src.SHA256() {
+		t.Errorf("replay hashes to %s (err %v), want %s", sum, err, src.SHA256())
+	}
+	replay := src.Stream().(*BinaryStream)
+	drainApp(t, replay, replay.Info())
+	if replay.SHA256() == src.SHA256() {
+		t.Error("a replay must not claim the content digest")
 	}
 	if err := src.Close(); err != nil {
 		t.Fatal(err)

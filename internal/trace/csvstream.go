@@ -6,16 +6,13 @@ package trace
 // record-stream SHA-256 (doc.go) as it goes so network services get a
 // content-addressed cache key for free at end of stream — one that a
 // binary (VTRC) encoding of the same trace hashes equal to, comments
-// and whitespace notwithstanding. ReadCSV and ReadCSVHashed are thin
-// adapters that drain a CSVStream into an *App, so the materialized and
-// streaming decoders accept and reject inputs identically by
-// construction.
+// and whitespace notwithstanding. ReadCSV is a thin adapter that drains
+// a CSVStream into an *App, so the materialized and streaming decoders
+// accept and reject inputs identically by construction.
 
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -79,12 +76,7 @@ func (s *CSVStream) Stream() Stream { return s }
 // Next has returned io.EOF; calling it earlier hashes only the prefix
 // decoded so far, and on an unhashed stream it is the digest of no
 // bytes.
-func (s *CSVStream) SHA256() string {
-	if s.c == nil {
-		return hex.EncodeToString(sha256.New().Sum(nil))
-	}
-	return s.c.sumHex()
-}
+func (s *CSVStream) SHA256() string { return s.c.sumHex() }
 
 func (s *CSVStream) failf(format string, args ...any) (*Batch, error) {
 	s.err = fmt.Errorf(format, args...)

@@ -16,6 +16,9 @@
 //   - VTRC binary (binary.go, mmap.go): fixed-width little-endian
 //     records behind a magic + version header, checksummed. Decoding is
 //     a bounds-checked copy (or, on the mmap path, no copy at all).
+//     One decoder, BinaryStream, reads both uploads and mapped files.
+//     A mapped file is validated by one pass at open; its streams
+//     replay that pass's work, skipping record checks and hashing.
 //
 // # VTRC container layout
 //

@@ -66,14 +66,14 @@ func FuzzCSVStreamParity(f *testing.F) {
 			return
 		}
 
-		// On accept: the hashed digest equals ReadCSVHashed's, and the
-		// unhashed variant decodes the same trace.
-		_, wantSum, err := ReadCSVHashed(strings.NewReader(in))
-		if err != nil {
-			t.Fatalf("ReadCSVHashed rejected input ReadCSV accepted: %q: %v", in, err)
+		// On accept: the hashed digest equals a collected stream's, and
+		// the unhashed variant decodes the same trace.
+		cc := NewCSVStream(strings.NewReader(in))
+		if _, err := CollectStream(cc, cc.Info()); err != nil {
+			t.Fatalf("collected stream rejected input ReadCSV accepted: %q: %v", in, err)
 		}
-		if got := cs.SHA256(); got != wantSum {
-			t.Fatalf("incremental hash %s != ReadCSVHashed %s on %q", got, wantSum, in)
+		if got, want := cs.SHA256(), cc.SHA256(); got != want {
+			t.Fatalf("incremental hash %s != collected hash %s on %q", got, want, in)
 		}
 		cu := NewCSVStreamUnhashed(strings.NewReader(in))
 		unhashed, err := CollectStream(cu, cu.Info())
@@ -90,11 +90,12 @@ func FuzzCSVStreamParity(f *testing.F) {
 // same bytes are fed to every decode path of both trace formats, and
 // all views of a trace must agree.
 //
-// Binary side (data as a VTRC image): the streaming decoder
-// (BinaryStream), the materialized adapter (ReadBinary) and the mmap
-// index walker (parseBinary/MmapSource) must agree on accept/reject;
-// on accept they must yield identical records, the canonical hash must
-// equal the end-section checksum, a materialized re-encode must be
+// Binary side (data as a VTRC image): the reader decoder
+// (NewBinaryStream, drained by the materialized adapter) and a mapped
+// file (MmapSource's validating pass over the same BinaryStream code)
+// must agree on accept/reject with identical error text; on accept a
+// replay must yield identical records, the canonical hash must equal
+// the end-section checksum, a materialized re-encode must be
 // bit-identical, and CanonicalHash over the decoded App must agree —
 // so a trace's identity survives any decode → materialize → re-encode
 // cycle. Damaged input fails cleanly (prefixed error, sticky, no
@@ -132,12 +133,12 @@ func FuzzTraceFormatParity(f *testing.F) {
 	})
 }
 
-// binaryParity holds the three binary decode paths to identical
-// behavior on one input.
+// binaryParity holds the binary decode paths to identical behavior on
+// one input.
 func binaryParity(t *testing.T, data []byte) {
 	bs := NewBinaryStream(bytes.NewReader(data))
 	matApp, streamErr := CollectStream(bs, bs.Info())
-	_, _, mmapErr := parseBinary(data)
+	src, mmapErr := newMmapSource(data, nil)
 
 	if (streamErr == nil) != (mmapErr == nil) {
 		t.Fatalf("binary decoders disagree on accept/reject:\n  streaming: %v\n  mmap:      %v", streamErr, mmapErr)
@@ -146,8 +147,8 @@ func binaryParity(t *testing.T, data []byte) {
 		if !strings.HasPrefix(streamErr.Error(), "trace binary: ") {
 			t.Fatalf("unprefixed streaming error: %v", streamErr)
 		}
-		if !strings.HasPrefix(mmapErr.Error(), "trace binary: ") {
-			t.Fatalf("unprefixed mmap error: %v", mmapErr)
+		if mmapErr.Error() != streamErr.Error() {
+			t.Fatalf("error text diverged:\n  streaming: %v\n  mmap:      %v", streamErr, mmapErr)
 		}
 		// Errors are sticky: the stream must not resume mid-trace.
 		if _, err := bs.Next(); err == nil || err == io.EOF || err.Error() != streamErr.Error() {
@@ -157,19 +158,18 @@ func binaryParity(t *testing.T, data []byte) {
 	}
 
 	sum := bs.SHA256()
-	src, err := newMmapSource(data, nil)
-	if err != nil {
-		t.Fatalf("newMmapSource rejected input parseBinary accepted: %v", err)
-	}
 	if src.SHA256() != sum {
 		t.Fatalf("mmap hash %s != stream hash %s", src.SHA256(), sum)
 	}
 	mmApp, err := CollectStream(src.Stream(), src.Info())
 	if err != nil {
-		t.Fatalf("mmap stream errored on accepted input: %v", err)
+		t.Fatalf("mmap replay errored on accepted input: %v", err)
 	}
 	if !reflect.DeepEqual(matApp, mmApp) {
-		t.Fatal("streaming and mmap decodes differ")
+		t.Fatal("streaming decode and mmap replay differ")
+	}
+	if replaySum, err := CanonicalHash(src); err != nil || replaySum != sum {
+		t.Fatalf("mmap replay hashes to %s (err %v), want %s", replaySum, err, sum)
 	}
 
 	// Third way: the materialized App hashes and re-encodes identically.
@@ -193,13 +193,10 @@ func binaryParity(t *testing.T, data []byte) {
 // container boundary losslessly: same App, same canonical hash.
 func csvToBinaryParity(t *testing.T, data []byte) {
 	in := string(data)
-	matApp, _, err := ReadCSVHashed(strings.NewReader(in))
+	cs := NewCSVStream(strings.NewReader(in))
+	matApp, err := CollectStream(cs, cs.Info())
 	if err != nil {
 		return // CSV rejection parity is FuzzCSVStreamParity's job
-	}
-	cs := NewCSVStream(strings.NewReader(in))
-	if _, err := CollectStream(cs, cs.Info()); err != nil {
-		t.Fatalf("streaming CSV decoder rejected accepted input %q: %v", in, err)
 	}
 	csvSum := cs.SHA256()
 
@@ -207,11 +204,12 @@ func csvToBinaryParity(t *testing.T, data []byte) {
 	if err := WriteBinary(&buf, matApp); err != nil {
 		t.Fatal(err)
 	}
-	binApp, binSum, err := ReadBinaryHashed(bytes.NewReader(buf.Bytes()))
+	bs := NewBinaryStream(bytes.NewReader(buf.Bytes()))
+	binApp, err := CollectStream(bs, bs.Info())
 	if err != nil {
 		t.Fatalf("binary decoder rejected the encoding of CSV-accepted %q: %v", in, err)
 	}
-	if binSum != csvSum {
+	if binSum := bs.SHA256(); binSum != csvSum {
 		t.Fatalf("binary hash %s != csv hash %s for %q", binSum, csvSum, in)
 	}
 	if !reflect.DeepEqual(matApp, binApp) {

@@ -37,21 +37,6 @@ func WriteCSV(w io.Writer, a *App) error {
 	return bw.Flush()
 }
 
-// ReadCSVHashed is ReadCSV plus a content hash: it streams the input
-// once, decoding the trace while folding the canonical record-stream
-// SHA-256 (doc.go), and returns the hex digest alongside the app.
-// Network services use the digest as a content-addressed cache key for
-// uploaded traces without buffering the body a second time; a binary
-// (VTRC) encoding of the same records yields the same digest.
-func ReadCSVHashed(r io.Reader) (*App, string, error) {
-	cs := NewCSVStream(r)
-	app, err := CollectStream(cs, cs.Info())
-	if err != nil {
-		return nil, "", err
-	}
-	return app, cs.SHA256(), nil
-}
-
 // ReadCSV parses a trace written by WriteCSV (or hand-assembled in the
 // same format). Metadata lost by the format (name, instruction weight)
 // can be set on the returned App afterwards; InsnPerAccess defaults to 1.

@@ -1,11 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"fmt"
 	"io"
 	"os"
 )
@@ -13,30 +8,20 @@ import (
 // MmapSource serves a VTRC binary trace straight out of a memory-mapped
 // file: a restartable Source whose streams hand out batches that are
 // zero-copy views of the mapping (when the platform layout allows — see
-// alias.go — and a per-stream decode buffer otherwise). The whole file
-// is validated once at open, structure, records and checksum, so
-// streaming afterwards does no validation work at all; multiple
-// concurrent streams over one source are safe because everything they
-// touch is read-only. The mapping is PROT_READ where mmap is real, so
-// a consumer violating the read-only batch contract faults instead of
-// corrupting the trace.
+// alias.go — and a per-stream decode buffer otherwise). BinaryStream is
+// its decoder: at open one hashing pass over the image validates the
+// whole file, structure, records and checksum, and saves the kernel
+// headers; every stream afterwards replays that walk with no record
+// checks and no hashing. Multiple concurrent streams over one source
+// are safe because everything they touch is read-only. The mapping is
+// PROT_READ where mmap is real, so a consumer violating the read-only
+// batch contract faults instead of corrupting the trace.
 type MmapSource struct {
 	data    []byte
 	unmap   func() error
-	kernels []mmapKernel
+	kernels []KernelInfo // saved by the validating pass for replays
 	sum     string
 	reqs    int
-}
-
-type mmapKernel struct {
-	info KernelInfo
-	tbs  []mmapTB
-}
-
-type mmapTB struct {
-	id  int
-	off int // byte offset of the TB's request records in data
-	n   int // request record count
 }
 
 // OpenMmap maps the VTRC file at path read-only and validates it fully.
@@ -57,18 +42,26 @@ func OpenMmap(path string) (*MmapSource, error) {
 	return src, nil
 }
 
+// newMmapSource drains one validating BinaryStream over data, so a
+// mapped file is accepted or rejected exactly as an upload of the same
+// bytes is, with the same error text.
 func newMmapSource(data []byte, unmap func() error) (*MmapSource, error) {
-	kernels, sum, err := parseBinary(data)
-	if err != nil {
-		return nil, err
-	}
-	reqs := 0
-	for ki := range kernels {
-		for ti := range kernels[ki].tbs {
-			reqs += kernels[ki].tbs[ti].n
+	m := &MmapSource{data: data, unmap: unmap}
+	bs := &BinaryStream{data: data, c: newCanonFold()}
+	for {
+		b, err := bs.Next()
+		if err == io.EOF {
+			m.sum = bs.SHA256()
+			return m, nil
 		}
+		if err != nil {
+			return nil, err
+		}
+		if b.Kernel != nil {
+			m.kernels = append(m.kernels, *b.Kernel)
+		}
+		m.reqs += len(b.Requests)
 	}
-	return &MmapSource{data: data, unmap: unmap, kernels: kernels, sum: sum, reqs: reqs}, nil
 }
 
 // Info returns the metadata of an imported trace, like the other
@@ -99,182 +92,10 @@ func (m *MmapSource) Close() error {
 	return u()
 }
 
-// Stream starts a fresh pass over the trace. Streams allocate nothing
-// per batch in steady state: batches alias the mapping directly, or
-// reuse one decode buffer on non-aliasing platforms.
-func (m *MmapSource) Stream() Stream { return &mmapStream{src: m} }
-
-type mmapStream struct {
-	src     *MmapSource
-	ki, ti  int
-	off     int // records already emitted from the current TB
-	started bool
-
-	batch Batch
-	hdr   KernelInfo
-	reqs  []Request // fallback decode buffer, lazily allocated
-}
-
-func (s *mmapStream) Next() (*Batch, error) {
-	for s.ki < len(s.src.kernels) {
-		k := &s.src.kernels[s.ki]
-		if !s.started {
-			s.started = true
-			s.hdr = k.info
-			s.batch = Batch{Kernel: &s.hdr, KernelIndex: s.ki, TBID: -1}
-			return &s.batch, nil
-		}
-		if s.ti >= len(k.tbs) {
-			s.ki++
-			s.ti, s.off, s.started = 0, 0, false
-			continue
-		}
-		tb := &k.tbs[s.ti]
-		n := tb.n - s.off
-		if n > maxBatchRequests {
-			n = maxBatchRequests
-		}
-		var reqs []Request
-		if n > 0 {
-			raw := s.src.data[tb.off+s.off*recordBytes : tb.off+(s.off+n)*recordBytes]
-			var ok bool
-			if reqs, ok = aliasRequests(raw); !ok {
-				reqs = copyRecords(raw, &s.reqs)
-			}
-		}
-		s.batch = Batch{KernelIndex: s.ki, TBID: tb.id, TBStart: s.off == 0, Requests: reqs}
-		s.off += n
-		if s.off >= tb.n {
-			s.ti++
-			s.off = 0
-		}
-		return &s.batch, nil
-	}
-	return nil, io.EOF
-}
-
-// parseBinary validates a complete in-memory VTRC image — structure,
-// every record field, canonical checksum — and indexes it for random
-// access. It enforces exactly the rules BinaryStream enforces (the
-// three-way parity fuzz pins the two against each other); only the
-// truncation error texts name the index walk.
-func parseBinary(data []byte) ([]mmapKernel, string, error) {
-	fail := func(format string, args ...any) ([]mmapKernel, string, error) {
-		return nil, "", fmt.Errorf("trace binary: "+format, args...)
-	}
-	le := binary.LittleEndian
-	if len(data) < 16 {
-		return fail("truncated header")
-	}
-	if string(data[:4]) != binaryMagic {
-		return fail("bad magic %q (want %q)", data[:4], binaryMagic)
-	}
-	if data[4] != binaryVersion {
-		return fail("unsupported version %d (want %d)", data[4], binaryVersion)
-	}
-	for _, b := range data[5:16] {
-		if b != 0 {
-			return fail("nonzero header padding")
-		}
-	}
-	h := sha256.New()
-	h.Write(data[:16])
-
-	var kernels []mmapKernel
-	off := 16
-	for {
-		if len(data)-off < 8 {
-			return fail("truncated section tag")
-		}
-		tag := le.Uint64(data[off:])
-		switch tag {
-		case secKernel:
-			secStart := off
-			off += 8
-			if len(data)-off < 24 {
-				return fail("truncated kernel section")
-			}
-			warps := int64(le.Uint64(data[off:]))
-			gap := int64(le.Uint64(data[off+8:]))
-			nameLen := le.Uint64(data[off+16:])
-			off += 24
-			if warps <= 0 || int64(int(warps)) != warps {
-				return fail("kernel %d: bad warp count %d", len(kernels), warps)
-			}
-			if gap < 0 || int64(int(gap)) != gap {
-				return fail("kernel %d: bad gap %d", len(kernels), gap)
-			}
-			if nameLen > maxKernelName {
-				return fail("kernel %d: name length %d exceeds %d", len(kernels), nameLen, maxKernelName)
-			}
-			pad := namePad(int(nameLen))
-			if uint64(len(data)-off) < nameLen+uint64(pad) {
-				return fail("truncated kernel name")
-			}
-			name := string(data[off : off+int(nameLen)])
-			off += int(nameLen)
-			for i := 0; i < pad; i++ {
-				if data[off+i] != 0 {
-					return fail("kernel %d: nonzero name padding", len(kernels))
-				}
-			}
-			off += pad
-			h.Write(data[secStart:off])
-			kernels = append(kernels, mmapKernel{info: KernelInfo{
-				Name: name, WarpsPerTB: int(warps), ComputeGapCycles: int(gap),
-			}})
-		case secTB:
-			if len(kernels) == 0 {
-				return fail("tb section before any kernel section")
-			}
-			if len(data)-off < 24 {
-				return fail("truncated tb section")
-			}
-			id := int64(le.Uint64(data[off+8:]))
-			count := le.Uint64(data[off+16:])
-			if int64(int(id)) != id {
-				return fail("tb id %d out of range", id)
-			}
-			k := &kernels[len(kernels)-1]
-			if n := len(k.tbs); n > 0 && int(id) <= k.tbs[n-1].id {
-				return fail("TB ids must ascend within a kernel (tb %d after %d)", id, k.tbs[n-1].id)
-			}
-			h.Write(data[off : off+16]) // tag + id; count is not canonical
-			off += 24
-			if count > uint64(len(data)-off)/recordBytes {
-				return fail("truncated tb requests")
-			}
-			nbytes := int(count) * recordBytes
-			recs := data[off : off+nbytes]
-			if err := validateRecords(recs); err != nil {
-				return fail("tb %d: %v", id, err)
-			}
-			h.Write(recs)
-			k.tbs = append(k.tbs, mmapTB{id: int(id), off: off, n: int(count)})
-			off += nbytes
-		case secEnd:
-			if len(kernels) == 0 {
-				return fail("no kernels")
-			}
-			off += 8
-			if len(data)-off < sha256.Size {
-				return fail("truncated checksum")
-			}
-			stored := data[off : off+sha256.Size]
-			off += sha256.Size
-			if off != len(data) {
-				return fail("data after end section")
-			}
-			sum := h.Sum(nil)
-			if !bytes.Equal(sum, stored) {
-				return fail("checksum mismatch: content corrupted")
-			}
-			return kernels, hex.EncodeToString(sum), nil
-		default:
-			return fail("unknown section tag %d", tag)
-		}
-	}
-}
+// Stream starts a fresh pass over the trace: a replay of the validated
+// image. A pass allocates only its decoder; batches alias the mapping
+// directly, or reuse one decode buffer on non-aliasing platforms.
+func (m *MmapSource) Stream() Stream { return &BinaryStream{data: m.data, headers: m.kernels} }
 
 // readFileFallback loads the whole file when mapping is unavailable.
 func readFileFallback(path string) ([]byte, func() error, error) {

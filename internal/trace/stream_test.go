@@ -140,17 +140,19 @@ func TestCSVStreamMatchesReadCSV(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	want, wantSum, err := func() (*App, string, error) { return ReadCSVHashed(bytes.NewReader(data)) }()
+	collected := NewCSVStream(bytes.NewReader(data))
+	want, err := CollectStream(collected, collected.Info())
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantSum := collected.SHA256()
 	cs := NewCSVStream(bytes.NewReader(data))
 	got := drainApp(t, cs, cs.Info())
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("streamed decode differs:\n%+v\nvs\n%+v", want, got)
 	}
 	if cs.SHA256() != wantSum {
-		t.Errorf("incremental hash %s != teed hash %s", cs.SHA256(), wantSum)
+		t.Errorf("incremental hash %s != collected hash %s", cs.SHA256(), wantSum)
 	}
 	// The unhashed variant decodes identically, minus the digest.
 	cu := NewCSVStreamUnhashed(bytes.NewReader(data))
