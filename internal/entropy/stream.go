@@ -32,16 +32,13 @@ type StreamOptions struct {
 	Window int
 	// Bits is the number of address bits profiled.
 	Bits int
-	// Transform optionally maps each address before profiling (e.g. a
-	// Mapper's Map), mirroring AppProfile's transform argument. With
-	// Workers > 1 it is called from that many goroutines concurrently
-	// and must be safe for concurrent use.
-	Transform Transform
-	// BatchTransform optionally maps addresses a batch at a time, in
-	// place (e.g. bim.Matrix.ApplyBatch via mapping.Mapper.MapBatch); it
-	// takes precedence over Transform and amortizes per-call overhead.
-	// The accumulator copies addresses into a scratch buffer first, so
-	// the stream's batches are never mutated.
+	// BatchTransform optionally maps addresses before profiling, a
+	// batch at a time and in place (e.g. bim.Matrix.ApplyBatch via
+	// mapping.Mapper.MapBatch), the streaming counterpart of
+	// AppProfile's transform argument. The accumulator copies addresses
+	// into a scratch buffer first, so the stream's batches are never
+	// mutated. With Workers > 1 it is called from that many goroutines
+	// concurrently and must be safe for concurrent use.
 	BatchTransform func([]uint64)
 	// Workers > 1 fans per-TB profiling out across that many goroutines
 	// in ProfileStream (typically GOMAXPROCS); folding stays in TB
@@ -62,7 +59,6 @@ type StreamOptions struct {
 // An Accumulator is not safe for concurrent use.
 type Accumulator struct {
 	window, bits int
-	f            Transform
 	bf           func([]uint64)
 	scratch      []uint64
 
@@ -108,7 +104,6 @@ func NewAccumulator(opt StreamOptions) *Accumulator {
 	return &Accumulator{
 		window:    w,
 		bits:      bits,
-		f:         opt.Transform,
 		bf:        opt.BatchTransform,
 		appPerBit: make([]float64, bits),
 		sums:      make([]float64, bits),
@@ -146,8 +141,7 @@ func (a *Accumulator) Fold(b *trace.Batch) {
 		a.tbOpen = true
 		a.tbID = b.TBID
 	}
-	switch {
-	case a.bf != nil:
+	if a.bf != nil {
 		a.scratch = a.scratch[:0]
 		for _, r := range b.Requests {
 			a.scratch = append(a.scratch, r.Addr)
@@ -156,11 +150,7 @@ func (a *Accumulator) Fold(b *trace.Batch) {
 		for _, addr := range a.scratch {
 			countAddrBits(a.ones, addr, a.bits)
 		}
-	case a.f != nil:
-		for _, r := range b.Requests {
-			countAddrBits(a.ones, a.f(r.Addr), a.bits)
-		}
-	default:
+	} else {
 		for _, r := range b.Requests {
 			countAddrBits(a.ones, r.Addr, a.bits)
 		}
@@ -381,7 +371,7 @@ func profileParallel(st trace.Stream, opt StreamOptions) (Profile, error) {
 			fut := make(chan TBProfile, 1)
 			job, id := buf, tbID
 			go func() {
-				fut <- profileRequests(id, job, bits, opt.Transform, opt.BatchTransform)
+				fut <- profileRequests(id, job, bits, opt.BatchTransform)
 				reqBufPool.Put(job[:0])
 				<-sem
 			}()
@@ -444,11 +434,10 @@ func profileParallel(st trace.Stream, opt StreamOptions) (Profile, error) {
 }
 
 // profileRequests computes one TB's profile, applying the optional
-// address transform — the worker-side half of profileParallel.
-func profileRequests(id int, reqs []trace.Request, bits int, f Transform, bf func([]uint64)) TBProfile {
+// batch transform — the worker-side half of profileParallel.
+func profileRequests(id int, reqs []trace.Request, bits int, bf func([]uint64)) TBProfile {
 	ones := make([]int64, bits)
-	switch {
-	case bf != nil:
+	if bf != nil {
 		addrs := make([]uint64, len(reqs))
 		for i, r := range reqs {
 			addrs[i] = r.Addr
@@ -457,11 +446,7 @@ func profileRequests(id int, reqs []trace.Request, bits int, f Transform, bf fun
 		for _, addr := range addrs {
 			countAddrBits(ones, addr, bits)
 		}
-	case f != nil:
-		for _, r := range reqs {
-			countAddrBits(ones, f(r.Addr), bits)
-		}
-	default:
+	} else {
 		for _, r := range reqs {
 			countAddrBits(ones, r.Addr, bits)
 		}

@@ -20,14 +20,14 @@ func materializedProfile(app *trace.App, lineBytes, window, bits int, f Transfor
 
 // streamedProfile runs the same analysis through the streaming pipeline
 // (AppSource → CoalesceStream → ProfileStream).
-func streamedProfile(t *testing.T, app *trace.App, lineBytes, window, bits, workers int, f Transform, bf func([]uint64)) Profile {
+func streamedProfile(t *testing.T, app *trace.App, lineBytes, window, bits, workers int, bf func([]uint64)) Profile {
 	t.Helper()
 	var st trace.Stream = trace.AppSource(app).Stream()
 	if lineBytes > 0 {
 		st = trace.CoalesceStream(st, lineBytes)
 	}
 	p, err := ProfileStream(st, StreamOptions{
-		Window: window, Bits: bits, Transform: f, BatchTransform: bf, Workers: workers,
+		Window: window, Bits: bits, BatchTransform: bf, Workers: workers,
 	})
 	if err != nil {
 		t.Fatalf("ProfileStream: %v", err)
@@ -63,14 +63,14 @@ func TestStreamProfileGoldenAllWorkloads(t *testing.T) {
 		app := spec.Build(workload.Tiny)
 		want := materializedProfile(app, lineBytes, window, bits, nil)
 		requireIdentical(t, spec.Abbr+"/seq",
-			want, streamedProfile(t, app, lineBytes, window, bits, 0, nil, nil))
+			want, streamedProfile(t, app, lineBytes, window, bits, 0, nil))
 		requireIdentical(t, spec.Abbr+"/par4",
-			want, streamedProfile(t, app, lineBytes, window, bits, 4, nil, nil))
+			want, streamedProfile(t, app, lineBytes, window, bits, 4, nil))
 	}
 }
 
-// TestStreamProfileGoldenTransform checks equivalence through the
-// address-transform hook, both per-address and batched.
+// TestStreamProfileGoldenTransform checks equivalence through the batch
+// address-transform hook against AppProfile's per-address transform.
 func TestStreamProfileGoldenTransform(t *testing.T) {
 	spec, _ := workload.ByAbbr("MT")
 	app := spec.Build(workload.Tiny)
@@ -81,14 +81,10 @@ func TestStreamProfileGoldenTransform(t *testing.T) {
 		}
 	}
 	want := materializedProfile(app, 128, 12, 30, xform)
-	requireIdentical(t, "MT/transform/seq",
-		want, streamedProfile(t, app, 128, 12, 30, 0, xform, nil))
-	requireIdentical(t, "MT/transform/par",
-		want, streamedProfile(t, app, 128, 12, 30, 3, xform, nil))
 	requireIdentical(t, "MT/batch-transform/seq",
-		want, streamedProfile(t, app, 128, 12, 30, 0, nil, batch))
+		want, streamedProfile(t, app, 128, 12, 30, 0, batch))
 	requireIdentical(t, "MT/batch-transform/par",
-		want, streamedProfile(t, app, 128, 12, 30, 3, nil, batch))
+		want, streamedProfile(t, app, 128, 12, 30, 3, batch))
 }
 
 // TestStreamProfileGoldenParameterSweep varies window, bits, line size
@@ -110,9 +106,9 @@ func TestStreamProfileGoldenParameterSweep(t *testing.T) {
 	for _, tc := range cases {
 		want := materializedProfile(app, tc.lineBytes, tc.window, tc.bits, nil)
 		requireIdentical(t, "SP/"+tc.name,
-			want, streamedProfile(t, app, tc.lineBytes, tc.window, tc.bits, 0, nil, nil))
+			want, streamedProfile(t, app, tc.lineBytes, tc.window, tc.bits, 0, nil))
 		requireIdentical(t, "SP/"+tc.name+"/par",
-			want, streamedProfile(t, app, tc.lineBytes, tc.window, tc.bits, 2, nil, nil))
+			want, streamedProfile(t, app, tc.lineBytes, tc.window, tc.bits, 2, nil))
 	}
 }
 
@@ -124,7 +120,7 @@ func TestProfileRequestsMatchesProfileTB(t *testing.T) {
 	}
 	tb := trace.TB{ID: 7, Requests: reqs}
 	want := ProfileTB(&tb, 30)
-	got := profileRequests(7, reqs, 30, nil, nil)
+	got := profileRequests(7, reqs, 30, nil)
 	if want.ID != got.ID || want.Requests != got.Requests {
 		t.Fatalf("meta differs: %+v vs %+v", got, want)
 	}
@@ -205,7 +201,7 @@ func TestAccumulatorEdgeCases(t *testing.T) {
 		{Name: "real", WarpsPerTB: 1, TBs: []trace.TB{{ID: 0, Requests: manyRequests(0, 9)}}},
 	}}
 	want := materializedProfile(app, 0, 3, 16, nil)
-	requireIdentical(t, "empty-kernel", want, streamedProfile(t, app, 0, 3, 16, 0, nil, nil))
+	requireIdentical(t, "empty-kernel", want, streamedProfile(t, app, 0, 3, 16, 0, nil))
 
 	// Headerless streams open an implicit kernel instead of dropping
 	// requests on the floor.

@@ -61,7 +61,7 @@ func AblationInputBreadth(opt Options) []BreadthPoint {
 			res := runner.Run(app, m, cfg)
 			spSum += float64(base.ExecTime) / float64(res.ExecTime)
 			st := trace.CoalesceStream(trace.AppSource(app).Stream(), opt.LineBytes)
-			prof := streamProfile(st, opt.Window, opt.Bits, nil, m.MapBatch)
+			prof := streamProfile(st, opt.Window, opt.Bits, m.MapBatch)
 			cbSum += prof.Min(chBank)
 		}
 		points[i].Speedup = spSum / float64(len(specs))
@@ -114,7 +114,7 @@ func AblationWindowSize(opt Options, windows []int) []WindowPoint {
 	}
 	out := make([]WindowPoint, 0, len(windows))
 	for _, w := range windows {
-		p := streamProfile(src.Stream(), w, opt.Bits, nil, nil)
+		p := streamProfile(src.Stream(), w, opt.Bits, nil)
 		out = append(out, WindowPoint{
 			Window:     w,
 			MeanChBank: p.Mean(chBank),

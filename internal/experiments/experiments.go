@@ -50,12 +50,13 @@ func (o Options) withDefaults() Options {
 }
 
 // streamProfile drains a stream through the online profiler with per-TB
-// fan-out across the machine — the experiments' profiling hot path.
+// fan-out across the machine — the experiments' profiling hot path —
+// optionally mapping addresses a batch at a time through bf.
 // In-memory and generator streams cannot fail, so an error here is a
 // programming bug, not an input condition.
-func streamProfile(st trace.Stream, window, bits int, f entropy.Transform, bf func([]uint64)) entropy.Profile {
+func streamProfile(st trace.Stream, window, bits int, bf func([]uint64)) entropy.Profile {
 	p, err := entropy.ProfileStream(st, entropy.StreamOptions{
-		Window: window, Bits: bits, Transform: f, BatchTransform: bf,
+		Window: window, Bits: bits, BatchTransform: bf,
 		Workers: runtime.GOMAXPROCS(0),
 	})
 	if err != nil {
@@ -64,20 +65,11 @@ func streamProfile(st trace.Stream, window, bits int, f entropy.Transform, bf fu
 	return p
 }
 
-// profileApp computes a workload's entropy profile on coalesced
-// transactions, optionally through a mapper, streaming the trace
-// instead of copying it (bit-identical to the old CoalesceApp +
-// AppProfile pipeline).
-func profileApp(app *trace.App, opt Options, f entropy.Transform) entropy.Profile {
-	st := trace.CoalesceStream(trace.AppSource(app).Stream(), opt.LineBytes)
-	return streamProfile(st, opt.Window, opt.Bits, f, nil)
-}
-
 // profileSource profiles straight from a workload generator: generate →
 // coalesce → profile at O(TB) memory, never materializing the trace.
 func profileSource(src trace.Source, opt Options) entropy.Profile {
 	st := trace.CoalesceStream(src.Stream(), opt.LineBytes)
-	return streamProfile(st, opt.Window, opt.Bits, nil, nil)
+	return streamProfile(st, opt.Window, opt.Bits, nil)
 }
 
 // Figure3 reproduces the worked window-entropy example: 8 TBs with BVR
@@ -122,7 +114,7 @@ func Figure10(opt Options) map[mapping.Scheme]entropy.Profile {
 		// Build once, stream each candidate's profile with the batched
 		// BIM transform hook (coalescing precedes the mapper).
 		st := trace.CoalesceStream(trace.AppSource(app).Stream(), opt.LineBytes)
-		out[s] = streamProfile(st, opt.Window, opt.Bits, nil, m.MapBatch)
+		out[s] = streamProfile(st, opt.Window, opt.Bits, m.MapBatch)
 	}
 	return out
 }

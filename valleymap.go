@@ -298,12 +298,16 @@ func AnalyzeStream(st TraceStream, opt AnalysisOptions) (Profile, error) {
 	if workers == 0 && opt.Transform == nil {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return entropy.ProfileStream(st, entropy.StreamOptions{
-		Window:    opt.Window,
-		Bits:      opt.Bits,
-		Transform: opt.Transform,
-		Workers:   workers,
-	})
+	sopt := entropy.StreamOptions{Window: opt.Window, Bits: opt.Bits, Workers: workers}
+	if f := opt.Transform; f != nil {
+		// The streaming profiler's one transform hook takes a batch.
+		sopt.BatchTransform = func(addrs []uint64) {
+			for i, a := range addrs {
+				addrs[i] = f(a)
+			}
+		}
+	}
+	return entropy.ProfileStream(st, sopt)
 }
 
 // ---------------------------------------------------------------------

@@ -37,6 +37,33 @@ func TestFacadePostMappingProfile(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSourceTransformMatchesAnalyzeApp: the streaming analyzer
+// hands a per-address Transform to the profiler as a batch transform,
+// and the profile stays bit-identical to the materialized reference,
+// single-threaded and fanned out.
+func TestAnalyzeSourceTransformMatchesAnalyzeApp(t *testing.T) {
+	spec, _ := valleymap.WorkloadByAbbr("MT")
+	m := valleymap.NewMapper(valleymap.PAE, valleymap.HynixGDDR5(), 1)
+	want := valleymap.AnalyzeApp(spec.Build(valleymap.ScaleTiny), valleymap.AnalysisOptions{Transform: m.Map})
+	for _, workers := range []int{0, 3} {
+		got, err := valleymap.AnalyzeSource(spec.Source(valleymap.ScaleTiny),
+			valleymap.AnalysisOptions{Transform: m.Map, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Requests != want.Requests || len(got.PerBit) != len(want.PerBit) {
+			t.Fatalf("workers %d: %d requests over %d bits, want %d over %d",
+				workers, got.Requests, len(got.PerBit), want.Requests, len(want.PerBit))
+		}
+		for b := range want.PerBit {
+			if got.PerBit[b] != want.PerBit[b] {
+				t.Fatalf("workers %d: bit %d: streamed %.17g != materialized %.17g",
+					workers, b, got.PerBit[b], want.PerBit[b])
+			}
+		}
+	}
+}
+
 func TestFacadeWorkloadSets(t *testing.T) {
 	if len(valleymap.Workloads()) != 16 ||
 		len(valleymap.AllWorkloads()) != 18 ||
