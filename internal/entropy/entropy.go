@@ -19,6 +19,7 @@ package entropy
 
 import (
 	"math"
+	"math/bits"
 
 	"valleymap/internal/trace"
 )
@@ -78,24 +79,16 @@ func ProfileTB(tb *trace.TB, bits int) TBProfile {
 	return p
 }
 
-// countAddrBits adds addr's one-bits below bits into ones — the single
+// countAddrBits adds addr's one-bits below width into ones — the single
 // counting kernel shared by the materialized and streaming profilers, so
-// both paths perform bit-for-bit identical arithmetic.
-func countAddrBits(ones []int64, addr uint64, bits int) {
+// both paths perform bit-for-bit identical arithmetic. It is the
+// profilers' hot loop, so each one-bit costs one trailing-zero count.
+func countAddrBits(ones []int64, addr uint64, width int) {
 	for a := addr; a != 0; a &= a - 1 {
-		if b := trailingZeros(a); b < bits {
+		if b := bits.TrailingZeros64(a); b < width {
 			ones[b]++
 		}
 	}
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // ShannonNormalized computes Equation 1: −Σ pᵢ log_v pᵢ with v = number of
