@@ -17,8 +17,8 @@ import (
 	"valleymap/internal/fault"
 )
 
-// TestChaosSpillWriteFailure: with every spill write failing, Put/Flush
-// never error or hang, each failure is counted via OnError, and the
+// TestChaosSpillWriteFailure: with every spill write failing, Put
+// never errors or hangs, each failure is counted via OnError, and the
 // entries simply never land — a miss on the next read, not corruption.
 func TestChaosSpillWriteFailure(t *testing.T) {
 	fault.Reset()
@@ -29,7 +29,6 @@ func TestChaosSpillWriteFailure(t *testing.T) {
 	fault.InjectError(fault.SpillWrite, 1.0, nil)
 	d.Put("k1", []byte("v1"), 1)
 	d.Put("k2", []byte("v2"), 1)
-	d.Flush()
 
 	if got := errs.Load(); got != 2 {
 		t.Errorf("OnError fired %d times for 2 failed writes", got)
@@ -42,11 +41,10 @@ func TestChaosSpillWriteFailure(t *testing.T) {
 	}
 	fault.Reset()
 	if _, _, ok := d.Get("k1"); ok {
-		t.Error("failed write still readable after the queue drained")
+		t.Error("failed write still readable")
 	}
 	// The store must keep working once the fault clears.
 	d.Put("k3", []byte("v3"), 1)
-	d.Flush()
 	if _, _, ok := d.Get("k3"); !ok {
 		t.Error("store did not recover after write faults cleared")
 	}
@@ -64,7 +62,6 @@ func TestChaosSpillTornWrite(t *testing.T) {
 
 	fault.InjectFail(fault.SpillTorn, 1.0)
 	d.Put("k", []byte("a payload long enough to tear"), 1)
-	d.Flush()
 	if fault.Fired(fault.SpillTorn) == 0 {
 		t.Fatal("SpillTorn never fired — the seam is dead")
 	}
@@ -86,7 +83,6 @@ func TestChaosSpillTornWrite(t *testing.T) {
 	}
 	// Re-put must land clean now.
 	d.Put("k", []byte("fresh"), 1)
-	d.Flush()
 	if payload, _, ok := d.Get("k"); !ok || string(payload) != "fresh" {
 		t.Errorf("re-put after torn entry = (%q, %v)", payload, ok)
 	}
@@ -102,7 +98,6 @@ func TestChaosSpillTornSurvivesRestart(t *testing.T) {
 	fault.InjectFail(fault.SpillTorn, 1.0)
 	d1.Put("k1", []byte("a payload long enough to tear"), 1)
 	d1.Put("k2", []byte("another payload long enough to tear"), 1)
-	d1.Close()
 	if fault.Fired(fault.SpillTorn) == 0 {
 		t.Fatal("SpillTorn never fired — the seam is dead")
 	}
@@ -127,7 +122,6 @@ func TestChaosSpillReadFailure(t *testing.T) {
 	var errs atomic.Int64
 	d := openTestDisk(t, DiskOptions{OnError: func() { errs.Add(1) }})
 	d.Put("k", []byte("v"), 1)
-	d.Flush()
 
 	fault.InjectError(fault.SpillRead, 1.0, nil)
 	if _, _, ok := d.Get("k"); ok {
@@ -158,7 +152,6 @@ func TestChaosTieredSpillFaultsDegradeToRecompute(t *testing.T) {
 	fault.InjectError(fault.SpillWrite, 1.0, nil)
 	tc.Add("a", tierCell{N: 1})
 	tc.Add("b", tierCell{N: 2}) // evicts a; its spill write fails
-	tc.Flush()
 	fault.Reset()
 
 	v, tier, err := tc.GetOrCompute("a", func() (tierCell, error) { return tierCell{N: 1}, nil })

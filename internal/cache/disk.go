@@ -2,21 +2,19 @@ package cache
 
 // Disk spill tier: a content-addressed store of serialized cache
 // entries, one checksummed file per entry under two-level fan-out
-// directories (ab/cdef...). Writes are asynchronous — Put enqueues on a
-// bounded write-behind queue drained by one goroutine; when the queue
-// overflows, the oldest pending write is dropped (and counted), never
-// the caller blocked — and each file lands atomically via temp +
-// rename. Reads verify the per-entry checksum and key; any damage —
-// truncation, corruption, a key collision, a stray file — deletes the
-// file and reads as a miss, because a cache is always allowed to
-// forget. A byte-budget janitor evicts the lowest cost-per-byte
-// entries after each landed write, mirroring the memory tier's
-// cost-aware policy.
+// directories (ab/cdef...). Put writes the entry file before it
+// returns, atomically via temp + rename. Reads verify the per-entry
+// checksum and key; any damage — truncation, corruption, a key
+// collision, a stray file — deletes the file and reads as a miss,
+// because a cache is always allowed to forget. A byte-budget janitor
+// evicts the lowest cost-per-byte entries after each write, mirroring
+// the memory tier's cost-aware policy.
 //
-// Ordering contract: an entry is readable from the moment Put accepts
-// it — Get and Contains consult the pending queue before the on-disk
-// index — so spilling is never a visibility gap. Dropped writes lose
-// only cache warmth (the entry reverts to a miss), never correctness.
+// Every change to the directory — a write, a removal, a janitor
+// eviction, the deletion of a damaged file — happens under the store's
+// lock, so the index always describes the directory and a Get for a
+// key that is being written waits for its file. Files are read outside
+// the lock.
 
 import (
 	"bytes"
@@ -44,16 +42,12 @@ var spillMagic = [8]byte{'V', 'S', 'P', 'I', 'L', 'L', '0', '1'}
 type DiskOptions struct {
 	// Dir is the spill directory, created if missing.
 	Dir string
-	// MaxBytes bounds the landed entry bytes; the janitor evicts the
+	// MaxBytes bounds the indexed entry bytes; the janitor evicts the
 	// lowest cost-per-byte entries to stay under it. <= 0 disables the
 	// budget.
 	MaxBytes int64
-	// QueueLen bounds the write-behind queue (0 = 256 pending writes).
-	QueueLen int
-	// OnWrite observes each landed entry file.
+	// OnWrite observes each entry file written.
 	OnWrite func()
-	// OnWriteDrop observes pending writes discarded on queue overflow.
-	OnWriteDrop func()
 	// OnEvict observes janitor evictions.
 	OnEvict func()
 	// OnError observes spill damage: failed writes and corrupt or
@@ -66,54 +60,30 @@ type diskMeta struct {
 	cost  float64
 }
 
-type spillReq struct {
-	key     string
-	payload []byte
-	cost    float64
-}
-
 // DiskStore is the disk-backed tier. All methods are safe for
 // concurrent use.
 type DiskStore struct {
 	opt DiskOptions
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	index   map[string]diskMeta  // landed entries
-	pending map[string]*spillReq // queued or in-flight writes
-	queue   []*spillReq
-	writing bool // drain goroutine holds an entry taken off the queue
-	bytes   int64
-	closed  bool
-
-	done chan struct{}
+	mu    sync.Mutex // held across every change to the directory
+	index map[string]diskMeta
+	bytes int64
 }
 
 // OpenDisk opens (creating if needed) a spill directory and rebuilds
 // the in-memory index by scanning it: every entry file is read and
-// fully validated, and damaged files are deleted on the spot. The
-// write-behind drain goroutine starts immediately; callers must Close.
+// fully validated, and damaged files are deleted on the spot.
 func OpenDisk(opt DiskOptions) (*DiskStore, error) {
 	if opt.Dir == "" {
 		return nil, errors.New("cache: spill dir must not be empty")
 	}
-	if opt.QueueLen <= 0 {
-		opt.QueueLen = 256
-	}
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: creating spill dir: %w", err)
 	}
-	d := &DiskStore{
-		opt:     opt,
-		index:   map[string]diskMeta{},
-		pending: map[string]*spillReq{},
-		done:    make(chan struct{}),
-	}
-	d.cond = sync.NewCond(&d.mu)
+	d := &DiskStore{opt: opt, index: map[string]diskMeta{}}
 	if err := d.scan(); err != nil {
 		return nil, err
 	}
-	go d.drain()
 	return d, nil
 }
 
@@ -147,7 +117,10 @@ func (d *DiskStore) scan() error {
 			}
 			path := filepath.Join(d.opt.Dir, sub.Name(), f.Name())
 			key, _, cost, err := readEntryFile(path)
-			if err != nil {
+			// A valid entry away from its key's path, such as one left
+			// under a temp name by a write that stopped before its
+			// rename, is damage too.
+			if err != nil || path != d.entryPath(key) {
 				os.Remove(path)
 				d.observe(d.opt.OnError)
 				continue
@@ -163,51 +136,42 @@ func (d *DiskStore) scan() error {
 	return nil
 }
 
-// Put enqueues one entry for asynchronous spilling. The payload is
-// owned by the store from this point and must not be mutated by the
-// caller. When the queue is full the oldest pending write is dropped
-// (counted via OnWriteDrop) — the newest spill is the one most likely
-// to be re-read. Put never blocks on I/O.
+// Put writes one entry file and indexes it before it returns, then
+// lets the janitor trim the directory to the byte budget. The store
+// keeps no reference to payload. A failed write is counted through
+// OnError and leaves any earlier entry for key in place.
 func (d *DiskStore) Put(key string, payload []byte, cost float64) {
 	if cost < 0 || math.IsNaN(cost) {
 		cost = 0
 	}
-	req := &spillReq{key: key, payload: payload, cost: cost}
-	var dropped bool
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return
-	}
-	if len(d.queue) >= d.opt.QueueLen {
-		old := d.queue[0]
-		d.queue = d.queue[1:]
-		if d.pending[old.key] == old {
-			delete(d.pending, old.key)
+	size, err := d.writeEntry(key, payload, cost)
+	if err == nil {
+		if old, ok := d.index[key]; ok {
+			d.bytes -= old.bytes
 		}
-		dropped = true
+		d.index[key] = diskMeta{bytes: size, cost: cost}
+		d.bytes += size
 	}
-	d.queue = append(d.queue, req)
-	d.pending[key] = req
-	d.cond.Broadcast()
+	evicted := d.janitorLocked()
 	d.mu.Unlock()
-	if dropped {
-		d.observe(d.opt.OnWriteDrop)
+
+	if err != nil {
+		d.observe(d.opt.OnError)
+	} else {
+		d.observe(d.opt.OnWrite)
+	}
+	for ; evicted > 0; evicted-- {
+		d.observe(d.opt.OnEvict)
 	}
 }
 
-// Get returns the stored payload and cost for key. Pending writes are
-// served straight from the queue (write-behind ordering: an accepted
-// Put is immediately readable); landed entries are read from disk and
-// fully verified, with any damage deleting the file and reading as a
+// Get returns the stored payload and cost for key. The entry file is
+// read and fully verified; any damage deletes the file and reads as a
 // miss.
 func (d *DiskStore) Get(key string) ([]byte, float64, bool) {
+	// Taking the lock waits out a Put that is writing this key.
 	d.mu.Lock()
-	if req, ok := d.pending[key]; ok {
-		payload, cost := req.payload, req.cost
-		d.mu.Unlock()
-		return payload, cost, true
-	}
 	_, ok := d.index[key]
 	d.mu.Unlock()
 	if !ok {
@@ -217,171 +181,68 @@ func (d *DiskStore) Get(key string) ([]byte, float64, bool) {
 		d.observe(d.opt.OnError)
 		return nil, 0, false
 	}
-	path := d.entryPath(key)
-	gotKey, payload, cost, err := readEntryFile(path)
+	gotKey, payload, cost, err := readEntryFile(d.entryPath(key))
 	if err == nil && gotKey != key {
 		// A digest collision or a foreign file at this path: neither is
 		// our entry.
 		err = fmt.Errorf("cache: spill entry holds key %q, want %q", gotKey, key)
 	}
 	if err != nil {
+		d.Remove(key)
 		if !errors.Is(err, fs.ErrNotExist) {
-			os.Remove(path)
 			d.observe(d.opt.OnError)
 		}
-		d.mu.Lock()
-		if meta, ok := d.index[key]; ok {
-			d.bytes -= meta.bytes
-			delete(d.index, key)
-		}
-		d.mu.Unlock()
 		return nil, 0, false
 	}
 	return payload, cost, true
 }
 
-// Contains reports whether key is resident (pending or landed) without
-// touching the disk.
+// Contains reports whether key is indexed, without touching the disk.
 func (d *DiskStore) Contains(key string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.pending[key]; ok {
-		return true
-	}
 	_, ok := d.index[key]
 	return ok
 }
 
-// Remove deletes key's entry (landed and/or pending), if any.
+// Remove deletes key's entry file, if any.
 func (d *DiskStore) Remove(key string) {
 	d.mu.Lock()
-	if req, ok := d.pending[key]; ok {
-		delete(d.pending, key)
-		for i, q := range d.queue {
-			if q == req {
-				d.queue = append(d.queue[:i], d.queue[i+1:]...)
-				break
-			}
-		}
-	}
-	meta, landed := d.index[key]
-	if landed {
+	defer d.mu.Unlock()
+	d.removeLocked(key)
+}
+
+func (d *DiskStore) removeLocked(key string) {
+	if meta, ok := d.index[key]; ok {
 		d.bytes -= meta.bytes
 		delete(d.index, key)
-	}
-	d.mu.Unlock()
-	if landed {
 		os.Remove(d.entryPath(key))
 	}
 }
 
-// Len reports landed entries (pending writes excluded).
+// Len reports the indexed entries.
 func (d *DiskStore) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.index)
 }
 
-// Bytes reports landed entry bytes (pending writes excluded).
+// Bytes reports the indexed entries' file bytes.
 func (d *DiskStore) Bytes() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.bytes
 }
 
-// QueueLen reports the configured write-behind queue bound.
-func (d *DiskStore) QueueLen() int { return d.opt.QueueLen }
-
-// Flush blocks until every currently pending write has landed (or been
-// dropped). New Puts racing a Flush may or may not be waited for.
-func (d *DiskStore) Flush() {
-	d.mu.Lock()
-	for len(d.queue) > 0 || d.writing {
-		d.cond.Wait()
-	}
-	d.mu.Unlock()
-}
-
-// Close drains the write-behind queue — every accepted Put lands or is
-// already counted dropped — and stops the drain goroutine. Further
-// Puts are ignored. Close is idempotent.
-func (d *DiskStore) Close() {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		<-d.done
-		return
-	}
-	d.closed = true
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	<-d.done
-}
-
-// drain is the write-behind goroutine: one pending entry at a time,
-// then the byte-budget janitor. It exits only when closed AND empty,
-// so Close always drains.
-func (d *DiskStore) drain() {
-	defer close(d.done)
-	for {
-		d.mu.Lock()
-		for len(d.queue) == 0 && !d.closed {
-			d.cond.Wait()
-		}
-		if len(d.queue) == 0 && d.closed {
-			d.mu.Unlock()
-			return
-		}
-		req := d.queue[0]
-		d.queue = d.queue[1:]
-		d.writing = true
-		d.mu.Unlock()
-
-		size, err := d.writeEntry(req)
-
-		d.mu.Lock()
-		d.writing = false
-		// A newer Put for the same key may have superseded this one
-		// while it was being written; only clear pending if it is still
-		// ours, and never index a superseded write (its file will be
-		// overwritten by the newer entry momentarily).
-		current := d.pending[req.key] == req
-		if current {
-			delete(d.pending, req.key)
-			if err == nil {
-				if old, ok := d.index[req.key]; ok {
-					d.bytes -= old.bytes
-				}
-				d.index[req.key] = diskMeta{bytes: size, cost: req.cost}
-				d.bytes += size
-			}
-		}
-		victims := d.janitorLocked()
-		d.cond.Broadcast()
-		d.mu.Unlock()
-
-		if err != nil {
-			d.observe(d.opt.OnError)
-		} else if current {
-			d.observe(d.opt.OnWrite)
-		}
-		for _, key := range victims {
-			os.Remove(d.entryPath(key))
-			d.observe(d.opt.OnEvict)
-		}
-	}
-}
-
-// janitorLocked picks eviction victims until landed bytes fit the
-// budget, removing them from the index; the caller deletes the files
-// outside the lock. Victim choice mirrors the memory tier: lowest
-// Cost/Bytes density first.
-func (d *DiskStore) janitorLocked() []string {
+// janitorLocked deletes entries until the indexed bytes fit the budget
+// and reports how many it deleted. Victim choice mirrors the memory
+// tier: lowest Cost/Bytes density first.
+func (d *DiskStore) janitorLocked() int {
 	if d.opt.MaxBytes <= 0 {
-		return nil
+		return 0
 	}
-	var victims []string
-	for d.bytes > d.opt.MaxBytes && len(d.index) > 0 {
+	n := 0
+	for ; d.bytes > d.opt.MaxBytes && len(d.index) > 0; n++ {
 		victimKey := ""
 		best := math.Inf(1)
 		for key, meta := range d.index {
@@ -389,12 +250,9 @@ func (d *DiskStore) janitorLocked() []string {
 				victimKey, best = key, density
 			}
 		}
-		meta := d.index[victimKey]
-		d.bytes -= meta.bytes
-		delete(d.index, victimKey)
-		victims = append(victims, victimKey)
+		d.removeLocked(victimKey)
 	}
-	return victims
+	return n
 }
 
 func (d *DiskStore) observe(fn func()) {
@@ -407,13 +265,13 @@ func (d *DiskStore) observe(fn func()) {
 // fan-out directory). The SpillWrite fault seam fails the write before
 // any bytes land; SpillTorn truncates the framed bytes but lets the
 // rename publish the torn file — caught later by Get's checksum.
-func (d *DiskStore) writeEntry(req *spillReq) (int64, error) {
+func (d *DiskStore) writeEntry(key string, payload []byte, cost float64) (int64, error) {
 	if err := fault.Err(fault.SpillWrite); err != nil {
 		return 0, err
 	}
-	framed := encodeEntry(req.key, req.payload, req.cost)
+	framed := encodeEntry(key, payload, cost)
 	out := fault.Torn(fault.SpillTorn, framed)
-	path := d.entryPath(req.key)
+	path := d.entryPath(key)
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err

@@ -10,8 +10,8 @@
 //	LRU[V]      (lru.go)      single-lock cost-aware LRU with in-flight
 //	                          coalescing and *PanicError recovery
 //	DiskStore   (disk.go)     content-addressed spill tier: one
-//	                          checksummed file per entry, async
-//	                          write-behind, byte-budget janitor
+//	                          checksummed file per entry, written
+//	                          inline, byte-budget janitor
 //	Tiered[V]   (tiered.go)   the two glued together
 //
 // One lock guards the whole LRU, so Capacity is exact and the
@@ -24,25 +24,29 @@
 // singleflight, so one burst of lookups for a spilled key performs one
 // disk read, and the decoded value is immediately resident in memory
 // again (a TierDisk hit). Capacity evictions flow the other way:
-// instead of discarding, the evicted entry is serialized and enqueued
-// for spilling. Between the two, a key's value migrates but is never
-// in neither tier while it is still wanted.
+// instead of discarding, the evicted entry is serialized and spilled.
+// Between the two, a key's value migrates but is never in neither tier
+// while it is still wanted.
 //
-// Write-behind ordering: DiskStore.Put makes an entry readable the
-// moment it is accepted — Get and Contains consult the pending queue
-// before the on-disk index — so the asynchronous write is never a
-// visibility gap. The queue is bounded; on overflow the oldest pending
-// write is dropped and counted. A drop loses cache warmth (that key
-// reverts to a miss and recomputes), never correctness.
+// Inline writes: the evicting call writes the entry file before it
+// returns — DiskStore.Put lands the file and indexes it under the
+// store's lock. Every change to the spill directory (a write, a
+// removal, a janitor eviction, a damaged file's deletion) holds that
+// lock, so the index always describes the directory, and a lookup that
+// reaches Get while its key is being written waits for the file
+// instead of recomputing. Files are read outside the lock. A failed
+// write loses cache warmth (that key reverts to a miss and
+// recomputes), never correctness.
 //
 // Crash semantics: every entry file is written to a temp file and
 // atomically renamed into place, and carries a SHA-256 over its framed
 // bytes. After a crash the directory holds only complete old files,
 // complete new files, and possibly torn temp or torn renamed files;
 // opening the store re-scans the fan-out directories, validates every
-// entry, and deletes anything damaged. At read time a failed checksum,
-// a wrong key (digest collision or foreign file), or a read error
-// deletes the file and reads as a miss. A cache is always allowed to
-// forget; it is never allowed to lie — no damage mode surfaces as an
-// error to a sweep, and none can serve corrupt bytes as a result.
+// entry, and deletes anything damaged, including a complete entry
+// still under its temp name. At read time a failed checksum, a wrong
+// key (digest collision or foreign file), or a read error deletes the
+// file and reads as a miss. A cache is always allowed to forget; it
+// is never allowed to lie — no damage mode surfaces as an error to a
+// sweep, and none can serve corrupt bytes as a result.
 package cache

@@ -55,8 +55,8 @@ type LRUOptions[V any] struct {
 	Weigh func(V) Weight
 	// OnEvict observes capacity evictions (may be nil). It runs on the
 	// inserting goroutine after the cache lock is released, so it may
-	// take locks of its own (the spill tier enqueues a write-behind
-	// here) but must not call back into this cache.
+	// take locks of its own and do I/O (the spill tier writes the entry
+	// file here) but must not call back into this cache.
 	OnEvict func(key string, val V, w Weight)
 }
 

@@ -2,11 +2,12 @@ package cache
 
 // Tiered glues the memory LRU (tier 1) to the disk spill store
 // (tier 2). Capacity evictions from memory spill to disk instead of
-// being discarded; misses read through to disk and promote back into
-// memory under the LRU's singleflight, so a burst of lookups
-// for a spilled key costs one disk read. Any spill damage — failed
-// write, torn file, read error — degrades to a recompute, never an
-// error: the disk tier only ever adds warmth.
+// being discarded: the evicting call writes the entry file before it
+// returns. Misses read through to disk and promote back into memory
+// under the LRU's singleflight, so a burst of lookups for a spilled
+// key costs one disk read. Any spill damage — failed write, torn file,
+// read error — degrades to a recompute, never an error: the disk tier
+// only ever adds warmth.
 
 import "fmt"
 
@@ -60,8 +61,8 @@ type Tiered[V any] struct {
 	mem *LRU[V]
 }
 
-// NewTiered builds a tiered cache over opt.Disk (which the caller
-// opens and the Tiered takes ownership of closing).
+// NewTiered builds a tiered cache over opt.Disk, which the caller
+// opens and which may be nil.
 func NewTiered[V any](opt TieredOptions[V]) (*Tiered[V], error) {
 	if opt.Disk != nil && (opt.Encode == nil || opt.Decode == nil) {
 		return nil, fmt.Errorf("cache: a disk tier requires Encode and Decode")
@@ -75,10 +76,10 @@ func NewTiered[V any](opt TieredOptions[V]) (*Tiered[V], error) {
 	return t, nil
 }
 
-// spill is the memory tier's eviction hook: serialize and enqueue the
-// entry on the disk write-behind queue. Entries already resident on
-// disk (typically promoted-then-evicted ones whose value never
-// changed) are skipped — re-spilling identical bytes buys nothing.
+// spill is the memory tier's eviction hook: serialize the entry and
+// write it to the disk tier. Entries already resident on disk
+// (typically promoted-then-evicted ones whose value never changed)
+// are skipped — re-spilling identical bytes buys nothing.
 func (t *Tiered[V]) spill(key string, val V, w Weight) {
 	if t.opt.Disk == nil {
 		return
@@ -178,56 +179,18 @@ func (t *Tiered[V]) DiskBytes() int64 {
 	return t.opt.Disk.Bytes()
 }
 
-// spillAllChunk bounds how many spill writes SpillAll enqueues between
-// Flushes, so a shutdown spill of a large cache never overflows the
-// write-behind queue (which would silently drop the oldest entries).
-const spillAllChunk = 64
-
 // SpillAll writes every memory-resident entry not already on disk to
-// the spill tier and waits for them to land. Service shutdown calls it
-// so a restart finds the whole working set warm, not just what
-// happened to be evicted.
+// the spill tier. Service shutdown calls it so a restart finds the
+// whole working set warm, not just what happened to be evicted.
 func (t *Tiered[V]) SpillAll() {
 	if t.opt.Disk == nil {
 		return
 	}
-	chunk := spillAllChunk
-	if q := t.opt.Disk.QueueLen(); q < chunk {
-		chunk = q
-	}
-	n := 0
 	for _, e := range t.mem.Entries() {
-		if t.opt.Disk.Contains(e.Key) {
-			continue
-		}
-		payload, err := t.opt.Encode(e.Val)
-		if err != nil {
-			continue
-		}
 		w := Weight{Cost: 1, Bytes: 1}
 		if t.opt.Weigh != nil {
 			w = t.opt.Weigh(e.Val)
 		}
-		t.opt.Disk.Put(e.Key, payload, w.Cost)
-		if n++; n%chunk == 0 {
-			t.opt.Disk.Flush()
-		}
-	}
-	t.opt.Disk.Flush()
-}
-
-// Flush blocks until pending spill writes have landed.
-func (t *Tiered[V]) Flush() {
-	if t.opt.Disk != nil {
-		t.opt.Disk.Flush()
-	}
-}
-
-// Close drains and stops the disk tier. It does not spill resident
-// memory entries — call SpillAll first when warmth should survive the
-// restart.
-func (t *Tiered[V]) Close() {
-	if t.opt.Disk != nil {
-		t.opt.Disk.Close()
+		t.spill(e.Key, e.Val, w)
 	}
 }

@@ -30,7 +30,6 @@ func newTestTiered(t *testing.T, capacity int, disk *DiskStore) *Tiered[tierCell
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(tc.Close)
 	return tc
 }
 
@@ -77,7 +76,6 @@ func TestTieredEvictSpillPromote(t *testing.T) {
 	if _, tier := get("b", 2); tier != TierMiss {
 		t.Fatalf("first lookup of b: tier %v, want miss", tier)
 	}
-	tc.Flush() // a's spill has landed
 	if _, ok := tc.Peek("a"); ok {
 		t.Fatal("a still memory-resident at capacity 1")
 	}
@@ -131,12 +129,9 @@ func TestTieredObservers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tc.Close()
-
 	tc.GetOrCompute("a", func() (tierCell, error) { return tierCell{N: 1}, nil }) // miss
 	tc.GetOrCompute("a", func() (tierCell, error) { return tierCell{N: 1}, nil }) // mem hit
 	tc.GetOrCompute("b", func() (tierCell, error) { return tierCell{N: 2}, nil }) // miss, evicts a
-	tc.Flush()
 	tc.GetOrCompute("a", func() (tierCell, error) { return tierCell{N: 1}, nil }) // disk hit
 	tc.GetOrCompute("c", func() (tierCell, error) { return tierCell{}, errors.New("nope") })
 
@@ -152,7 +147,6 @@ func TestTieredContainsBothTiers(t *testing.T) {
 	tc := newTestTiered(t, 1, disk)
 	tc.Add("a", tierCell{N: 1})
 	tc.Add("b", tierCell{N: 2}) // evicts and spills a
-	tc.Flush()
 
 	if !tc.Contains("a") {
 		t.Error("Contains(a) false for a spilled entry")
@@ -174,7 +168,6 @@ func TestTieredContainsBothTiers(t *testing.T) {
 func TestTieredUndecodablePayloadRecomputes(t *testing.T) {
 	disk := openTestDisk(t, DiskOptions{})
 	disk.Put("a", []byte("not json"), 1)
-	disk.Flush()
 
 	tc := newTestTiered(t, 4, disk)
 	v, tier, err := tc.GetOrCompute("a", func() (tierCell, error) { return tierCell{N: 7}, nil })
@@ -187,7 +180,7 @@ func TestTieredUndecodablePayloadRecomputes(t *testing.T) {
 }
 
 // TestTieredMemoryOnly: without a disk tier, Tiered behaves exactly
-// like LRU — evictions discard, SpillAll/Flush/Close are no-ops.
+// like LRU — evictions discard, SpillAll is a no-op.
 func TestTieredMemoryOnly(t *testing.T) {
 	tc, err := NewTiered(TieredOptions[tierCell]{Capacity: 1})
 	if err != nil {
@@ -202,8 +195,6 @@ func TestTieredMemoryOnly(t *testing.T) {
 		t.Errorf("DiskLen = %d without a disk", n)
 	}
 	tc.SpillAll()
-	tc.Flush()
-	tc.Close()
 	v, tier, err := tc.GetOrCompute("a", func() (tierCell, error) { return tierCell{N: 9}, nil })
 	if err != nil || tier != TierMiss || v.N != 9 {
 		t.Errorf("memory-only recompute = (%+v, %v, %v)", v, tier, err)
@@ -219,12 +210,12 @@ func TestTieredRequiresCodec(t *testing.T) {
 	}
 }
 
-// TestTieredSpillAll: every memory-resident entry lands on disk, in
-// bounded chunks, and a second store over the same directory serves
-// them all — the shutdown/restart warmth contract.
+// TestTieredSpillAll: every memory-resident entry lands on disk, and a
+// second store over the same directory serves them all — the
+// shutdown/restart warmth contract.
 func TestTieredSpillAll(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spill")
-	disk, err := OpenDisk(DiskOptions{Dir: dir, QueueLen: 4}) // queue smaller than the working set
+	disk, err := OpenDisk(DiskOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,9 +225,8 @@ func TestTieredSpillAll(t *testing.T) {
 		tc.Add(fmt.Sprintf("k%d", i), tierCell{N: i + 1})
 	}
 	tc.SpillAll()
-	tc.Close()
 	if got := disk.Len(); got != n {
-		t.Fatalf("SpillAll landed %d of %d entries (chunking must out-pace the %d-deep queue)", got, n, 4)
+		t.Fatalf("SpillAll landed %d of %d entries", got, n)
 	}
 
 	disk2 := openTestDisk(t, DiskOptions{Dir: dir})
@@ -261,7 +251,6 @@ func TestTieredCoalescedDiskRead(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		tc.Add(fmt.Sprintf("filler%d", i), tierCell{N: i})
 	}
-	tc.Flush()
 	if _, ok := tc.Peek("cold"); ok {
 		t.Fatal("cold still memory-resident after 16 inserts at capacity 8")
 	}
@@ -298,7 +287,7 @@ func TestTieredCoalescedDiskRead(t *testing.T) {
 // evict → spill → promote cycles while values stay key-determined, so
 // any cross-tier corruption shows up as a wrong value.
 func TestTieredConcurrentPromoteEvictStorm(t *testing.T) {
-	disk := openTestDisk(t, DiskOptions{QueueLen: 16, MaxBytes: 1 << 20})
+	disk := openTestDisk(t, DiskOptions{MaxBytes: 1 << 20})
 	tc := newTestTiered(t, 8, disk) // tiny memory: constant eviction traffic
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

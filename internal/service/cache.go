@@ -94,11 +94,10 @@ func newSimCache(capacity int, disk *cache.DiskStore, m *Metrics) *simCache {
 // wired to the store's observers.
 func newSpillStore(dir string, maxBytes int64, m *Metrics) (*cache.DiskStore, error) {
 	return cache.OpenDisk(cache.DiskOptions{
-		Dir:         dir,
-		MaxBytes:    maxBytes,
-		OnWrite:     m.spillWrites.Inc,
-		OnWriteDrop: m.spillWriteDrops.Inc,
-		OnEvict:     m.spillEvictions.Inc,
-		OnError:     m.spillErrors.Inc,
+		Dir:      dir,
+		MaxBytes: maxBytes,
+		OnWrite:  m.spillWrites.Inc,
+		OnEvict:  m.spillEvictions.Inc,
+		OnError:  m.spillErrors.Inc,
 	})
 }

@@ -116,14 +116,15 @@
 // and among the least-recently-used entries the cheapest-per-byte is
 // evicted first, so one order-of-magnitude-more-expensive cell
 // outlives a crowd of trivial ones. With Config.SpillDir set, evicted
-// cells spill asynchronously to one checksummed file each and promote
-// back into memory on demand; Close spills the resident working set,
-// so a restarted valleyd answers repeat sweeps from cache (cells
-// report "cached": true, valleyd_cache_tier_hits_total{tier="disk"}
-// counts the disk serves). Spill damage of any kind — failed writes,
-// torn files, corrupt entries — degrades to a recomputed miss, never
-// an error or corrupt bytes; see internal/cache's package docs for the
-// full two-tier contract.
+// cells spill to one checksummed file each, which the evicting call
+// writes before it returns, and promote back into memory on demand;
+// Close spills the resident working set, so a restarted valleyd
+// answers repeat sweeps from cache (cells report "cached": true,
+// valleyd_cache_tier_hits_total{tier="disk"} counts the disk serves).
+// Spill damage of any kind — failed writes, torn files, corrupt
+// entries — degrades to a recomputed miss, never an error or corrupt
+// bytes; see internal/cache's package docs for the full two-tier
+// contract.
 //
 // # Fault injection
 //

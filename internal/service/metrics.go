@@ -40,12 +40,12 @@ type Metrics struct {
 	workerPanics        *obs.Counter
 
 	// Tiered sim-cache accounting: hits by serving tier, and the spill
-	// tier's write-behind/janitor activity. spillErrors counts damage
-	// events (failed writes, corrupt or unreadable entries) that
-	// degraded to a miss.
+	// tier's writes and janitor evictions. Each eviction from memory
+	// writes its entry file before the evicting call returns.
+	// spillErrors counts damage events (failed writes, corrupt or
+	// unreadable entries) that degraded to a miss.
 	tierHitsMem, tierHitsDisk *obs.Counter
 	spillWrites               *obs.Counter
-	spillWriteDrops           *obs.Counter
 	spillEvictions            *obs.Counter
 	spillErrors               *obs.Counter
 
@@ -117,9 +117,7 @@ func NewMetrics() *Metrics {
 	m.tierHitsMem = tierHits.With("mem")
 	m.tierHitsDisk = tierHits.With("disk")
 	m.spillWrites = counter("valleyd_cache_spill_writes_total",
-		"Spill entry files landed by the write-behind goroutine.")
-	m.spillWriteDrops = counter("valleyd_cache_spill_write_drops_total",
-		"Pending spill writes discarded on write-behind queue overflow (lost warmth, never correctness).")
+		"Spill entry files written; each lands before the call that spilled it returns.")
 	m.spillEvictions = counter("valleyd_cache_spill_evictions_total",
 		"Spill entries evicted by the byte-budget janitor (lowest cost-per-byte first).")
 	m.spillErrors = counter("valleyd_cache_spill_errors_total",
@@ -198,8 +196,9 @@ func (m *Metrics) TierHits() (mem, disk int64) {
 	return int64(m.tierHitsMem.Value()), int64(m.tierHitsDisk.Value())
 }
 
-// SpillCounts returns the spill tier's (writes landed, writes dropped
-// on queue overflow, janitor evictions) counters.
+// SpillCounts returns the spill tier's (entry files written, dropped
+// writes, janitor evictions) counters. Spill writes are never dropped,
+// so drops is always 0.
 func (m *Metrics) SpillCounts() (writes, drops, evictions int64) {
-	return int64(m.spillWrites.Value()), int64(m.spillWriteDrops.Value()), int64(m.spillEvictions.Value())
+	return int64(m.spillWrites.Value()), 0, int64(m.spillEvictions.Value())
 }

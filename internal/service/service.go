@@ -74,10 +74,10 @@ type Config struct {
 	// zero-copy mmap path instead of an HTTP body copy.
 	TraceDir string
 	// SpillDir, when set, makes the simulation-result cache durable and
-	// larger than RAM: entries evicted from memory spill to
-	// per-entry checksummed files under this directory (written by an
-	// async write-behind goroutine), misses read through and promote
-	// back, and Close drains the resident set to disk so a restarted
+	// larger than RAM: entries evicted from memory spill to per-entry
+	// checksummed files under this directory (the evicting call writes
+	// the file before it returns), misses read through and promote
+	// back, and Close writes the resident set to disk so a restarted
 	// valleyd serves repeat sweeps warm. Damaged entries load as
 	// misses, never errors.
 	SpillDir string
@@ -190,10 +190,10 @@ func New(cfg Config) *Service {
 
 // Close drains the worker pool (in-flight cells finish; new
 // submissions are rejected), waits for every accepted job to reach a
-// terminal state and, when a spill directory is configured, spills the
-// memory-resident cache and drains the write-behind queue so a
-// restarted service starts with the whole working set warm. Close is
-// idempotent.
+// terminal state and, when a spill directory is configured, writes the
+// memory-resident cache to it, each entry file landing before Close
+// returns, so a restarted service starts with the whole working set
+// warm. Close is idempotent.
 func (s *Service) Close() {
 	s.closeOnce.Do(func() {
 		s.closeMu.Lock()
@@ -202,7 +202,6 @@ func (s *Service) Close() {
 		s.pool.close()
 		s.sweepWG.Wait()
 		s.simCache.SpillAll()
-		s.simCache.Close()
 	})
 }
 

@@ -35,11 +35,10 @@ func TestSpillRestartWarm(t *testing.T) {
 			t.Errorf("cold cell %s/%s reported cached", c.Workload, c.Scheme)
 		}
 	}
-	s1.simCache.Flush()
 	if mem, disk := s1.simCache.MemLen(), s1.simCache.DiskLen(); mem != 1 || disk != 3 {
 		t.Fatalf("after the cold sweep %d cells in memory and %d spilled, want 1 and 3", mem, disk)
 	}
-	s1.Close() // spills the resident tail and drains the write-behind queue
+	s1.Close() // spills the resident tail
 	if writes, _, _ := s1.Metrics().SpillCounts(); writes < 4 {
 		t.Fatalf("spilled %d entries across eviction + Close, want >= 4", writes)
 	}
