@@ -34,11 +34,13 @@
 // zero-copy via mmap with no HTTP body at all.
 //
 // With -spill-dir, the simulation-result cache is two-tier: cells
-// evicted from memory spill to checksummed per-entry files (written
-// asynchronously, bounded by -spill-max-bytes) and are promoted back on
-// demand, so a restarted daemon answers repeat sweeps from cache (cells
-// report "cached": true) instead of re-simulating, and warm capacity is
-// bounded by disk, not RAM.
+// evicted from memory spill to checksummed per-entry files (the
+// evicting call writes the file before it returns; the directory is
+// bounded by -spill-max-bytes) and are promoted back on demand. Every
+// exit after startup, including a shutdown that times out, first
+// writes the cells still in memory, so a restarted daemon answers
+// repeat sweeps from cache (cells report "cached": true) instead of
+// re-simulating, and warm capacity is bounded by disk, not RAM.
 //
 // Deadlines: sweep requests may carry ?deadline_ms= or an X-Deadline-Ms
 // header; -default-deadline bounds sweeps that carry neither (0 keeps
@@ -72,7 +74,12 @@ import (
 	"valleymap/internal/fault"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run serves until a signal or a listener failure and returns the exit
+// code. It returns instead of calling os.Exit so the deferred svc.Close
+// spills the cache on every path, a failed shutdown included.
+func run() int {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "worker-pool queue depth (0 = 256)")
@@ -95,7 +102,7 @@ func main() {
 	logger, err := valleymap.NewLogger(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
 		slog.Error("bad logging flags", "error", err)
-		os.Exit(2)
+		return 2
 	}
 	slog.SetDefault(logger)
 
@@ -159,7 +166,7 @@ func main() {
 	case err := <-errc:
 		if !errors.Is(err, http.ErrServerClosed) {
 			slog.Error("server failed", "error", err)
-			os.Exit(1)
+			return 1
 		}
 	case <-ctx.Done():
 		slog.Info("shutting down")
@@ -167,8 +174,9 @@ func main() {
 		defer cancel()
 		if err := srv.Shutdown(shutCtx); err != nil {
 			slog.Error("shutdown failed", "error", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	slog.Info("bye")
+	return 0
 }
