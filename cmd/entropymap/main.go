@@ -6,7 +6,7 @@
 // coalesce → online windowed profile), so -trace handles files far
 // larger than memory at O(window × bits) footprint. Both trace
 // containers are accepted (sniffed by magic): CSV streams through the
-// tokenizing decoder, VTRC binary (see cmd/tracepack) is mmapped and
+// text decoder, VTRC binary (see cmd/tracepack) is mmapped and
 // profiled zero-copy.
 //
 // Usage:

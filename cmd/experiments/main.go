@@ -14,9 +14,9 @@
 //
 // -trace sidesteps the packaged benchmarks entirely and profiles a local
 // trace file with the Figure-5 per-bit analysis. Both containers are
-// accepted (sniffed by magic): CSV streams through the tokenizing
-// decoder; VTRC binary (see cmd/tracepack) is mmapped and profiled
-// zero-copy, so full-scale captures profile at flat memory.
+// accepted (sniffed by magic): CSV streams through the text decoder;
+// VTRC binary (see cmd/tracepack) is mmapped and profiled zero-copy,
+// so full-scale captures profile at flat memory.
 package main
 
 import (

@@ -108,10 +108,10 @@ func (m Matrix) Apply(addr uint64) uint64 {
 // stack-local array and the dimension mask is derived once per batch,
 // so the per-address loop carries none of Apply's per-call overhead and
 // — because a local array provably cannot alias the addrs being written
-// — none of the reloads the in-place stores would otherwise force. This
-// is the transform hook the streaming coalescer/profiler feeds a batch
-// at a time; BenchmarkApplyVsApplyBatch measures the win over looping
-// Apply (~1.5× on a 30-bit matrix).
+// — none of the reloads the in-place stores would otherwise force
+// (~1.5× over looping Apply on a 30-bit matrix). It stays for the
+// public valleymap.BIM API; mappers apply a compiled Table instead,
+// several times faster again (BenchmarkApplyVsApplyBatch).
 func (m Matrix) ApplyBatch(addrs []uint64) {
 	var rowbuf [MaxBits]uint64
 	rows := rowbuf[:copy(rowbuf[:], m.rows)]

@@ -33,12 +33,13 @@ type StreamOptions struct {
 	// Bits is the number of address bits profiled.
 	Bits int
 	// BatchTransform optionally maps addresses before profiling, a
-	// batch at a time and in place (e.g. bim.Matrix.ApplyBatch via
-	// mapping.Mapper.MapBatch), the streaming counterpart of
-	// AppProfile's transform argument. The accumulator copies addresses
-	// into a scratch buffer first, so the stream's batches are never
-	// mutated. With Workers > 1 it is called from that many goroutines
-	// concurrently and must be safe for concurrent use.
+	// batch at a time and in place (e.g. mapping.Mapper.MapBatch, which
+	// applies the mapper's compiled bim.Table), the streaming
+	// counterpart of AppProfile's transform argument. The accumulator
+	// copies addresses into a scratch buffer first, so the stream's
+	// batches are never mutated. With Workers > 1 it is called from
+	// that many goroutines concurrently and must be safe for concurrent
+	// use.
 	BatchTransform func([]uint64)
 	// Workers > 1 fans per-TB profiling out across that many goroutines
 	// in ProfileStream (typically GOMAXPROCS); folding stays in TB

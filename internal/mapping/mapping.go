@@ -48,11 +48,18 @@ func ParseScheme(name string) (Scheme, error) {
 func Proposed() []Scheme { return []Scheme{PAE, FAE, ALL} }
 
 // Mapper transforms physical addresses before they reach the memory
-// subsystem. Implementations must be bijections.
+// subsystem. Implementations must be bijections. The zero Mapper maps
+// every address to itself.
 type Mapper struct {
 	scheme Scheme
 	layout layout.Layout
 	matrix bim.Matrix
+	table  bim.Table // matrix compiled once, for Map and MapBatch
+}
+
+// newMapper is every constructor's last step: it compiles m.
+func newMapper(s Scheme, l layout.Layout, m bim.Matrix) Mapper {
+	return Mapper{scheme: s, layout: l, matrix: m, table: m.Table()}
 }
 
 // Scheme returns the scheme this mapper implements.
@@ -64,14 +71,15 @@ func (m Mapper) Layout() layout.Layout { return m.layout }
 // Matrix returns the underlying BIM.
 func (m Mapper) Matrix() bim.Matrix { return m.matrix }
 
-// Map transforms one address. Block-offset bits are never altered by any
-// scheme in this package.
-func (m Mapper) Map(addr uint64) uint64 { return m.matrix.Apply(addr) }
+// Map transforms one address through the compiled matrix (bim.Table),
+// with exactly bim.Matrix.Apply's result. Block-offset bits are never
+// altered by any scheme in this package.
+func (m Mapper) Map(addr uint64) uint64 { return m.table.Apply(addr) }
 
-// MapBatch transforms a batch of addresses in place (bim.ApplyBatch):
-// the streaming profiler's batch transform hook, equivalent to calling
-// Map on each element but without the per-address call overhead.
-func (m Mapper) MapBatch(addrs []uint64) { m.matrix.ApplyBatch(addrs) }
+// MapBatch transforms a batch of addresses in place, equivalent to
+// calling Map on each element but without the per-address call; it is
+// what the streaming profiler's StreamOptions.BatchTransform receives.
+func (m Mapper) MapBatch(addrs []uint64) { m.table.ApplyBatch(addrs) }
 
 // GateCost reports the XOR-tree cost of the mapper's hardware (Figure 7).
 func (m Mapper) GateCost() (gates, depth int) { return m.matrix.GateCost() }
@@ -92,7 +100,7 @@ func targetBits(l layout.Layout) []int {
 // NewBASE returns the baseline mapper: the layout's own address map,
 // i.e. the identity BIM.
 func NewBASE(l layout.Layout) Mapper {
-	return Mapper{scheme: BASE, layout: l, matrix: bim.Identity(l.Bits)}
+	return newMapper(BASE, l, bim.Identity(l.Bits))
 }
 
 // NewPM builds the permutation-based mapping of Figure 8 (Zhang et al.
@@ -109,7 +117,7 @@ func NewPM(l layout.Layout) Mapper {
 	if !m.Invertible() {
 		panic("mapping: PM matrix must be invertible")
 	}
-	return Mapper{scheme: PM, layout: l, matrix: m}
+	return newMapper(PM, l, m)
 }
 
 // NewRMP builds the Remap scheme: the bits with the highest average
@@ -137,7 +145,7 @@ func NewRMP(l layout.Layout, avgEntropy []float64) Mapper {
 	if len(chosen) != len(targets) {
 		panic(fmt.Sprintf("mapping: RMP needs %d source bits, got %d", len(targets), len(chosen)))
 	}
-	return Mapper{scheme: RMP, layout: l, matrix: permutationSwapping(l.Bits, targets, chosen)}
+	return newMapper(RMP, l, permutationSwapping(l.Bits, targets, chosen))
 }
 
 // DefaultRMPBits returns the paper's RMP source-bit choice for the Hynix
@@ -184,7 +192,7 @@ func permutationSwapping(n int, targets, sources []int) bim.Matrix {
 func NewPAE(l layout.Layout, seed int64) Mapper {
 	rng := rand.New(rand.NewSource(seed))
 	m := bim.RandomConstrained(rng, l.Bits, targetBits(l), l.PageMask())
-	return Mapper{scheme: PAE, layout: l, matrix: m}
+	return newMapper(PAE, l, m)
 }
 
 // NewFAE builds the Full Address Entropy scheme: like PAE but the input
@@ -193,7 +201,7 @@ func NewPAE(l layout.Layout, seed int64) Mapper {
 func NewFAE(l layout.Layout, seed int64) Mapper {
 	rng := rand.New(rand.NewSource(seed))
 	m := bim.RandomConstrained(rng, l.Bits, targetBits(l), l.NonBlockMask())
-	return Mapper{scheme: FAE, layout: l, matrix: m}
+	return newMapper(FAE, l, m)
 }
 
 // NewALL builds the ALL scheme: every non-block output bit (row, column,
@@ -203,7 +211,7 @@ func NewALL(l layout.Layout, seed int64) Mapper {
 	rng := rand.New(rand.NewSource(seed))
 	outs := layout.Bits0(l.NonBlockMask())
 	m := bim.RandomConstrained(rng, l.Bits, outs, l.NonBlockMask())
-	return Mapper{scheme: ALL, layout: l, matrix: m}
+	return newMapper(ALL, l, m)
 }
 
 // NewCustom wraps a user-supplied BIM as a mapper, for design-space
@@ -223,7 +231,7 @@ func NewCustom(name Scheme, l layout.Layout, m bim.Matrix) (Mapper, error) {
 			return Mapper{}, fmt.Errorf("mapping: custom matrix for %q remaps block bit %d", name, b)
 		}
 	}
-	return Mapper{scheme: name, layout: l, matrix: m}, nil
+	return newMapper(name, l, m), nil
 }
 
 // NewBroadCustom generates a Broad-strategy mapper whose regenerated
@@ -233,7 +241,7 @@ func NewCustom(name Scheme, l layout.Layout, m bim.Matrix) (Mapper, error) {
 func NewBroadCustom(name Scheme, l layout.Layout, inMask uint64, seed int64) Mapper {
 	rng := rand.New(rand.NewSource(seed))
 	m := bim.RandomConstrained(rng, l.Bits, targetBits(l), inMask)
-	return Mapper{scheme: name, layout: l, matrix: m}
+	return newMapper(name, l, m)
 }
 
 // Options configures New for schemes that need extra inputs.

@@ -243,20 +243,48 @@ func TestString(t *testing.T) {
 	}
 }
 
+// TestMapBatchMatchesMap: Map and MapBatch, which apply the compiled
+// table, agree with the reference bim.Matrix.Apply for every scheme,
+// address bits above the layout's 30 included.
 func TestMapBatchMatchesMap(t *testing.T) {
 	for _, sc := range Schemes() {
 		m := MustNew(sc, hynix(), Options{Seed: 2})
 		addrs := make([]uint64, 513)
 		want := make([]uint64, len(addrs))
 		for i := range addrs {
-			addrs[i] = uint64(i*2654435761) & (1<<30 - 1)
-			want[i] = m.Map(addrs[i])
+			addrs[i] = uint64(i) * 0x9e3779b97f4a7c15
+			if i%2 == 0 {
+				addrs[i] &= 1<<30 - 1
+			}
+			want[i] = m.Matrix().Apply(addrs[i])
+			if got := m.Map(addrs[i]); got != want[i] {
+				t.Fatalf("%s: Map(%#x) = %#x, Matrix.Apply = %#x", sc, addrs[i], got, want[i])
+			}
 		}
 		m.MapBatch(addrs)
 		for i := range addrs {
 			if addrs[i] != want[i] {
-				t.Fatalf("%s: MapBatch[%d] = %#x, Map = %#x", sc, i, addrs[i], want[i])
+				t.Fatalf("%s: MapBatch[%d] = %#x, Matrix.Apply = %#x", sc, i, addrs[i], want[i])
 			}
+		}
+	}
+}
+
+// TestZeroMapperIsIdentity: a Mapper no constructor built maps every
+// address to itself, through Map and MapBatch alike.
+func TestZeroMapperIsIdentity(t *testing.T) {
+	var m Mapper
+	addrs := []uint64{0, 1, 0x3fffffff, 0x12345678, 1 << 40, ^uint64(0)}
+	want := append([]uint64(nil), addrs...)
+	for _, a := range addrs {
+		if got := m.Map(a); got != a {
+			t.Errorf("zero Mapper maps %#x to %#x", a, got)
+		}
+	}
+	m.MapBatch(addrs)
+	for i := range addrs {
+		if addrs[i] != want[i] {
+			t.Errorf("zero Mapper's MapBatch maps %#x to %#x", want[i], addrs[i])
 		}
 	}
 }

@@ -8,14 +8,22 @@ import (
 	"testing"
 )
 
-// TestIngestAllocs pins the allocation ceilings of both binary ingest
-// paths over benchApp, per full pass. The reader decoder allocates
-// fixed-size buffers, its hasher and kernel names (14 on a linux/amd64
-// host); an MmapSource pass, a replay, allocates only its decoder
+// TestIngestAllocs pins the allocation ceilings of the three ingest
+// paths over benchApp, per full pass. The CSV decoder allocates its
+// scanner buffer, batch, hasher and kernel names, and grows its hash
+// scratch (27 on a linux/amd64 host), none of it per row. The binary
+// reader decoder allocates fixed-size buffers, its hasher and kernel
+// names (14); an MmapSource pass, a replay, allocates only its decoder
 // struct: batches alias the mapping, kernel headers were saved at open
-// and a replay builds no hasher. A leap past either ceiling means a
-// buffer stopped being reused or a stack buffer started escaping.
+// and a replay builds no hasher. A leap past any ceiling means a buffer
+// stopped being reused, a stack buffer started escaping, or a parser
+// started allocating per row.
 func TestIngestAllocs(t *testing.T) {
+	var csvBuf bytes.Buffer
+	if err := WriteCSV(&csvBuf, benchApp()); err != nil {
+		t.Fatal(err)
+	}
+	csvData := csvBuf.Bytes()
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, benchApp()); err != nil {
 		t.Fatal(err)
@@ -49,11 +57,16 @@ func TestIngestAllocs(t *testing.T) {
 		}
 	}
 	r := bytes.NewReader(data)
+	cr := bytes.NewReader(csvData)
 	cases := []struct {
 		name    string
 		ceiling float64
 		pass    func()
 	}{
+		{"CSVStream", 32, func() {
+			cr.Reset(csvData)
+			drain(NewCSVStream(cr))
+		}},
 		{"BinaryStream", 32, func() {
 			r.Reset(data)
 			drain(NewBinaryStream(r))

@@ -48,8 +48,10 @@ func drainStream(b *testing.B, s Stream) int {
 	}
 }
 
-// BenchmarkCSVStream is the baseline the binary container is measured
-// against: tokenize + strconv per field, per row.
+// BenchmarkCSVStream decodes benchApp from CSV text, the baseline the
+// binary container is measured against. WriteCSV writes only
+// well-formed request lines, so every request takes the one-pass
+// parser; K records and the comment take the general tokenizer.
 func BenchmarkCSVStream(b *testing.B) {
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, benchApp()); err != nil {

@@ -2,8 +2,8 @@ package trace
 
 // VTRC binary trace container: the zero-parse counterpart of the CSV
 // format. Fixed-width little-endian records mean ingest is a
-// bounds-check plus (at most) a 16-byte copy per request instead of
-// tokenize + strconv per field, and the canonical record-stream hash
+// bounds-check plus (at most) a 16-byte copy per request instead of a
+// parse of about 19 bytes of text, and the canonical record-stream hash
 // doubles as both the file checksum and the content-addressed cache
 // identity shared with CSV uploads. BinaryStream is the one decoder,
 // for uploads and mapped files alike: it validates everything in one

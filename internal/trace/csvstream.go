@@ -9,10 +9,19 @@ package trace
 // and whitespace notwithstanding. ReadCSV is a thin adapter that drains
 // a CSVStream into an *App, so the materialized and streaming decoders
 // accept and reject inputs identically by construction.
+//
+// Each line takes one of two paths. A well-formed request line — the
+// shape WriteCSV emits — is parsed in one forward pass over its bytes
+// (parseRequestLine). Every other line (K records, comments, blank or
+// padded lines, signs, longer fields, anything malformed) goes through
+// the general tokenizer: trim, split on commas, parse each field. Only
+// the general path reports errors, so error text does not depend on
+// which path a line took.
 
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -146,84 +155,177 @@ func (s *CSVStream) Next() (*Batch, error) {
 			return nil, io.EOF
 		}
 		s.line++
-		text := bytes.TrimSpace(s.sc.Bytes())
-		if len(text) == 0 || text[0] == '#' {
-			continue
-		}
-		nf := splitComma(text, fields[:])
-		switch {
-		case nf >= 1 && len(fields[0]) == 1 && fields[0][0] == 'K':
-			if nf != 4 {
-				return s.failf("trace csv line %d: K record needs 4 fields", s.line)
+		line := s.sc.Bytes()
+		tbID, req, ok := parseRequestLine(line)
+		if !ok || s.kernelIndex < 0 {
+			text := bytes.TrimSpace(line)
+			if len(text) == 0 || text[0] == '#' {
+				continue
 			}
-			warps, ok := atoiBytes(fields[2])
-			if !ok || warps <= 0 {
-				return s.failf("trace csv line %d: bad warp count %q", s.line, fields[2])
-			}
-			gap, ok := atoiBytes(fields[3])
-			if !ok || gap < 0 {
-				return s.failf("trace csv line %d: bad gap %q", s.line, fields[3])
-			}
-			hdr := KernelInfo{Name: string(fields[1]), WarpsPerTB: warps, ComputeGapCycles: gap}
-			if len(s.reqs) > 0 {
-				s.pendingHdr = &hdr
-				return s.flush(tbStart), nil
-			}
-			return s.emitHeader(hdr), nil
-		case nf >= 1 && len(fields[0]) == 1 && fields[0][0] == 'R':
-			if s.kernelIndex < 0 {
-				return s.failf("trace csv line %d: R record before any K record", s.line)
-			}
-			if nf != 5 {
-				return s.failf("trace csv line %d: R record needs 5 fields", s.line)
-			}
-			tbID, ok := atoiBytes(fields[1])
-			if !ok {
-				return s.failf("trace csv line %d: bad tb id %q", s.line, fields[1])
-			}
-			warp, ok := atoiBytes(fields[2])
-			if !ok || warp < 0 || warp > math.MaxInt32 {
-				// Warp is an int32 in Request; accepting a wider value here
-				// would wrap it negative — unrepresentable in either
-				// container and a silent corruption of the trace.
-				return s.failf("trace csv line %d: bad warp %q", s.line, fields[2])
-			}
-			var kind Kind
+			nf := splitComma(text, fields[:])
 			switch {
-			case len(fields[3]) == 1 && fields[3][0] == 'R':
-				kind = Read
-			case len(fields[3]) == 1 && fields[3][0] == 'W':
-				kind = Write
-			default:
-				return s.failf("trace csv line %d: bad kind %q", s.line, fields[3])
-			}
-			addr, ok := hexBytes(fields[4])
-			if !ok {
-				return s.failf("trace csv line %d: bad address %q", s.line, fields[4])
-			}
-			req := Request{Addr: addr, Kind: kind, Warp: int32(warp)}
-			if !s.haveTB || tbID != s.curTB {
-				if s.haveTB && tbID <= s.curTB {
-					return s.failf("trace csv line %d: TB ids must ascend within a kernel", s.line)
+			case nf >= 1 && len(fields[0]) == 1 && fields[0][0] == 'K':
+				if nf != 4 {
+					return s.failf("trace csv line %d: K record needs 4 fields", s.line)
 				}
+				warps, ok := atoiBytes(fields[2])
+				if !ok || warps <= 0 {
+					return s.failf("trace csv line %d: bad warp count %q", s.line, fields[2])
+				}
+				gap, ok := atoiBytes(fields[3])
+				if !ok || gap < 0 {
+					return s.failf("trace csv line %d: bad gap %q", s.line, fields[3])
+				}
+				hdr := KernelInfo{Name: string(fields[1]), WarpsPerTB: warps, ComputeGapCycles: gap}
 				if len(s.reqs) > 0 {
-					s.havePending = true
-					s.pendingReq = req
-					s.pendingTB = tbID
+					s.pendingHdr = &hdr
 					return s.flush(tbStart), nil
 				}
-				s.curTB = tbID
-				s.haveTB = true
-				tbStart = true
+				return s.emitHeader(hdr), nil
+			case nf >= 1 && len(fields[0]) == 1 && fields[0][0] == 'R':
+				if s.kernelIndex < 0 {
+					return s.failf("trace csv line %d: R record before any K record", s.line)
+				}
+				var err error
+				if tbID, req, err = parseRequestFields(fields[:nf]); err != nil {
+					return s.failf("trace csv line %d: %v", s.line, err)
+				}
+			default:
+				return s.failf("trace csv line %d: unknown record type %q", s.line, fields[0])
 			}
-			s.reqs = append(s.reqs, req)
-			if len(s.reqs) >= maxBatchRequests {
+		}
+		if !s.haveTB || tbID != s.curTB {
+			if s.haveTB && tbID <= s.curTB {
+				return s.failf("trace csv line %d: TB ids must ascend within a kernel", s.line)
+			}
+			if len(s.reqs) > 0 {
+				s.havePending = true
+				s.pendingReq = req
+				s.pendingTB = tbID
 				return s.flush(tbStart), nil
 			}
-		default:
-			return s.failf("trace csv line %d: unknown record type %q", s.line, fields[0])
+			s.curTB = tbID
+			s.haveTB = true
+			tbStart = true
+		}
+		s.reqs = append(s.reqs, req)
+		if len(s.reqs) >= maxBatchRequests {
+			return s.flush(tbStart), nil
 		}
 	}
+}
+
+// parseRequestLine parses a well-formed request line in one forward
+// pass: "R,", a TB id and a warp of 1–9 decimal digits each, "R" or
+// "W", and 1–16 hex digits, comma-separated, with nothing before,
+// between or after them. Nine digits stay below MaxInt32 and sixteen
+// hex digits fit 64 bits, so no value needs a range check. Any other
+// line reports ok = false and is left to the general tokenizer, which
+// accepts every line this accepts, with the same TB id and request
+// (FuzzCSVStreamParity).
+func parseRequestLine(line []byte) (tbID int, req Request, ok bool) {
+	if len(line) < 2 || line[0] != 'R' || line[1] != ',' {
+		return 0, req, false
+	}
+	tbID, i := decimalField(line, 2)
+	if i < 0 {
+		return 0, req, false
+	}
+	warp, i := decimalField(line, i)
+	if i < 0 || i+2 >= len(line) || line[i+1] != ',' {
+		return 0, req, false
+	}
+	switch line[i] {
+	case 'R':
+		req.Kind = Read
+	case 'W':
+		req.Kind = Write
+	default:
+		return 0, req, false
+	}
+	hex := line[i+2:]
+	if len(hex) > 16 {
+		return 0, req, false
+	}
+	for _, c := range hex {
+		d := hexDigit[c]
+		if d > 0xf {
+			return 0, req, false
+		}
+		req.Addr = req.Addr<<4 | uint64(d)
+	}
+	req.Warp = int32(warp)
+	return tbID, req, true
+}
+
+// decimalField reads 1–9 decimal digits of line starting at i and the
+// comma after them. It returns the value and the index past the comma,
+// or next < 0 if the field is anything else.
+func decimalField(line []byte, i int) (v, next int) {
+	j := i
+	for j < len(line) && j-i < 9 {
+		d := line[j] - '0'
+		if d > 9 {
+			break
+		}
+		v = v*10 + int(d)
+		j++
+	}
+	if j == i || j >= len(line) || line[j] != ',' {
+		return 0, -1
+	}
+	return v, j + 1
+}
+
+// hexDigit maps a byte to its hex digit value, or 0xff if it is none.
+// hexBytes keeps its own digit switch: the general path is the
+// reference FuzzCSVStreamParity holds this parser to, so the two share
+// no digit logic.
+var hexDigit = func() (t [256]byte) {
+	for c := range t {
+		t[c] = 0xff
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = byte(c - '0')
+	}
+	for c := 'a'; c <= 'f'; c++ {
+		t[c] = byte(c-'a') + 10
+		t[c-'a'+'A'] = byte(c-'a') + 10
+	}
+	return t
+}()
+
+// parseRequestFields is the general tokenizer's parser for the fields
+// of an R record, the record type included. Its errors carry no line
+// number; Next adds it.
+func parseRequestFields(fields [][]byte) (tbID int, req Request, err error) {
+	if len(fields) != 5 {
+		return 0, req, errors.New("R record needs 5 fields")
+	}
+	tbID, ok := atoiBytes(fields[1])
+	if !ok {
+		return 0, req, fmt.Errorf("bad tb id %q", fields[1])
+	}
+	warp, ok := atoiBytes(fields[2])
+	if !ok || warp < 0 || warp > math.MaxInt32 {
+		// Warp is an int32 in Request; accepting a wider value here
+		// would wrap it negative — unrepresentable in either
+		// container and a silent corruption of the trace.
+		return 0, req, fmt.Errorf("bad warp %q", fields[2])
+	}
+	switch {
+	case len(fields[3]) == 1 && fields[3][0] == 'R':
+		req.Kind = Read
+	case len(fields[3]) == 1 && fields[3][0] == 'W':
+		req.Kind = Write
+	default:
+		return 0, req, fmt.Errorf("bad kind %q", fields[3])
+	}
+	if req.Addr, ok = hexBytes(fields[4]); !ok {
+		return 0, req, fmt.Errorf("bad address %q", fields[4])
+	}
+	req.Warp = int32(warp)
+	return tbID, req, nil
 }
 
 // splitComma splits text on commas into dst without allocating; it

@@ -12,7 +12,11 @@
 // metadata such as name and instruction weight is in neither):
 //
 //   - CSV (io.go, csvstream.go): human-readable, one record per line.
-//     Decoding pays per-byte tokenization and integer parsing.
+//     A well-formed request line is parsed in one forward pass over its
+//     bytes; every other line (kernel headers, comments, padded or
+//     malformed lines) is trimmed, split and parsed field by field,
+//     and only that general path reports errors. Either way decoding
+//     reads every byte of text, about 19 per request.
 //   - VTRC binary (binary.go, mmap.go): fixed-width little-endian
 //     records behind a magic + version header, checksummed. Decoding is
 //     a bounds-checked copy (or, on the mmap path, no copy at all).

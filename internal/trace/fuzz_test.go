@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"reflect"
@@ -8,17 +9,19 @@ import (
 	"testing"
 )
 
-// FuzzCSVStreamParity holds the materialized and streaming CSV decoders
-// to identical accept/reject behavior on arbitrary inputs, and to never
-// panicking. ReadCSV is today a draining adapter over CSVStream — the
-// fuzz target pins that equivalence as a contract, so a future
-// reimplementation of either path (a faster materialized parser, a
-// stricter streaming one) cannot silently diverge on inputs no table
-// test thought of. It also cross-checks the hashed and unhashed stream
-// variants, the incremental digest, and error stickiness.
+// FuzzCSVStreamParity holds the CSV decoder's two line parsers to each
+// other: every line the one-pass request parser (parseRequestLine)
+// accepts, the general tokenizer must accept too, with the same TB id
+// and request. Since the rest of decoding is shared, that makes the
+// one-pass path a pure speed-up, never a change in what a trace means.
+// The target also holds ReadCSV and CSVStream to identical
+// accept/reject behavior and error text (ReadCSV drains a CSVStream, so
+// this pins the adapter, not a second parser), requires that no input
+// panics, and cross-checks the hashed and unhashed stream variants, the
+// incremental digest, and error stickiness.
 //
-// Seeded from the malformed-input parity corpus plus the
-// valid-but-unusual accept corpus (stream_test.go).
+// Seeded from the malformed-input parity corpus, the valid-but-unusual
+// accept corpus (stream_test.go) and the one-pass parser's edges.
 func FuzzCSVStreamParity(f *testing.F) {
 	for _, tc := range malformedCSVCases {
 		f.Add(tc.in)
@@ -32,8 +35,20 @@ func FuzzCSVStreamParity(f *testing.F) {
 	f.Add("K,k\x00,1,1\nR,0,0,R,10\n")
 	f.Add("K,k,1,1\r\nR,0,0,R,10\r\n")
 	f.Add("K,k,1,1\nR,0,0,R,10\n# mid\nR,0,1,W,20\n")
+	// The one-pass parser's edges: 9- and 10-digit TB ids and warps,
+	// 16 and 17 hex digits, leading zeros, upper-case hex, a trailing
+	// space or carriage return, and a request before any kernel.
+	f.Add("K,k,1,1\nR,999999999,999999999,W,ffffffffffffffff\n")
+	f.Add("K,k,1,1\nR,1000000000,0,R,10\nR,1000000001,1000000000,R,10\n")
+	f.Add("K,k,1,1\nR,0,0,R,1ffffffffffffffff\nR,1,0,R,00000000000000010\n")
+	f.Add("K,k,1,1\nR,007,000000009,R,0000000000000000\n")
+	f.Add("K,k,1,1\nR,1,2,W,DEADbeef\nR,1,2,R,ABCDEF0\n")
+	f.Add("K,k,1,1\nR,0,0,R,10 \nR,0,0,R,20\r\r\n")
+	f.Add("R,0,0,R,10\nK,k,1,1\nR,0,0,R,10\n")
 
 	f.Fuzz(func(t *testing.T, in string) {
+		onePassAgrees(t, in)
+
 		// Materialized decode (drains a fresh hashed stream internally).
 		matApp, matErr := ReadCSV(strings.NewReader(in))
 
@@ -84,6 +99,38 @@ func FuzzCSVStreamParity(f *testing.F) {
 			t.Fatalf("hashed and unhashed decodes differ on %q", in)
 		}
 	})
+}
+
+// onePassAgrees runs every line of in through the one-pass request
+// parser and, wherever it accepts, through the general tokenizer as
+// Next does (trim, skip blanks and comments, split, parse the R
+// fields), which must accept with the same TB id and request.
+func onePassAgrees(t *testing.T, in string) {
+	sc := bufio.NewScanner(strings.NewReader(in))
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Bytes()
+		tbID, req, ok := parseRequestLine(line)
+		if !ok {
+			continue
+		}
+		text := bytes.TrimSpace(line)
+		if len(text) == 0 || text[0] == '#' {
+			t.Fatalf("one-pass parser accepted blank or comment line %q", line)
+		}
+		var fields [8][]byte
+		nf := splitComma(text, fields[:])
+		if string(fields[0]) != "R" {
+			t.Fatalf("one-pass parser accepted %q, record type %q", line, fields[0])
+		}
+		gTB, gReq, err := parseRequestFields(fields[:nf])
+		if err != nil {
+			t.Fatalf("one-pass parser accepted %q, general tokenizer rejected it: %v", line, err)
+		}
+		if gTB != tbID || gReq != req {
+			t.Fatalf("parsers disagree on %q: one-pass tb %d %+v, general tb %d %+v", line, tbID, req, gTB, gReq)
+		}
+	}
 }
 
 // FuzzTraceFormatParity is the three-way container parity fuzz: the
