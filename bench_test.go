@@ -343,9 +343,9 @@ func BenchmarkFigure20NonValley(b *testing.B) {
 // BenchmarkProfilePipeline compares the two profiling pipelines end to
 // end on MT at small scale. "materialized" is the pre-streaming path
 // (Build the trace, CoalesceApp copies it, AppProfile walks it);
-// "streaming" folds the generator's batches online at O(window × bits)
-// memory; "streaming-parallel" adds the per-TB worker fan-out. The
-// ns/request metric divides by the coalesced request count.
+// "streaming" folds the generator's batches online in one sequential
+// pass at O(window × bits) memory. The ns/request metric divides by the
+// coalesced request count.
 func BenchmarkProfilePipeline(b *testing.B) {
 	spec, _ := valleymap.WorkloadByAbbr("MT")
 	perRequest := func(b *testing.B, prof valleymap.Profile) {
@@ -363,19 +363,6 @@ func BenchmarkProfilePipeline(b *testing.B) {
 		perRequest(b, prof)
 	})
 	b.Run("streaming", func(b *testing.B) {
-		b.ReportAllocs()
-		var prof valleymap.Profile
-		for i := 0; i < b.N; i++ {
-			var err error
-			prof, err = valleymap.AnalyzeSource(spec.Source(valleymap.ScaleSmall),
-				valleymap.AnalysisOptions{Workers: -1})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		perRequest(b, prof)
-	})
-	b.Run("streaming-parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		var prof valleymap.Profile
 		for i := 0; i < b.N; i++ {

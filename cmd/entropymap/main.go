@@ -101,10 +101,11 @@ func main() {
 		}
 		fmt.Printf("bit %2d %-4s %.3f %s\n", b, field, prof.PerBit[b], bar(prof.PerBit[b]))
 	}
-	chBank := []int{8, 9, 10, 11, 12, 13}
+	ch, bank := l.FieldBits(valleymap.FieldChannel), l.FieldBits(valleymap.FieldBank)
+	chBank := append(append([]int(nil), ch...), bank...)
 	fmt.Printf("\nchannel+bank entropy: mean %.3f, min %.3f",
 		prof.Mean(chBank), prof.Min(chBank))
-	if prof.HasValley(chBank, 0.35, 0.6) {
+	if prof.ChannelBankValley(ch, bank, 0.35, 0.6) {
 		fmt.Printf("  -> ENTROPY VALLEY")
 	}
 	fmt.Println()

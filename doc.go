@@ -41,10 +41,10 @@
 // a running SHA-256 (StreamTraceCSV), coalescing keeps only the current
 // warp window (CoalesceTraceStream), and AnalyzeSource/AnalyzeStream
 // fold batches into the same Profile AnalyzeApp produces — bit-identical,
-// at O(window × bits) memory regardless of trace length, with optional
-// per-TB fan-out across GOMAXPROCS workers. valleyd's /v1/profile serves
-// trace uploads through this pipeline, which is why its body cap bounds
-// bandwidth rather than memory.
+// at O(window × bits) memory regardless of trace length, in one
+// sequential pass. valleyd's /v1/profile serves trace uploads through
+// this pipeline, which is why its body cap bounds bandwidth rather than
+// memory.
 //
 // Quick start:
 //

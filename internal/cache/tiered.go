@@ -171,14 +171,6 @@ func (t *Tiered[V]) DiskLen() int {
 	return t.opt.Disk.Len()
 }
 
-// DiskBytes reports landed spill bytes (0 without a disk tier).
-func (t *Tiered[V]) DiskBytes() int64 {
-	if t.opt.Disk == nil {
-		return 0
-	}
-	return t.opt.Disk.Bytes()
-}
-
 // SpillAll writes every memory-resident entry not already on disk to
 // the spill tier. Service shutdown calls it so a restart finds the
 // whole working set warm, not just what happened to be evicted.

@@ -313,8 +313,8 @@ type Range struct {
 // ValleyRanges returns the maximal runs of dead bits (entropy ≤ low)
 // that sit *below* harvestable entropy: a run only counts as a valley
 // when some higher-order bit reaches the high threshold, mirroring
-// HasValley's Section III-B rule that a valley needs entropy above it
-// to harvest. Runs are reported in ascending bit order.
+// ChannelBankValley's Section III-B rule that a valley needs entropy
+// above it to harvest. Runs are reported in ascending bit order.
 func (p Profile) ValleyRanges(low, high float64) []Range {
 	n := len(p.PerBit)
 	var out []Range
@@ -345,33 +345,4 @@ func (p Profile) ValleyRanges(low, high float64) []Range {
 		out[i], out[j] = out[j], out[i]
 	}
 	return out
-}
-
-// HasValley reports whether the profile exhibits an entropy valley over
-// the candidate bits: some candidate bit falls below the low threshold
-// while higher-order bits reach the high threshold — i.e. entropy exists
-// in the address but not where channel/bank selection needs it.
-func (p Profile) HasValley(candidateBits []int, low, high float64) bool {
-	valley := false
-	for _, b := range candidateBits {
-		if p.PerBit[b] <= low {
-			valley = true
-			break
-		}
-	}
-	if !valley {
-		return false
-	}
-	maxBit := 0
-	for _, b := range candidateBits {
-		if b > maxBit {
-			maxBit = b
-		}
-	}
-	for b := maxBit + 1; b < len(p.PerBit); b++ {
-		if p.PerBit[b] >= high {
-			return true
-		}
-	}
-	return false
 }

@@ -212,21 +212,32 @@ func TestKernelProfileTransform(t *testing.T) {
 	approx(t, p.PerBit[0], 16.0/20.0, 1e-12, "swapped bit0")
 }
 
-func TestHasValley(t *testing.T) {
+func TestChannelBankValley(t *testing.T) {
 	p := Profile{PerBit: []float64{0, 0, 0.9, 0.05, 0.02, 0.9, 0.9, 0.9}}
-	// Candidate (channel/bank) bits 3-4 are low while bits 5+ are high.
-	if !p.HasValley([]int{3, 4}, 0.1, 0.5) {
+	// Channel bit 3 and bank bit 4 are low while bits 5+ are high.
+	if !p.ChannelBankValley([]int{3}, []int{4}, 0.1, 0.5) {
 		t.Error("valley not detected")
 	}
-	// No valley when candidates are high.
-	if p.HasValley([]int{2, 5}, 0.1, 0.5) {
+	// No valley when channel and bank bits are high.
+	if p.ChannelBankValley([]int{2}, []int{5}, 0.1, 0.5) {
 		t.Error("false valley on high bits")
 	}
-	// Low candidates but no high bits above them: not a valley, just a
-	// low-entropy address.
+	// Low channel/bank bits but no high bits above them: not a valley,
+	// just a low-entropy address.
 	flat := Profile{PerBit: []float64{0.9, 0.9, 0.02, 0.01, 0.0, 0.0}}
-	if flat.HasValley([]int{2, 3}, 0.1, 0.5) {
+	if flat.ChannelBankValley([]int{2}, []int{3}, 0.1, 0.5) {
 		t.Error("false valley with no high-order entropy")
+	}
+	// NN's shape: live channel bits and one dead bank bit below high
+	// entropy. A single dead bank bit is not a valley; a second one is.
+	nn := Profile{PerBit: []float64{1, 1, 0.9, 0.9, 0.9, 0.31, 0.9, 0.9}}
+	ch, bank := []int{0, 1}, []int{2, 3, 4, 5}
+	if nn.ChannelBankValley(ch, bank, 0.35, 0.6) {
+		t.Error("one dead bank bit counted as a valley")
+	}
+	nn.PerBit[4] = 0.2
+	if !nn.ChannelBankValley(ch, bank, 0.35, 0.6) {
+		t.Error("two dead bank bits not counted as a valley")
 	}
 }
 

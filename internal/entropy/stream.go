@@ -19,7 +19,6 @@ package entropy
 
 import (
 	"io"
-	"sync"
 	"time"
 
 	"valleymap/internal/trace"
@@ -37,20 +36,12 @@ type StreamOptions struct {
 	// applies the mapper's compiled bim.Table), the streaming
 	// counterpart of AppProfile's transform argument. The accumulator
 	// copies addresses into a scratch buffer first, so the stream's
-	// batches are never mutated. With Workers > 1 it is called from
-	// that many goroutines concurrently and must be safe for concurrent
-	// use.
+	// batches are never mutated.
 	BatchTransform func([]uint64)
-	// Workers > 1 fans per-TB profiling out across that many goroutines
-	// in ProfileStream (typically GOMAXPROCS); folding stays in TB
-	// dispatch order, so the result is identical to the sequential one.
-	Workers int
-	// OnFold, when set, observes the wall time of each accumulate step —
-	// one batch fold in the sequential driver, one committed TB profile
-	// (or kernel boundary) in the parallel driver. It feeds the
-	// accumulate-stage latency histogram in valleyd without the
-	// accumulator importing any metrics machinery; it must be cheap and
-	// must not panic.
+	// OnFold, when set, observes the wall time of each batch fold in
+	// ProfileStream. It feeds the accumulate-stage latency histogram in
+	// valleyd without the accumulator importing any metrics machinery;
+	// it must be cheap and must not panic.
 	OnFold func(time.Duration)
 }
 
@@ -159,29 +150,6 @@ func (a *Accumulator) Fold(b *trace.Batch) {
 	a.tbReqs += len(b.Requests)
 }
 
-// FoldTBProfile feeds one completed TB profile directly (the parallel
-// driver computes TBProfiles off-thread and commits them here, in
-// dispatch order). The accumulator takes ownership of p.BVR.
-func (a *Accumulator) FoldTBProfile(p TBProfile) {
-	if a.done {
-		panic("entropy: Fold after Profile")
-	}
-	if !a.kOpen {
-		a.openKernel()
-	}
-	a.commitTB(p)
-}
-
-// OpenKernel marks a kernel boundary for drivers that feed TB profiles
-// via FoldTBProfile instead of batches.
-func (a *Accumulator) OpenKernel() {
-	if a.done {
-		panic("entropy: Fold after Profile")
-	}
-	a.closeKernel()
-	a.openKernel()
-}
-
 func (a *Accumulator) openKernel() {
 	a.kOpen = true
 	a.count = 0
@@ -193,21 +161,17 @@ func (a *Accumulator) openKernel() {
 	}
 }
 
-// closeTB turns the in-progress TB counts into a TBProfile and commits
-// it to the window machinery.
+// closeTB turns the in-progress TB counts into a TBProfile in its ring
+// slot and folds the window it completes, if any.
 func (a *Accumulator) closeTB() {
 	if !a.tbOpen {
 		return
 	}
 	slot := a.count % a.window
-	var p TBProfile
-	if slot < len(a.ring) {
-		p = a.ring[slot] // reuse the slot's BVR storage
-		a.ring[slot] = TBProfile{}
+	if slot == len(a.ring) {
+		a.ring = append(a.ring, TBProfile{BVR: make([]Ratio, a.bits)})
 	}
-	if len(p.BVR) != a.bits {
-		p.BVR = make([]Ratio, a.bits)
-	}
+	p := &a.ring[slot] // reuses the slot's BVR storage
 	p.ID = a.tbID
 	p.Requests = a.tbReqs
 	total := int64(a.tbReqs)
@@ -215,22 +179,10 @@ func (a *Accumulator) closeTB() {
 		p.BVR[i] = Ratio{Ones: a.ones[i], Total: total}
 		a.ones[i] = 0
 	}
+	a.count++
+	a.kRequests += a.tbReqs
 	a.tbOpen = false
 	a.tbReqs = 0
-	a.commitTB(p)
-}
-
-// commitTB stores one TB profile in its ring slot and folds the window
-// it completes, if any.
-func (a *Accumulator) commitTB(p TBProfile) {
-	slot := a.count % a.window
-	if slot == len(a.ring) {
-		a.ring = append(a.ring, p)
-	} else {
-		a.ring[slot] = p
-	}
-	a.count++
-	a.kRequests += p.Requests
 	if a.count >= a.window {
 		a.foldWindow(a.count-a.window, a.window)
 	}
@@ -303,14 +255,9 @@ func (a *Accumulator) Profile() Profile {
 	return out
 }
 
-// ProfileStream drains a trace stream into a Profile. With
-// opt.Workers > 1 the per-TB bit counting fans out across that many
-// goroutines while window folding stays in dispatch order, so the
-// result is identical either way.
+// ProfileStream drains a trace stream into a Profile in one sequential
+// pass, folding each batch in stream order.
 func ProfileStream(st trace.Stream, opt StreamOptions) (Profile, error) {
-	if opt.Workers > 1 {
-		return profileParallel(st, opt)
-	}
 	acc := NewAccumulator(opt)
 	for {
 		b, err := st.Next()
@@ -328,134 +275,4 @@ func ProfileStream(st trace.Stream, opt StreamOptions) (Profile, error) {
 			acc.Fold(b)
 		}
 	}
-}
-
-// ---------------------------------------------------------------------
-// Parallel per-TB fan-out
-// ---------------------------------------------------------------------
-
-// pEvent is one ordered folding event: a kernel boundary or a future
-// holding a TB profile being computed by a worker.
-type pEvent struct {
-	kernel bool
-	fut    chan TBProfile
-	err    error
-}
-
-var reqBufPool = sync.Pool{
-	New: func() any { return make([]trace.Request, 0, 4096) },
-}
-
-// profileParallel reads the stream on one goroutine, hands each
-// completed TB to a bounded worker pool for bit counting, and folds the
-// resulting TB profiles in dispatch order on the calling goroutine.
-// Memory is O(workers × TB size + window × bits).
-func profileParallel(st trace.Stream, opt StreamOptions) (Profile, error) {
-	workers := opt.Workers
-	acc := NewAccumulator(StreamOptions{Window: opt.Window, Bits: opt.Bits})
-	bits := acc.bits
-
-	sem := make(chan struct{}, workers)
-	events := make(chan pEvent, workers*2)
-
-	go func() {
-		defer close(events)
-		buf := reqBufPool.Get().([]trace.Request)[:0]
-		var tbID int
-		tbOpen := false
-		flushTB := func() {
-			if !tbOpen {
-				return
-			}
-			tbOpen = false
-			sem <- struct{}{}
-			fut := make(chan TBProfile, 1)
-			job, id := buf, tbID
-			go func() {
-				fut <- profileRequests(id, job, bits, opt.BatchTransform)
-				reqBufPool.Put(job[:0])
-				<-sem
-			}()
-			events <- pEvent{fut: fut}
-			buf = reqBufPool.Get().([]trace.Request)[:0]
-		}
-		for {
-			b, err := st.Next()
-			if err == io.EOF {
-				flushTB()
-				return
-			}
-			if err != nil {
-				events <- pEvent{err: err}
-				return
-			}
-			if b.Kernel != nil {
-				flushTB()
-				events <- pEvent{kernel: true}
-				continue
-			}
-			if b.TBStart {
-				flushTB()
-				tbOpen = true
-				tbID = b.TBID
-			}
-			if len(b.Requests) > 0 {
-				if !tbOpen {
-					tbOpen = true
-					tbID = b.TBID
-				}
-				buf = append(buf, b.Requests...)
-			}
-		}
-	}()
-
-	var streamErr error
-	for ev := range events {
-		var start time.Time
-		if opt.OnFold != nil {
-			start = time.Now()
-		}
-		switch {
-		case ev.err != nil:
-			streamErr = ev.err
-			continue
-		case ev.kernel:
-			acc.OpenKernel()
-		default:
-			acc.FoldTBProfile(<-ev.fut)
-		}
-		if opt.OnFold != nil {
-			opt.OnFold(time.Since(start))
-		}
-	}
-	if streamErr != nil {
-		return Profile{}, streamErr
-	}
-	return acc.Profile(), nil
-}
-
-// profileRequests computes one TB's profile, applying the optional
-// batch transform — the worker-side half of profileParallel.
-func profileRequests(id int, reqs []trace.Request, bits int, bf func([]uint64)) TBProfile {
-	ones := make([]int64, bits)
-	if bf != nil {
-		addrs := make([]uint64, len(reqs))
-		for i, r := range reqs {
-			addrs[i] = r.Addr
-		}
-		bf(addrs)
-		for _, addr := range addrs {
-			countAddrBits(ones, addr, bits)
-		}
-	} else {
-		for _, r := range reqs {
-			countAddrBits(ones, r.Addr, bits)
-		}
-	}
-	p := TBProfile{ID: id, BVR: make([]Ratio, bits), Requests: len(reqs)}
-	total := int64(len(reqs))
-	for i := 0; i < bits; i++ {
-		p.BVR[i] = Ratio{Ones: ones[i], Total: total}
-	}
-	return p
 }

@@ -20,14 +20,14 @@ func materializedProfile(app *trace.App, lineBytes, window, bits int, f Transfor
 
 // streamedProfile runs the same analysis through the streaming pipeline
 // (AppSource → CoalesceStream → ProfileStream).
-func streamedProfile(t *testing.T, app *trace.App, lineBytes, window, bits, workers int, bf func([]uint64)) Profile {
+func streamedProfile(t *testing.T, app *trace.App, lineBytes, window, bits int, bf func([]uint64)) Profile {
 	t.Helper()
 	var st trace.Stream = trace.AppSource(app).Stream()
 	if lineBytes > 0 {
 		st = trace.CoalesceStream(st, lineBytes)
 	}
 	p, err := ProfileStream(st, StreamOptions{
-		Window: window, Bits: bits, BatchTransform: bf, Workers: workers,
+		Window: window, Bits: bits, BatchTransform: bf,
 	})
 	if err != nil {
 		t.Fatalf("ProfileStream: %v", err)
@@ -54,18 +54,15 @@ func requireIdentical(t *testing.T, name string, want, got Profile) {
 }
 
 // TestStreamProfileGoldenAllWorkloads is the golden-equivalence test of
-// the tentpole: for every built-in workload, the streaming profile must
-// be bit-identical to the materialized one, sequentially and with the
-// per-TB fan-out across workers.
+// the streaming profiler: for every built-in workload, the streaming
+// profile must be bit-identical to the materialized one.
 func TestStreamProfileGoldenAllWorkloads(t *testing.T) {
 	const window, bits, lineBytes = 12, 30, 128
 	for _, spec := range workload.All() {
 		app := spec.Build(workload.Tiny)
 		want := materializedProfile(app, lineBytes, window, bits, nil)
-		requireIdentical(t, spec.Abbr+"/seq",
-			want, streamedProfile(t, app, lineBytes, window, bits, 0, nil))
-		requireIdentical(t, spec.Abbr+"/par4",
-			want, streamedProfile(t, app, lineBytes, window, bits, 4, nil))
+		requireIdentical(t, spec.Abbr,
+			want, streamedProfile(t, app, lineBytes, window, bits, nil))
 	}
 }
 
@@ -81,10 +78,8 @@ func TestStreamProfileGoldenTransform(t *testing.T) {
 		}
 	}
 	want := materializedProfile(app, 128, 12, 30, xform)
-	requireIdentical(t, "MT/batch-transform/seq",
-		want, streamedProfile(t, app, 128, 12, 30, 0, batch))
-	requireIdentical(t, "MT/batch-transform/par",
-		want, streamedProfile(t, app, 128, 12, 30, 3, batch))
+	requireIdentical(t, "MT/batch-transform",
+		want, streamedProfile(t, app, 128, 12, 30, batch))
 }
 
 // TestStreamProfileGoldenParameterSweep varies window, bits, line size
@@ -106,28 +101,7 @@ func TestStreamProfileGoldenParameterSweep(t *testing.T) {
 	for _, tc := range cases {
 		want := materializedProfile(app, tc.lineBytes, tc.window, tc.bits, nil)
 		requireIdentical(t, "SP/"+tc.name,
-			want, streamedProfile(t, app, tc.lineBytes, tc.window, tc.bits, 0, nil))
-		requireIdentical(t, "SP/"+tc.name+"/par",
-			want, streamedProfile(t, app, tc.lineBytes, tc.window, tc.bits, 2, nil))
-	}
-}
-
-// TestProfileRequestsMatchesProfileTB: the worker-side TB profiler must
-// emit exactly ProfileTB's TBProfile.
-func TestProfileRequestsMatchesProfileTB(t *testing.T) {
-	reqs := []trace.Request{
-		{Addr: 0x1234}, {Addr: 0x1234}, {Addr: 0xff00}, {Addr: 0}, {Addr: 1<<29 | 5},
-	}
-	tb := trace.TB{ID: 7, Requests: reqs}
-	want := ProfileTB(&tb, 30)
-	got := profileRequests(7, reqs, 30, nil)
-	if want.ID != got.ID || want.Requests != got.Requests {
-		t.Fatalf("meta differs: %+v vs %+v", got, want)
-	}
-	for i := range want.BVR {
-		if want.BVR[i] != got.BVR[i] {
-			t.Fatalf("BVR[%d] = %+v, want %+v", i, got.BVR[i], want.BVR[i])
-		}
+			want, streamedProfile(t, app, tc.lineBytes, tc.window, tc.bits, nil))
 	}
 }
 
@@ -201,7 +175,7 @@ func TestAccumulatorEdgeCases(t *testing.T) {
 		{Name: "real", WarpsPerTB: 1, TBs: []trace.TB{{ID: 0, Requests: manyRequests(0, 9)}}},
 	}}
 	want := materializedProfile(app, 0, 3, 16, nil)
-	requireIdentical(t, "empty-kernel", want, streamedProfile(t, app, 0, 3, 16, 0, nil))
+	requireIdentical(t, "empty-kernel", want, streamedProfile(t, app, 0, 3, 16, nil))
 
 	// Headerless streams open an implicit kernel instead of dropping
 	// requests on the floor.
@@ -223,11 +197,9 @@ func TestAccumulatorEdgeCases(t *testing.T) {
 
 // TestProfileStreamPropagatesError: a failing stream surfaces its error.
 func TestProfileStreamPropagatesError(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		_, err := ProfileStream(&failingStream{failAfter: 3}, StreamOptions{Window: 2, Bits: 8, Workers: workers})
-		if err == nil || err.Error() != "boom" {
-			t.Errorf("workers=%d: err = %v, want boom", workers, err)
-		}
+	_, err := ProfileStream(&failingStream{failAfter: 3}, StreamOptions{Window: 2, Bits: 8})
+	if err == nil || err.Error() != "boom" {
+		t.Errorf("err = %v, want boom", err)
 	}
 }
 

@@ -6,7 +6,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"valleymap/internal/entropy"
 	"valleymap/internal/gpusim"
@@ -49,15 +48,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// streamProfile drains a stream through the online profiler with per-TB
-// fan-out across the machine — the experiments' profiling hot path —
-// optionally mapping addresses a batch at a time through bf.
+// streamProfile drains a stream through the online profiler in one
+// sequential pass — the experiments' profiling hot path — optionally
+// mapping addresses a batch at a time through bf.
 // In-memory and generator streams cannot fail, so an error here is a
 // programming bug, not an input condition.
 func streamProfile(st trace.Stream, window, bits int, bf func([]uint64)) entropy.Profile {
 	p, err := entropy.ProfileStream(st, entropy.StreamOptions{
 		Window: window, Bits: bits, BatchTransform: bf,
-		Workers: runtime.GOMAXPROCS(0),
 	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: profiling stream: %v", err))

@@ -78,9 +78,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// ObserveSince records the seconds elapsed since t.
-func (h *Histogram) ObserveSince(t time.Time) { h.ObserveDuration(time.Since(t)) }
-
 // Sum returns the total of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 

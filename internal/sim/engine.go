@@ -293,9 +293,6 @@ func (s *Server) Acquire(now, service Time) (start, done Time) {
 	return start, done
 }
 
-// FreeAt reports when the server next becomes idle.
-func (s *Server) FreeAt() Time { return s.freeAt }
-
 // BusyTime reports cumulative service time delivered.
 func (s *Server) BusyTime() Time { return s.busy }
 

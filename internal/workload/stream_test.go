@@ -46,22 +46,20 @@ func TestStreamedProfileMatchesMaterialized(t *testing.T) {
 	const window, bits, lineBytes = 12, 30, 128
 	for _, spec := range All() {
 		want := entropy.AppProfile(trace.CoalesceApp(spec.Build(Tiny), lineBytes), window, bits, nil)
-		for _, workers := range []int{0, 4} {
-			got, err := entropy.ProfileStream(
-				trace.CoalesceStream(spec.Source(Tiny).Stream(), lineBytes),
-				entropy.StreamOptions{Window: window, Bits: bits, Workers: workers},
-			)
-			if err != nil {
-				t.Fatalf("%s: %v", spec.Abbr, err)
-			}
-			if want.Requests != got.Requests {
-				t.Fatalf("%s workers=%d: requests %d != %d", spec.Abbr, workers, got.Requests, want.Requests)
-			}
-			for b := range want.PerBit {
-				if want.PerBit[b] != got.PerBit[b] {
-					t.Fatalf("%s workers=%d bit %d: %.17g != %.17g",
-						spec.Abbr, workers, b, got.PerBit[b], want.PerBit[b])
-				}
+		got, err := entropy.ProfileStream(
+			trace.CoalesceStream(spec.Source(Tiny).Stream(), lineBytes),
+			entropy.StreamOptions{Window: window, Bits: bits},
+		)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Abbr, err)
+		}
+		if want.Requests != got.Requests {
+			t.Fatalf("%s: requests %d != %d", spec.Abbr, got.Requests, want.Requests)
+		}
+		for b := range want.PerBit {
+			if want.PerBit[b] != got.PerBit[b] {
+				t.Fatalf("%s bit %d: %.17g != %.17g",
+					spec.Abbr, b, got.PerBit[b], want.PerBit[b])
 			}
 		}
 	}

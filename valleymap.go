@@ -3,7 +3,6 @@ package valleymap
 import (
 	"io"
 	"log/slog"
-	"runtime"
 
 	"valleymap/internal/bim"
 	"valleymap/internal/entropy"
@@ -235,17 +234,9 @@ type AnalysisOptions struct {
 	LineBytes int
 	// Transform optionally maps addresses before profiling (e.g. a
 	// Mapper's Map method, to obtain Figure 10-style post-mapping
-	// profiles). When the streaming analyzers fan out (Workers > 1),
-	// Transform is called from that many goroutines concurrently and
-	// must be safe for concurrent use (Mapper.Map is).
+	// profiles). The analyzers call it sequentially, on the caller's
+	// goroutine, in one pass over the trace.
 	Transform func(uint64) uint64
-	// Workers controls the per-TB fan-out of the streaming analyzers
-	// (AnalyzeSource, AnalyzeStream): 0 uses GOMAXPROCS — unless a
-	// Transform is set, in which case 0 stays single-threaded so
-	// stateful transforms are safe by default (set Workers explicitly
-	// to fan a concurrency-safe Transform out). Negative always forces
-	// single-threaded folding. AnalyzeApp ignores it.
-	Workers int
 }
 
 // AnalyzeApp computes the window-based entropy distribution of an
@@ -294,11 +285,7 @@ func AnalyzeStream(st TraceStream, opt AnalysisOptions) (Profile, error) {
 	if opt.LineBytes > 0 {
 		st = trace.CoalesceStream(st, opt.LineBytes)
 	}
-	workers := opt.Workers
-	if workers == 0 && opt.Transform == nil {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sopt := entropy.StreamOptions{Window: opt.Window, Bits: opt.Bits, Workers: workers}
+	sopt := entropy.StreamOptions{Window: opt.Window, Bits: opt.Bits}
 	if f := opt.Transform; f != nil {
 		// The streaming profiler's one transform hook takes a batch.
 		sopt.BatchTransform = func(addrs []uint64) {

@@ -16,7 +16,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	app := spec.Build(valleymap.ScaleTiny)
 	prof := valleymap.AnalyzeApp(app, valleymap.AnalysisOptions{})
-	if !prof.HasValley([]int{8, 9, 10, 11, 12, 13}, 0.35, 0.6) {
+	l := valleymap.HynixGDDR5()
+	if !prof.ChannelBankValley(l.FieldBits(valleymap.FieldChannel), l.FieldBits(valleymap.FieldBank), 0.35, 0.6) {
 		t.Error("MT should show its valley through the facade")
 	}
 	base := valleymap.Simulate(app, valleymap.NewMapper(valleymap.BASE, valleymap.HynixGDDR5(), 1), valleymap.BaselineConfig())
@@ -39,27 +40,24 @@ func TestFacadePostMappingProfile(t *testing.T) {
 
 // TestAnalyzeSourceTransformMatchesAnalyzeApp: the streaming analyzer
 // hands a per-address Transform to the profiler as a batch transform,
-// and the profile stays bit-identical to the materialized reference,
-// single-threaded and fanned out.
+// and the profile stays bit-identical to the materialized reference.
 func TestAnalyzeSourceTransformMatchesAnalyzeApp(t *testing.T) {
 	spec, _ := valleymap.WorkloadByAbbr("MT")
 	m := valleymap.NewMapper(valleymap.PAE, valleymap.HynixGDDR5(), 1)
 	want := valleymap.AnalyzeApp(spec.Build(valleymap.ScaleTiny), valleymap.AnalysisOptions{Transform: m.Map})
-	for _, workers := range []int{0, 3} {
-		got, err := valleymap.AnalyzeSource(spec.Source(valleymap.ScaleTiny),
-			valleymap.AnalysisOptions{Transform: m.Map, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Requests != want.Requests || len(got.PerBit) != len(want.PerBit) {
-			t.Fatalf("workers %d: %d requests over %d bits, want %d over %d",
-				workers, got.Requests, len(got.PerBit), want.Requests, len(want.PerBit))
-		}
-		for b := range want.PerBit {
-			if got.PerBit[b] != want.PerBit[b] {
-				t.Fatalf("workers %d: bit %d: streamed %.17g != materialized %.17g",
-					workers, b, got.PerBit[b], want.PerBit[b])
-			}
+	got, err := valleymap.AnalyzeSource(spec.Source(valleymap.ScaleTiny),
+		valleymap.AnalysisOptions{Transform: m.Map})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Requests != want.Requests || len(got.PerBit) != len(want.PerBit) {
+		t.Fatalf("%d requests over %d bits, want %d over %d",
+			got.Requests, len(got.PerBit), want.Requests, len(want.PerBit))
+	}
+	for b := range want.PerBit {
+		if got.PerBit[b] != want.PerBit[b] {
+			t.Fatalf("bit %d: streamed %.17g != materialized %.17g",
+				b, got.PerBit[b], want.PerBit[b])
 		}
 	}
 }
@@ -99,7 +97,8 @@ func ExampleAnalyzeApp() {
 	spec, _ := valleymap.WorkloadByAbbr("MT")
 	app := spec.Build(valleymap.ScaleTiny)
 	prof := valleymap.AnalyzeApp(app, valleymap.AnalysisOptions{})
-	valley := prof.HasValley([]int{8, 9, 10, 11, 12, 13}, 0.35, 0.6)
+	l := valleymap.HynixGDDR5()
+	valley := prof.ChannelBankValley(l.FieldBits(valleymap.FieldChannel), l.FieldBits(valleymap.FieldBank), 0.35, 0.6)
 	fmt.Println("MT has an entropy valley over the channel/bank bits:", valley)
 	// Output: MT has an entropy valley over the channel/bank bits: true
 }
