@@ -8,8 +8,10 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -91,14 +93,19 @@ func drainJobEvents(t *testing.T, s *Service, id string) []JobEvent {
 	if !ok {
 		t.Fatalf("no event subscription for job %s", id)
 	}
-	defer sub.Close()
+	return drainSubscription(t, sub)
+}
+
+// drainSubscription reads a subscription to end-of-stream.
+func drainSubscription(t *testing.T, sub *JobSubscription) []JobEvent {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	var evs []JobEvent
 	for {
 		ev, eos, err := sub.Next(ctx)
 		if err != nil {
-			t.Fatalf("job %s event stream did not terminate: %v", id, err)
+			t.Fatalf("event stream did not terminate: %v", err)
 		}
 		if eos {
 			return evs
@@ -177,15 +184,54 @@ func TestHTTPDeadlineMsExpiry(t *testing.T) {
 	checkCanceledTranscript(t, drainJobEvents(t, svc, job.ID), EventDeadlineExceeded)
 }
 
-// TestHTTPBadDeadlineRejected: malformed or non-positive budgets are
-// 400s, not silently unbounded sweeps.
+// TestHTTPBadDeadlineRejected: malformed, non-positive or overflowing
+// budgets are 400s, not silently unbounded or instantly expired sweeps.
+// Unchecked, 18446744073710 ms wraps to a 448 µs duration and
+// 9223372036855 ms to a negative one; 9223372036854 ms, the largest
+// budget a time.Duration holds, is accepted.
 func TestHTTPBadDeadlineRejected(t *testing.T) {
 	_, ts := newTestServer(t)
-	for _, q := range []string{"?deadline_ms=0", "?deadline_ms=-5", "?deadline_ms=soon"} {
-		resp := postJSON(t, ts.URL+"/v1/simulate"+q, slowSweep)
+	body, err := json.Marshal(SimulateRequest{Workloads: []string{"SP"}, Schemes: []string{"BASE"}, Scale: "tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		query, header      string
+		overflow, accepted bool
+	}{
+		{query: "0"}, {query: "-5"}, {query: "soon"},
+		{query: "18446744073710", overflow: true},
+		{query: "9223372036855", overflow: true},
+		{header: "18446744073710", overflow: true},
+		{query: "9223372036854", accepted: true},
+	}
+	for _, c := range cases {
+		want := http.StatusBadRequest
+		if c.accepted {
+			want = http.StatusAccepted
+		}
+		url := ts.URL + "/v1/simulate"
+		if c.query != "" {
+			url += "?deadline_ms=" + c.query
+		}
+		req, err := http.NewRequest("POST", url, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.header != "" {
+			req.Header.Set("X-Deadline-Ms", c.header)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", q, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("%+v: status %d, want %d", c, resp.StatusCode, want)
+		}
+		if c.overflow && !strings.Contains(string(msg), "maximum is 9223372036854") {
+			t.Errorf("%+v: error %s does not name the maximum budget", c, msg)
 		}
 	}
 }

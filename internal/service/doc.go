@@ -3,8 +3,9 @@
 // as a concurrent, cached network service. The building blocks are a
 // content-addressed profile cache with in-flight coalescing (cache.go,
 // over internal/cache.LRU), a bounded worker pool executing simulation
-// sweep jobs (jobs.go), a per-job event bus streaming sweep progress
-// (events.go), a two-tier simulation-result cache that spills to disk
+// sweep jobs (jobs.go), a job store keeping one record per job whose
+// retained event log streams sweep progress (jobs.go, events.go), a
+// two-tier simulation-result cache that spills to disk
 // (cache.go, over internal/cache.Tiered), and a stdlib net/http JSON
 // API over all of it (http.go), with Prometheus-style plain-text
 // metrics rendered by one obs.Registry (metrics.go).
@@ -47,8 +48,8 @@
 //
 // A simulation sweep is asynchronous: POST /v1/simulate returns 202
 // with a job handle, and clients may poll GET /v1/jobs/{id}. Polling
-// only observes whole-sweep completion, so every running job also
-// publishes events on a per-job bus:
+// only observes whole-sweep completion, so every job also appends
+// events to a log kept in its job-store record:
 //
 //	start                                              the job was accepted (seq 0)
 //	cell × done_cells                                  one per finished workload × scheme cell
@@ -64,10 +65,14 @@
 // cell event is published before the terminal event; and a subscriber
 // observes its events in Seq order with no duplicates and no gaps. A
 // streaming client therefore always sees the first finished cell
-// strictly before the job reports done. Fan-out to subscribers uses
-// bounded buffers: a consumer that falls behind the live tail costs a
-// wakeup drop (counted in valleyd_stream_events_dropped_total) and
-// catches up from the retained per-job log, never losing an event.
+// strictly before the job reports done. The log is the stream: every
+// subscriber is a cursor into it, read under the job store's lock, so
+// a slow consumer only lags and never loses an event. A subscriber that
+// reaches the end of the log of a job still in flight waits on the
+// record's wake channel, which the next publish closes; the stream ends
+// once the job's status is terminal and its log is read. The log lives
+// as long as the job's record, and a subscription taken before the
+// record's eviction keeps reading it to the end.
 //
 // # Deadlines and cancellation
 //

@@ -1,10 +1,6 @@
 package service
 
-import (
-	"context"
-	"sync"
-	"sync/atomic"
-)
+import "context"
 
 // JobEvent is one record on a job's event stream, serialized as NDJSON
 // by the streaming endpoints. Every job's log is the sequence
@@ -21,9 +17,9 @@ type JobEvent struct {
 	Seq   int    `json:"seq"`
 	Type  string `json:"type"` // start | cell | done | failed | canceled | deadline_exceeded
 	JobID string `json:"job_id"`
-	// TraceID is the job's trace identifier, stamped on every event by
-	// the bus so a streamed NDJSON record correlates with the span tree
-	// on /v1/jobs/{id}/trace and with structured log lines.
+	// TraceID is the job's trace identifier, stamped on every event so
+	// a streamed NDJSON record correlates with the span tree on
+	// /v1/jobs/{id}/trace and with structured log lines.
 	TraceID string `json:"trace_id,omitempty"`
 	// Done / Total track progress at publish time (cell and terminal
 	// events; the start event reports 0/Total).
@@ -53,134 +49,65 @@ const (
 	EventDeadlineExceeded = "deadline_exceeded"
 )
 
-// terminalEvent reports whether t closes a job's event stream.
-func terminalEvent(t string) bool {
-	switch t {
-	case EventDone, EventFailed, EventCanceled, EventDeadlineExceeded:
-		return true
+// publish appends ev to the job's log, stamping its Seq, the job's ids
+// and its progress at this instant, and wakes every subscriber waiting
+// at the end of the log. Callers hold the store lock, so events land in
+// the order the job's state changes.
+func (r *jobRec) publish(ev JobEvent) {
+	ev.Seq = len(r.log)
+	ev.JobID = r.job.ID
+	ev.TraceID = r.job.TraceID
+	ev.Done = r.job.Done
+	ev.Total = r.job.Total
+	r.log = append(r.log, ev)
+	if r.wake != nil {
+		close(r.wake)
+		r.wake = nil
 	}
-	return false
 }
 
-// subBuffer bounds each subscriber's live-tail channel. A consumer that
-// falls further behind than this has its channel sends dropped (counted
-// in valleyd_stream_events_dropped_total) and transparently falls back
-// to reading the retained log, so slowness costs accounting, never a
-// lost or duplicated event.
-const subBuffer = 16
-
-// jobBus is a per-job event fan-out. Publishers append to a retained,
-// seq-ordered log and nudge subscribers over bounded channels; each
-// subscriber delivers strictly from the log in seq order, so late
-// joiners replay the full history and slow consumers lag without
-// losing events. The log is bounded by the job itself (Total cells + 2
-// control events) and is released when the job store evicts the job.
-type jobBus struct {
-	mu     sync.Mutex
-	log    []JobEvent
-	subs   map[*JobSubscription]struct{}
-	closed bool
-	// traceID is the owning job's trace identifier, stamped on every
-	// published event.
-	traceID string
-	// dropped counts channel sends skipped because a subscriber's
-	// buffer was full (the slow-consumer accounting); onDrop, when
-	// set, mirrors each drop into the service-wide metric.
-	dropped atomic.Int64
-	onDrop  func()
-}
-
-// JobSubscription is one attachment to a job's event stream. Next
-// delivers events in Seq order; Close detaches. next is the seq of the
-// next event to deliver, guarded by the bus mutex; ch carries
-// best-effort wakeups.
+// JobSubscription is one reader of a job's event stream: a cursor into
+// the job's retained log. It keeps the log readable after the store
+// evicts the job, so a stream that started before an eviction still
+// ends with its terminal event.
 type JobSubscription struct {
-	bus  *jobBus
-	ch   chan struct{}
-	next int
+	store *jobStore
+	rec   *jobRec
+	next  int // seq of the next event to deliver; guarded by store.mu
 }
 
-func newJobBus() *jobBus {
-	return &jobBus{subs: map[*JobSubscription]struct{}{}}
-}
-
-// publish appends ev to the log (assigning its Seq) and wakes
-// subscribers. Publishing a terminal event (done, failed, canceled or
-// deadline_exceeded) closes the bus: subscribers drain the log and then
-// see end-of-stream.
-func (b *jobBus) publish(ev JobEvent) {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
-	ev.Seq = len(b.log)
-	ev.TraceID = b.traceID
-	b.log = append(b.log, ev)
-	if terminalEvent(ev.Type) {
-		b.closed = true
-	}
-	for s := range b.subs {
-		select {
-		case s.ch <- struct{}{}:
-		default:
-			// Buffer full: the subscriber already has wakeups pending
-			// and will re-check the log after draining them, so this
-			// nudge is redundant — drop it and account for the lag.
-			b.dropped.Add(1)
-			if b.onDrop != nil {
-				b.onDrop()
-			}
-		}
-	}
-	b.mu.Unlock()
-}
-
-// subscribe registers a subscriber that will observe every event with
-// Seq >= from (older events replay from the log). Callers must Close
-// the subscription when done.
-func (b *jobBus) subscribe(from int) *JobSubscription {
-	if from < 0 {
-		from = 0
-	}
-	s := &JobSubscription{bus: b, ch: make(chan struct{}, subBuffer), next: from}
-	b.mu.Lock()
-	b.subs[s] = struct{}{}
-	b.mu.Unlock()
-	return s
-}
-
-// Close detaches the subscription from its bus. Safe to call while a
-// Next is blocked (the blocked Next returns when its context expires).
-func (s *JobSubscription) Close() {
-	s.bus.mu.Lock()
-	delete(s.bus.subs, s)
-	s.bus.mu.Unlock()
-}
+// Close releases nothing: a subscription holds no resources beyond its
+// cursor, so Close may be called any number of times, or not at all.
+func (s *JobSubscription) Close() {}
 
 // Next blocks until the subscriber's next event is available and
 // returns it. eos reports a cleanly ended stream (terminal event
 // already delivered); err is the subscriber's context expiring.
 func (s *JobSubscription) Next(ctx context.Context) (ev JobEvent, eos bool, err error) {
+	mu, r := &s.store.mu, s.rec
 	for {
-		s.bus.mu.Lock()
-		if s.next < len(s.bus.log) {
-			ev := s.bus.log[s.next]
+		mu.Lock()
+		if s.next < len(r.log) {
+			ev := r.log[s.next]
 			s.next++
-			s.bus.mu.Unlock()
+			mu.Unlock()
 			return ev, false, nil
 		}
-		closed := s.bus.closed
-		s.bus.mu.Unlock()
-		if closed {
+		if terminalStatus(r.job.Status) {
+			// finish publishes the terminal event in the same critical
+			// section that sets the status, so the log is complete.
+			mu.Unlock()
 			return JobEvent{}, true, nil
 		}
+		if r.wake == nil {
+			r.wake = make(chan struct{})
+		}
+		wake := r.wake
+		mu.Unlock()
 		select {
 		case <-ctx.Done():
 			return JobEvent{}, false, ctx.Err()
-		case <-s.ch:
-			// Woken: re-check the log. Spurious or coalesced wakeups
-			// just loop; delivery order comes from the log alone.
+		case <-wake:
 		}
 	}
 }

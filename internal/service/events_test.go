@@ -27,6 +27,15 @@ func collectEvents(t *testing.T, r io.Reader) []JobEvent {
 	}
 }
 
+// terminalEvent reports whether t closes a job's event stream.
+func terminalEvent(t string) bool {
+	switch t {
+	case EventDone, EventFailed, EventCanceled, EventDeadlineExceeded:
+		return true
+	}
+	return false
+}
+
 // checkTranscript asserts the stream contract: dense ascending seq
 // starting at from, start/cell/done shape, monotonic done_cells, and
 // every cell strictly before the terminal event.
@@ -222,8 +231,7 @@ func TestJobEventsFromPastTerminal(t *testing.T) {
 	}
 }
 
-// TestJobEventsInProcess drives the Service.JobEvents embedder API and
-// the slow-consumer drop accounting.
+// TestJobEventsInProcess drives the Service.JobEvents embedder API.
 func TestJobEventsInProcess(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -262,7 +270,7 @@ func TestJobEventsInProcess(t *testing.T) {
 
 	// On a live job, a canceled context unblocks a waiting Next.
 	js := newJobStore(4)
-	live, err := js.create("simulate", 1, nil)
+	live, err := js.create(1, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +292,7 @@ func TestJobEventsInProcess(t *testing.T) {
 // wrapper hiding the Flusher).
 func TestStreamingDeliveryIsLive(t *testing.T) {
 	svc, ts := newTestServer(t)
-	job, err := svc.jobs.create("simulate", 1, nil)
+	job, err := svc.jobs.create(1, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,14 +364,12 @@ func TestStreamingDeliveryIsLive(t *testing.T) {
 	}
 }
 
-// TestEventBusSlowConsumerAccounting: a subscriber that never drains
-// its wakeup channel forces publish-side drops, which are counted but
-// lose nothing — the laggard still reads the full log afterwards.
-func TestEventBusSlowConsumerAccounting(t *testing.T) {
-	m := NewMetrics()
+// TestSlowSubscriberReadsEveryEvent: a subscriber that sleeps through
+// a whole job's publishing still reads every event exactly once, in
+// seq order, from the retained log.
+func TestSlowSubscriberReadsEveryEvent(t *testing.T) {
 	js := newJobStore(8)
-	js.onDrop = m.streamEventsDropped.Inc
-	j, err := js.create("simulate", 0, nil)
+	j, err := js.create(0, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,44 +377,55 @@ func TestEventBusSlowConsumerAccounting(t *testing.T) {
 	if !ok {
 		t.Fatal("subscribe failed")
 	}
-	defer sub.Close()
 
-	// Publish far more events than the wakeup buffer holds while the
-	// subscriber sleeps.
-	const n = subBuffer * 4
+	const n = 64
 	for i := 0; i < n; i++ {
 		js.cellDone(j.ID, CellResult{Workload: "SP", Scheme: "BASE"})
 	}
 	js.finish(j.ID, &SimulateResult{}, nil)
 
-	if got := m.streamEventsDropped.Value(); got == 0 {
-		t.Error("slow consumer produced no drop accounting")
-	}
-	bus, _ := js.busFor(j.ID)
-	if got := m.streamEventsDropped.Value(); float64(bus.dropped.Load()) != got {
-		t.Errorf("bus counted %d drops, metric %v", bus.dropped.Load(), got)
-	}
-
-	// Despite the drops, the subscriber reads every event exactly once.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	var evs []JobEvent
-	for {
-		ev, eos, err := sub.Next(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eos {
-			break
-		}
-		evs = append(evs, ev)
-	}
+	evs := drainSubscription(t, sub)
 	if len(evs) != n+2 { // start + n cells + done
 		t.Fatalf("laggard read %d events, want %d", len(evs), n+2)
 	}
 	for i, ev := range evs {
 		if ev.Seq != i {
 			t.Fatalf("event %d has seq %d — lost or duplicated under lag", i, ev.Seq)
+		}
+	}
+}
+
+// TestSubscriptionOutlivesEviction: evicting a finished job refuses new
+// subscribers, but a subscription taken before the eviction still
+// reads the job's whole stream and its end.
+func TestSubscriptionOutlivesEviction(t *testing.T) {
+	js := newJobStore(1)
+	a, err := js.create(1, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, ok := js.subscribe(a.ID, 0)
+	if !ok {
+		t.Fatal("subscribe failed")
+	}
+	js.cellDone(a.ID, CellResult{Workload: "SP", Scheme: "BASE"})
+	js.finish(a.ID, &SimulateResult{}, nil)
+
+	if _, err := js.create(1, nil, nil, nil); err != nil { // evicts a
+		t.Fatal(err)
+	}
+	if _, ok := js.subscribe(a.ID, 0); ok {
+		t.Fatal("subscribing to an evicted job must fail")
+	}
+
+	evs := drainSubscription(t, sub)
+	want := []string{EventStart, EventCell, EventDone}
+	if len(evs) != len(want) {
+		t.Fatalf("read %d events after eviction, want %d", len(evs), len(want))
+	}
+	for i, ev := range evs {
+		if ev.Seq != i || ev.Type != want[i] {
+			t.Errorf("event %d: seq %d type %q, want seq %d type %q", i, ev.Seq, ev.Type, i, want[i])
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -414,7 +415,6 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// replays from the retained log, so nothing between Simulate
 		// and subscribe can be missed.
 		if sub, ok := s.jobs.subscribe(job.ID, 0); ok {
-			defer sub.Close()
 			streamEvents(w, r, sub)
 			// A streamed sweep's client is its only consumer: if the
 			// stream ended before the terminal event (disconnect, write
@@ -431,6 +431,10 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, job)
 }
 
+// maxDeadlineMs is the largest millisecond budget a time.Duration
+// holds; a larger one would wrap to a short or negative duration.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
 // deadlineBudget resolves a simulate request's execution budget:
 // ?deadline_ms wins, then the X-Deadline-Ms header, then the daemon
 // default (0 = unbounded).
@@ -445,8 +449,8 @@ func deadlineBudget(r *http.Request, def time.Duration) (time.Duration, error) {
 		return def, nil
 	}
 	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || ms <= 0 {
-		return 0, badRequestf("bad %s %q (want a positive integer millisecond budget)", src, v)
+	if err != nil || ms <= 0 || ms > maxDeadlineMs {
+		return 0, badRequestf("bad %s %q (want a positive integer millisecond budget; the maximum is %d)", src, v, maxDeadlineMs)
 	}
 	return time.Duration(ms) * time.Millisecond, nil
 }
@@ -500,7 +504,6 @@ func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, notFoundf("unknown job %q", id))
 		return
 	}
-	defer sub.Close()
 	streamEvents(w, r, sub)
 }
 

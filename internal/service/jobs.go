@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,228 +56,196 @@ type Job struct {
 	Deadline *time.Time `json:"deadline,omitempty"`
 }
 
-// jobStore holds jobs by ID, retaining at most maxJobs entries:
-// creating a job beyond the cap evicts the oldest *finished* jobs
-// (done or failed), and creation fails outright when the cap is filled
-// by in-flight jobs — otherwise a request flood would grow job structs
-// and dispatcher goroutines without bound, since 202-accepted sweeps
-// park their backpressure in the dispatcher, not the HTTP handler.
+// jobRec is everything the store keeps for one job: its snapshot, its
+// event log, its span trace and, while the job is in flight, its
+// cancel function. The log is the job's event stream (events.go): it
+// holds every event ever published, so late subscribers replay it and
+// live ones tail it. It is bounded by the job itself (Total cells + 2
+// control events) and goes with the record.
+type jobRec struct {
+	job    Job
+	log    []JobEvent
+	tr     *obs.Trace
+	cancel context.CancelCauseFunc
+	// wake is closed by the next publish. A subscriber that has read
+	// the whole log makes it, when nil, and waits on it.
+	wake chan struct{}
+}
+
+// jobStore holds one record per job, all under one lock, retaining at
+// most maxJobs of them: creating a job at the cap evicts the oldest
+// *finished* job (done, failed or canceled), and creation fails
+// outright when the cap is filled by in-flight jobs — otherwise a
+// request flood would grow job records and dispatcher goroutines
+// without bound, since 202-accepted sweeps park their backpressure in
+// the dispatcher, not the HTTP handler.
 //
-// Every job also owns a jobBus (events.go): the store publishes
-// lifecycle events (start / cell / done / failed) as state changes
-// land, and subscribers stream them over /v1/jobs/{id}/events. The bus
-// — and its retained event log — lives exactly as long as the job
-// entry, so eviction frees both.
+// Every state change that publishes an event (create, cellDone, finish)
+// appends it under the same lock, so done_cells is monotonic in Seq
+// order even when pool workers finish concurrently, and the terminal
+// event lands in the critical section that makes the status terminal.
 type jobStore struct {
-	mu     sync.RWMutex
-	jobs   map[string]*Job
-	buses  map[string]*jobBus
-	traces map[string]*obs.Trace
-	// cancels holds each in-flight job's cancel function (cause-aware);
-	// removed when the job reaches a terminal state, so canceling a
-	// finished job is a cheap no-op.
-	cancels map[string]context.CancelCauseFunc
+	mu      sync.Mutex
+	jobs    map[string]*jobRec
 	order   []string // creation order, for eviction
 	maxJobs int
-	nextID  atomic.Int64
-	// onDrop observes slow-consumer wakeup drops across all buses
-	// (may be nil; wired to the stream-drop metric).
-	onDrop func()
+	nextID  int
 }
 
 func newJobStore(maxJobs int) *jobStore {
 	if maxJobs < 1 {
 		maxJobs = 1
 	}
-	return &jobStore{
-		jobs:    map[string]*Job{},
-		buses:   map[string]*jobBus{},
-		traces:  map[string]*obs.Trace{},
-		cancels: map[string]context.CancelCauseFunc{},
-		maxJobs: maxJobs,
-	}
+	return &jobStore{jobs: map[string]*jobRec{}, maxJobs: maxJobs}
 }
 
-// create registers a new job, evicting the oldest finished jobs past
-// the cap. It returns an error when every retained slot holds an
-// in-flight job. tr is the job's span recorder (may be nil); it — and
-// its retained spans — lives exactly as long as the job entry.
-func (s *jobStore) create(kind string, total int, tr *obs.Trace) (*Job, error) {
+// create registers a new simulate job and publishes its start event,
+// evicting the oldest finished job when the store is full. It returns
+// an error when every retained slot holds an in-flight job. tr is the
+// job's span recorder (may be nil), cancel its cause-aware cancel
+// function, and deadline the instant its budget expires (nil for none).
+func (s *jobStore) create(total int, tr *obs.Trace, cancel context.CancelCauseFunc, deadline *time.Time) (Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.jobs) >= s.maxJobs {
-		evicted := false
-		for i, id := range s.order {
-			if old := s.jobs[id]; old != nil && terminalStatus(old.Status) {
-				delete(s.jobs, id)
-				delete(s.buses, id)
-				delete(s.traces, id)
-				delete(s.cancels, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
+	if len(s.jobs) >= s.maxJobs {
+		// The store never holds more than maxJobs records, so one
+		// eviction makes room.
+		i := slices.IndexFunc(s.order, func(id string) bool { return terminalStatus(s.jobs[id].job.Status) })
+		if i < 0 {
+			return Job{}, fmt.Errorf("job limit reached: %d jobs in flight", len(s.jobs))
 		}
-		if !evicted {
-			return nil, fmt.Errorf("job limit reached: %d jobs in flight", len(s.jobs))
-		}
+		delete(s.jobs, s.order[i])
+		s.order = slices.Delete(s.order, i, i+1)
 	}
-	j := &Job{
-		ID:      fmt.Sprintf("job-%d", s.nextID.Add(1)),
-		TraceID: tr.ID(),
-		Kind:    kind,
-		Status:  JobQueued,
-		Created: time.Now().UTC(),
-		Total:   total,
+	s.nextID++
+	r := &jobRec{
+		job: Job{
+			ID:       fmt.Sprintf("job-%d", s.nextID),
+			TraceID:  tr.ID(),
+			Kind:     "simulate",
+			Status:   JobQueued,
+			Created:  time.Now().UTC(),
+			Total:    total,
+			Deadline: deadline,
+		},
+		tr:     tr,
+		cancel: cancel,
 	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	if tr != nil {
-		s.traces[j.ID] = tr
-	}
-	bus := newJobBus()
-	bus.onDrop = s.onDrop
-	bus.traceID = tr.ID()
-	s.buses[j.ID] = bus
-	bus.publish(JobEvent{Type: EventStart, JobID: j.ID, Total: total})
-	return j, nil
-}
-
-// arm registers an in-flight job's cancel function and (optional)
-// deadline after creation. The cancel function is dropped when the job
-// reaches a terminal state.
-func (s *jobStore) arm(id string, cancel context.CancelCauseFunc, deadline *time.Time) {
-	s.mu.Lock()
-	if j := s.jobs[id]; j != nil {
-		s.cancels[id] = cancel
-		j.Deadline = deadline
-	}
-	s.mu.Unlock()
+	s.jobs[r.job.ID] = r
+	s.order = append(s.order, r.job.ID)
+	r.publish(JobEvent{Type: EventStart})
+	return r.job, nil
 }
 
 // cancel fires the job's cancel function with the given cause. It
 // reports whether the job exists; canceling a job that is already
-// terminal (or was never armed) is a true no-op.
+// terminal is a true no-op.
 func (s *jobStore) cancel(id string, cause error) bool {
-	s.mu.RLock()
-	_, known := s.jobs[id]
-	fn := s.cancels[id]
-	s.mu.RUnlock()
+	s.mu.Lock()
+	r := s.jobs[id]
+	var fn context.CancelCauseFunc
+	if r != nil {
+		fn = r.cancel
+	}
+	s.mu.Unlock()
 	if fn != nil {
 		fn(cause)
 	}
-	return known
+	return r != nil
 }
 
 // trace returns the job's span recorder. The bool reports whether the
 // job itself is known; a known job may still carry a nil trace (the
 // obs API is nil-safe, so callers need no extra check).
 func (s *jobStore) trace(id string) (*obs.Trace, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.jobs[id]; !ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.jobs[id]
+	if r == nil {
 		return nil, false
 	}
-	return s.traces[id], true
+	return r.tr, true
 }
 
-// subscribe attaches a subscriber to the job's event stream, replaying
+// subscribe attaches a reader to the job's event stream, replaying
 // retained events with Seq >= from. It reports false for unknown (or
 // evicted) jobs.
 func (s *jobStore) subscribe(id string, from int) (*JobSubscription, bool) {
-	s.mu.RLock()
-	bus, ok := s.buses[id]
-	s.mu.RUnlock()
-	if !ok {
+	s.mu.Lock()
+	r := s.jobs[id]
+	s.mu.Unlock()
+	if r == nil {
 		return nil, false
 	}
-	return bus.subscribe(from), true
-}
-
-// busFor exposes a job's bus (tests and the dispatcher use it).
-func (s *jobStore) busFor(id string) (*jobBus, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, ok := s.buses[id]
-	return b, ok
+	return &JobSubscription{store: s, rec: r, next: max(from, 0)}, true
 }
 
 // get returns a copy of the job (safe for concurrent marshaling) or
 // false when the ID is unknown.
 func (s *jobStore) get(id string) (Job, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	j, ok := s.jobs[id]
-	if !ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.jobs[id]
+	if r == nil {
 		return Job{}, false
 	}
-	return *j, true
+	return r.job, true
 }
 
 func (s *jobStore) setRunning(id string) {
 	s.mu.Lock()
-	if j := s.jobs[id]; j != nil {
+	if r := s.jobs[id]; r != nil {
 		now := time.Now().UTC()
-		j.Status = JobRunning
-		j.Started = &now
+		r.job.Status = JobRunning
+		r.job.Started = &now
 	}
 	s.mu.Unlock()
 }
 
 // cellDone advances the job's progress and publishes the finished cell
-// on the job's event stream. Publishing happens under the store lock
-// (store → bus lock order, consistent everywhere) so done_cells is
-// monotonic in Seq order even when pool workers finish concurrently.
+// on the job's event stream.
 func (s *jobStore) cellDone(id string, cell CellResult) {
 	s.mu.Lock()
-	if j := s.jobs[id]; j != nil {
-		j.Done++
-		if bus := s.buses[id]; bus != nil {
-			c := cell
-			bus.publish(JobEvent{Type: EventCell, JobID: id, Done: j.Done, Total: j.Total, Cell: &c})
-		}
+	if r := s.jobs[id]; r != nil && !terminalStatus(r.job.Status) {
+		r.job.Done++
+		r.publish(JobEvent{Type: EventCell, Cell: &cell})
 	}
 	s.mu.Unlock()
 }
 
+// finish moves the job to its terminal status, drops its cancel
+// function and publishes the terminal event, which the dispatcher
+// reaches only after every cell has reported.
 func (s *jobStore) finish(id string, res *SimulateResult, err error) {
 	s.mu.Lock()
-	if j := s.jobs[id]; j != nil {
-		now := time.Now().UTC()
-		j.Finished = &now
-		evType := EventDone
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			// Deadline expiry and explicit cancellation share the
-			// canceled job status; the error text and the terminal event
-			// type distinguish them.
-			j.Status = JobCanceled
-			j.Error = err.Error()
-			evType = EventDeadlineExceeded
-		case errors.Is(err, context.Canceled):
-			j.Status = JobCanceled
-			j.Error = err.Error()
-			evType = EventCanceled
-		case err != nil:
-			j.Status = JobFailed
-			j.Error = err.Error()
-			evType = EventFailed
-		default:
-			j.Status = JobDone
-			j.Result = res
-		}
-		delete(s.cancels, id)
-		// Terminal event: published after every cell event (the
-		// dispatcher waits for all cells first), closing the stream.
-		if bus := s.buses[id]; bus != nil {
-			if err != nil {
-				bus.publish(JobEvent{Type: evType, JobID: id, Done: j.Done, Total: j.Total, Error: err.Error()})
-			} else {
-				bus.publish(JobEvent{Type: EventDone, JobID: id, Done: j.Done, Total: j.Total, Result: res})
-			}
-		}
+	defer s.mu.Unlock()
+	r := s.jobs[id]
+	if r == nil || terminalStatus(r.job.Status) {
+		return
 	}
-	s.mu.Unlock()
+	j := &r.job
+	now := time.Now().UTC()
+	j.Finished = &now
+	ev := JobEvent{Type: EventDone}
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		// Deadline expiry and explicit cancellation share the canceled
+		// job status; the error text and the terminal event type
+		// distinguish them.
+		j.Status, ev.Type = JobCanceled, EventDeadlineExceeded
+	case errors.Is(err, context.Canceled):
+		j.Status, ev.Type = JobCanceled, EventCanceled
+	case err != nil:
+		j.Status, ev.Type = JobFailed, EventFailed
+	default:
+		j.Status, j.Result, ev.Result = JobDone, res, res
+	}
+	if err != nil {
+		j.Error = err.Error()
+		ev.Error = j.Error
+	}
+	r.cancel = nil
+	r.publish(ev)
 }
 
 // pool is a fixed-size worker pool with a bounded task queue. Submit

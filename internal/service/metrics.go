@@ -32,12 +32,9 @@ type Metrics struct {
 
 	cellsSimulated *obs.Counter
 	sweepSeconds   *obs.Counter
-	// streamEventsDropped counts slow-consumer wakeup drops on job
-	// event streams (no event is lost, the consumer fell behind the
-	// live tail); workerPanics counts panics recovered in sweep cells
-	// and the worker-pool backstop.
-	streamEventsDropped *obs.Counter
-	workerPanics        *obs.Counter
+	// workerPanics counts panics recovered in sweep cells and the
+	// worker-pool backstop.
+	workerPanics *obs.Counter
 
 	// Tiered sim-cache accounting: hits by serving tier, and the spill
 	// tier's writes and janitor evictions. Each eviction from memory
@@ -107,8 +104,6 @@ func NewMetrics() *Metrics {
 		"Sweep cells served from the simulation-result cache (including joins on in-flight cells).")
 	m.simCacheMisses = counter("valleyd_sim_cells_cache_misses_total", "Sweep cells that had to simulate.")
 	m.sweepSeconds = counter("valleyd_sweep_seconds_total", "Wall time spent executing simulation sweeps.")
-	m.streamEventsDropped = counter("valleyd_stream_events_dropped_total",
-		"Slow-consumer wakeup drops on job event streams (lag accounting; no events are lost).")
 	m.workerPanics = counter("valleyd_worker_panics_total", "Panics recovered in sweep cells and pool workers.")
 
 	tierHits := obs.NewCounterVec("valleyd_cache_tier_hits_total",

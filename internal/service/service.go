@@ -184,7 +184,6 @@ func New(cfg Config) *Service {
 		streamSem:  make(chan struct{}, 4*cfg.Workers),
 		start:      time.Now(),
 	}
-	s.jobs.onDrop = m.streamEventsDropped.Inc
 	return s
 }
 
@@ -933,21 +932,12 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 		obs.Attr{Key: "config", Value: plan.rc.cfgName},
 		obs.Attr{Key: "scale", Value: plan.rc.scaleName},
 	)
-	enq := tr.Start(root.ID(), "enqueue")
-	job, err := s.jobs.create("simulate", total, tr)
-	if err != nil {
-		s.sweepWG.Done()
-		return Job{}, overloadedError{msg: err.Error(), retryAfter: s.retryAfterHint()}
-	}
-	enq.Annotate(obs.Attr{Key: "job_id", Value: job.ID})
-	enq.End()
-	s.metrics.jobsEnqueued.Inc()
 
 	// The job context outlives the request: values (trace ID, logger)
 	// carry over, the request's cancellation does not — a 202 job must
 	// survive its handler returning — and the deadline instant is
-	// re-applied. The cancel function is armed in the store so DELETE,
-	// stream disconnects and Close-side cleanup can fire it with a cause.
+	// re-applied. The cancel function is kept in the job's record so
+	// DELETE and stream disconnects can fire it with a cause.
 	jobCtx, cancelJob := context.WithCancelCause(context.WithoutCancel(ctx))
 	release := func() { cancelJob(nil) }
 	if deadline != nil {
@@ -955,23 +945,31 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 		jobCtx, cancelT = context.WithDeadline(jobCtx, *deadline)
 		release = func() { cancelT(); cancelJob(nil) }
 	}
-	s.jobs.arm(job.ID, cancelJob, deadline)
+	enq := tr.Start(root.ID(), "enqueue")
+	job, err := s.jobs.create(total, tr, cancelJob, deadline)
+	if err != nil {
+		release()
+		s.sweepWG.Done()
+		return Job{}, overloadedError{msg: err.Error(), retryAfter: s.retryAfterHint()}
+	}
+	enq.Annotate(obs.Attr{Key: "job_id", Value: job.ID})
+	enq.End()
+	s.metrics.jobsEnqueued.Inc()
+
 	sw := &sweep{plan: plan, jobID: job.ID, jobs: s.jobs, tr: tr, root: root,
 		apps: make([]sharedApp, len(plan.specs)), result: plan.result(), degraded: degraded}
 
 	// The dispatcher goroutine owns the job lifecycle: it fans cells out
 	// over the pool (blocking on the bounded queue for backpressure),
 	// waits, aggregates and finishes the job. The HTTP handler returns
-	// the queued job immediately.
-	// Snapshot before the dispatcher starts mutating the stored job; if
-	// the sweep finishes and is evicted under churn before we re-read,
-	// this creation-time copy is still a valid handle for the client.
-	created := *job
+	// the queued job immediately. If the sweep finishes and is evicted
+	// under churn before the re-read, the creation-time copy is still a
+	// valid handle for the client.
 	go s.runSweep(jobCtx, sw, release)
 	if snap, ok := s.jobs.get(job.ID); ok {
 		return snap, nil
 	}
-	return created, nil
+	return job, nil
 }
 
 // CancelJob cancels an in-flight job with the given reason; the job
@@ -1135,8 +1133,9 @@ func (s *Service) Job(id string) (Job, bool) { return s.jobs.get(id) }
 
 // JobEvents subscribes to the named job's event stream, replaying
 // retained events with Seq >= from (pass 0 for the full history —
-// start, every finished cell, then done/failed). It reports false for
-// unknown or evicted jobs. Callers must Close the subscription.
+// start, every finished cell, then the terminal event). It reports
+// false for unknown or evicted jobs; a subscription taken before an
+// eviction still reads to the end of the stream.
 func (s *Service) JobEvents(id string, from int) (*JobSubscription, bool) {
 	return s.jobs.subscribe(id, from)
 }

@@ -229,16 +229,16 @@ func TestProfileSeedIgnoredWithoutScheme(t *testing.T) {
 
 func TestJobStoreEvictsFinishedAndBoundsInflight(t *testing.T) {
 	js := newJobStore(2)
-	a, err := js.create("simulate", 1, nil)
+	a, err := js.create(1, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	js.finish(a.ID, nil, nil)
-	b, err := js.create("simulate", 1, nil) // in flight: must never be evicted
+	b, err := js.create(1, nil, nil, nil) // in flight: must never be evicted
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := js.create("simulate", 1, nil) // at cap: evicts finished a
+	c, err := js.create(1, nil, nil, nil) // at cap: evicts finished a
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +251,11 @@ func TestJobStoreEvictsFinishedAndBoundsInflight(t *testing.T) {
 		}
 	}
 	// Cap full of in-flight jobs: creation must fail, not grow the store.
-	if _, err := js.create("simulate", 1, nil); err == nil {
+	if _, err := js.create(1, nil, nil, nil); err == nil {
 		t.Error("create with a cap full of in-flight jobs must error")
 	}
 	js.finish(b.ID, nil, nil)
-	if _, err := js.create("simulate", 1, nil); err != nil {
+	if _, err := js.create(1, nil, nil, nil); err != nil {
 		t.Errorf("create after a job finished must succeed, got %v", err)
 	}
 }

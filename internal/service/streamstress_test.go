@@ -17,7 +17,7 @@ import (
 	"valleymap/internal/testutil"
 )
 
-// TestStressStreamingClients hammers the event bus with -race on: many
+// TestStressStreamingClients hammers the event streams with -race on: many
 // concurrent streaming clients, half disconnecting mid-stream, over one
 // running sweep. Asserts: no event is delivered twice to any client
 // (dense ascending seq per connection), full-stream clients see every

@@ -224,7 +224,7 @@ func TestSweepCellPanicFailsJob(t *testing.T) {
 		cells: []cellExec{rc.cell(boom, mapping.BASE)}}
 	tr := obs.NewTrace("panictrace", 64)
 	root := tr.Start(0, "job")
-	job, err := svc.jobs.create("simulate", len(plan.cells), tr)
+	job, err := svc.jobs.create(len(plan.cells), tr, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -454,8 +454,8 @@ type (
 	ServiceCellResult      = service.CellResult
 )
 
-// Streaming sweep events: each running job publishes start / cell /
-// terminal records on a per-job bus, exposed over HTTP as NDJSON
+// Streaming sweep events: each job appends start / cell / terminal
+// records to a log kept with the job, exposed over HTTP as NDJSON
 // (POST /v1/simulate?stream=1, GET /v1/jobs/{id}/events) and in-process
 // via Service.JobEvents. Events arrive in seq order with no duplicates,
 // and every cell event precedes the single terminal event (done, failed,
