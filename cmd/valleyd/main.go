@@ -88,7 +88,7 @@ func run() int {
 	maxTraceBytes := flag.Int64("max-trace-bytes", 0, "uploaded trace body cap in bytes (0 = 256 MiB; uploads stream, so this bounds bandwidth, not memory)")
 	traceDir := flag.String("trace-dir", "", "directory of local trace files; enables {\"trace_file\":\"name\"} profile requests that mmap VTRC binaries zero-copy instead of uploading the body (empty = disabled)")
 	spillDir := flag.String("spill-dir", "", "simulation-cache spill directory (empty = memory-only); evicted cells spill to checksummed per-entry files and are promoted back on demand, so the cache survives restarts and grows past RAM")
-	spillMaxBytes := flag.Int64("spill-max-bytes", 0, "byte budget for the spill directory, enforced by evicting the lowest cost-per-byte entries (0 = 1 GiB; negative = unbounded)")
+	spillMaxBytes := flag.Int64("spill-max-bytes", 0, "byte budget for the spill directory, enforced by evicting entries oldest first (0 = 1 GiB; negative = unbounded)")
 	defaultDeadline := flag.Duration("default-deadline", 0, "deadline applied to sweep requests that carry no ?deadline_ms or X-Deadline-Ms budget (0 = unbounded)")
 	logLevel := flag.String("log-level", "info", "log threshold: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log encoding: text or json")

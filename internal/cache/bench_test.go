@@ -13,18 +13,15 @@ import (
 const warmKeys = 1024
 
 // BenchmarkWarmGetParallel drives 64 logical goroutines of warm
-// Tiered.GetOrCompute traffic over a preloaded memory tier. Every lookup
+// LRU.GetOrCompute traffic over a preloaded memory tier. Every lookup
 // must be a hit; a single compute means the preload or the cache is
 // broken and the numbers are garbage, so it fails the benchmark.
 func BenchmarkWarmGetParallel(b *testing.B) {
-	tc, err := NewTiered(TieredOptions[int]{Capacity: warmKeys})
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := NewLRU(LRUOptions[int]{Capacity: warmKeys})
 	keys := make([]string, warmKeys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("sim|W%03d|tiny|BASE|baseline|%d", i, i)
-		tc.Add(keys[i], i)
+		c.GetOrCompute(keys[i], func() (int, error) { return i, nil })
 	}
 	var computes atomic.Int64
 	var goroutineSeq atomic.Int64
@@ -49,7 +46,7 @@ func BenchmarkWarmGetParallel(b *testing.B) {
 			r ^= r >> 7
 			r ^= r << 17
 			k := keys[r%warmKeys]
-			if _, _, err := tc.GetOrCompute(k, func() (int, error) {
+			if _, _, err := c.GetOrCompute(k, func() (int, error) {
 				computes.Add(1)
 				return 0, nil
 			}); err != nil {

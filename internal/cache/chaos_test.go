@@ -27,8 +27,8 @@ func TestChaosSpillWriteFailure(t *testing.T) {
 	d := openTestDisk(t, DiskOptions{OnError: func() { errs.Add(1) }})
 
 	fault.InjectError(fault.SpillWrite, 1.0, nil)
-	d.Put("k1", []byte("v1"), 1)
-	d.Put("k2", []byte("v2"), 1)
+	d.Put("k1", []byte("v1"))
+	d.Put("k2", []byte("v2"))
 
 	if got := errs.Load(); got != 2 {
 		t.Errorf("OnError fired %d times for 2 failed writes", got)
@@ -40,12 +40,12 @@ func TestChaosSpillWriteFailure(t *testing.T) {
 		t.Errorf("failed writes were indexed: Len=%d Bytes=%d", d.Len(), d.Bytes())
 	}
 	fault.Reset()
-	if _, _, ok := d.Get("k1"); ok {
+	if _, ok := d.Get("k1"); ok {
 		t.Error("failed write still readable")
 	}
 	// The store must keep working once the fault clears.
-	d.Put("k3", []byte("v3"), 1)
-	if _, _, ok := d.Get("k3"); !ok {
+	d.Put("k3", []byte("v3"))
+	if _, ok := d.Get("k3"); !ok {
 		t.Error("store did not recover after write faults cleared")
 	}
 }
@@ -61,7 +61,7 @@ func TestChaosSpillTornWrite(t *testing.T) {
 	d := openTestDisk(t, DiskOptions{Dir: dir, OnError: func() { errs.Add(1) }})
 
 	fault.InjectFail(fault.SpillTorn, 1.0)
-	d.Put("k", []byte("a payload long enough to tear"), 1)
+	d.Put("k", []byte("a payload long enough to tear"))
 	if fault.Fired(fault.SpillTorn) == 0 {
 		t.Fatal("SpillTorn never fired — the seam is dead")
 	}
@@ -72,7 +72,7 @@ func TestChaosSpillTornWrite(t *testing.T) {
 	if _, err := os.Stat(d.entryPath("k")); err != nil {
 		t.Fatalf("torn entry file did not land: %v", err)
 	}
-	if payload, _, ok := d.Get("k"); ok {
+	if payload, ok := d.Get("k"); ok {
 		t.Fatalf("Get served %q from a torn entry", payload)
 	}
 	if errs.Load() == 0 {
@@ -82,8 +82,8 @@ func TestChaosSpillTornWrite(t *testing.T) {
 		t.Error("torn entry still indexed after detection")
 	}
 	// Re-put must land clean now.
-	d.Put("k", []byte("fresh"), 1)
-	if payload, _, ok := d.Get("k"); !ok || string(payload) != "fresh" {
+	d.Put("k", []byte("fresh"))
+	if payload, ok := d.Get("k"); !ok || string(payload) != "fresh" {
 		t.Errorf("re-put after torn entry = (%q, %v)", payload, ok)
 	}
 }
@@ -96,8 +96,8 @@ func TestChaosSpillTornSurvivesRestart(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spill")
 	d1 := openTestDisk(t, DiskOptions{Dir: dir})
 	fault.InjectFail(fault.SpillTorn, 1.0)
-	d1.Put("k1", []byte("a payload long enough to tear"), 1)
-	d1.Put("k2", []byte("another payload long enough to tear"), 1)
+	d1.Put("k1", []byte("a payload long enough to tear"))
+	d1.Put("k2", []byte("another payload long enough to tear"))
 	if fault.Fired(fault.SpillTorn) == 0 {
 		t.Fatal("SpillTorn never fired — the seam is dead")
 	}
@@ -121,10 +121,10 @@ func TestChaosSpillReadFailure(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	var errs atomic.Int64
 	d := openTestDisk(t, DiskOptions{OnError: func() { errs.Add(1) }})
-	d.Put("k", []byte("v"), 1)
+	d.Put("k", []byte("v"))
 
 	fault.InjectError(fault.SpillRead, 1.0, nil)
-	if _, _, ok := d.Get("k"); ok {
+	if _, ok := d.Get("k"); ok {
 		t.Fatal("Get succeeded under an injected read fault")
 	}
 	if errs.Load() != 1 {
@@ -135,30 +135,29 @@ func TestChaosSpillReadFailure(t *testing.T) {
 	}
 	fault.Reset()
 	// A transient read fault must not have destroyed the entry.
-	if payload, _, ok := d.Get("k"); !ok || string(payload) != "v" {
+	if payload, ok := d.Get("k"); !ok || string(payload) != "v" {
 		t.Errorf("entry gone after a transient read fault: (%q, %v)", payload, ok)
 	}
 }
 
-// TestChaosTieredSpillFaultsDegradeToRecompute: the full two-tier path
+// TestChaosLRUSpillFaultsDegradeToRecompute: the full two-tier path
 // under write faults — evictions fail to spill, lookups recompute the
 // right value, and GetOrCompute never surfaces a spill error.
-func TestChaosTieredSpillFaultsDegradeToRecompute(t *testing.T) {
+func TestChaosLRUSpillFaultsDegradeToRecompute(t *testing.T) {
 	fault.Reset()
 	t.Cleanup(fault.Reset)
-	disk := openTestDisk(t, DiskOptions{})
-	tc := newTestTiered(t, 1, disk)
+	c := newTestLRU(1, openTestDisk(t, DiskOptions{}))
 
 	fault.InjectError(fault.SpillWrite, 1.0, nil)
-	tc.Add("a", tierCell{N: 1})
-	tc.Add("b", tierCell{N: 2}) // evicts a; its spill write fails
+	put(t, c, "a", testCell{N: 1})
+	put(t, c, "b", testCell{N: 2}) // evicts a; its spill write fails
 	fault.Reset()
 
-	v, tier, err := tc.GetOrCompute("a", func() (tierCell, error) { return tierCell{N: 1}, nil })
+	v, hit, err := c.GetOrCompute("a", func() (testCell, error) { return testCell{N: 1}, nil })
 	if err != nil || v.N != 1 {
-		t.Fatalf("lookup after failed spill = (%+v, %v, %v)", v, tier, err)
+		t.Fatalf("lookup after failed spill = (%+v, hit %v, %v)", v, hit, err)
 	}
-	if tier != TierMiss {
-		t.Errorf("tier = %v for an entry whose spill failed, want miss (recompute)", tier)
+	if hit {
+		t.Error("hit for an entry whose spill failed, want a miss (recompute)")
 	}
 }

@@ -7,8 +7,7 @@ package cache
 // checksum and key; any damage — truncation, corruption, a key
 // collision, a stray file — deletes the file and reads as a miss,
 // because a cache is always allowed to forget. A byte-budget janitor
-// evicts the lowest cost-per-byte entries after each write, mirroring
-// the memory tier's cost-aware policy.
+// deletes the oldest writes first after each write.
 //
 // Every change to the directory — a write, a removal, a janitor
 // eviction, the deletion of a damaged file — happens under the store's
@@ -34,7 +33,7 @@ import (
 
 // spillMagic brands one spill entry file; the trailing digit is the
 // format version.
-var spillMagic = [8]byte{'V', 'S', 'P', 'I', 'L', 'L', '0', '1'}
+var spillMagic = [8]byte{'V', 'S', 'P', 'I', 'L', 'L', '0', '2'}
 
 // DiskOptions configures a DiskStore. All callbacks may be nil and are
 // invoked outside the store's lock; they must not call back into the
@@ -43,8 +42,7 @@ type DiskOptions struct {
 	// Dir is the spill directory, created if missing.
 	Dir string
 	// MaxBytes bounds the indexed entry bytes; the janitor evicts the
-	// lowest cost-per-byte entries to stay under it. <= 0 disables the
-	// budget.
+	// oldest writes first to stay under it. <= 0 disables the budget.
 	MaxBytes int64
 	// OnWrite observes each entry file written.
 	OnWrite func()
@@ -56,8 +54,8 @@ type DiskOptions struct {
 }
 
 type diskMeta struct {
-	bytes int64 // whole entry file size
-	cost  float64
+	bytes int64  // whole entry file size
+	seq   uint64 // write order: the janitor deletes the lowest first
 }
 
 // DiskStore is the disk-backed tier. All methods are safe for
@@ -68,11 +66,13 @@ type DiskStore struct {
 	mu    sync.Mutex // held across every change to the directory
 	index map[string]diskMeta
 	bytes int64
+	seq   uint64 // the last indexed entry's write order
 }
 
 // OpenDisk opens (creating if needed) a spill directory and rebuilds
 // the in-memory index by scanning it: every entry file is read and
-// fully validated, and damaged files are deleted on the spot.
+// fully validated, and damaged files are deleted on the spot. Entries
+// found by the scan count as older than anything written since.
 func OpenDisk(opt DiskOptions) (*DiskStore, error) {
 	if opt.Dir == "" {
 		return nil, errors.New("cache: spill dir must not be empty")
@@ -116,7 +116,7 @@ func (d *DiskStore) scan() error {
 				continue
 			}
 			path := filepath.Join(d.opt.Dir, sub.Name(), f.Name())
-			key, _, cost, err := readEntryFile(path)
+			key, _, err := readEntryFile(path)
 			// A valid entry away from its key's path, such as one left
 			// under a temp name by a write that stopped before its
 			// rename, is damage too.
@@ -129,7 +129,8 @@ func (d *DiskStore) scan() error {
 			if err != nil {
 				continue
 			}
-			d.index[key] = diskMeta{bytes: st.Size(), cost: cost}
+			d.seq++
+			d.index[key] = diskMeta{bytes: st.Size(), seq: d.seq}
 			d.bytes += st.Size()
 		}
 	}
@@ -140,17 +141,15 @@ func (d *DiskStore) scan() error {
 // lets the janitor trim the directory to the byte budget. The store
 // keeps no reference to payload. A failed write is counted through
 // OnError and leaves any earlier entry for key in place.
-func (d *DiskStore) Put(key string, payload []byte, cost float64) {
-	if cost < 0 || math.IsNaN(cost) {
-		cost = 0
-	}
+func (d *DiskStore) Put(key string, payload []byte) {
 	d.mu.Lock()
-	size, err := d.writeEntry(key, payload, cost)
+	size, err := d.writeEntry(key, payload)
 	if err == nil {
 		if old, ok := d.index[key]; ok {
 			d.bytes -= old.bytes
 		}
-		d.index[key] = diskMeta{bytes: size, cost: cost}
+		d.seq++
+		d.index[key] = diskMeta{bytes: size, seq: d.seq}
 		d.bytes += size
 	}
 	evicted := d.janitorLocked()
@@ -166,22 +165,21 @@ func (d *DiskStore) Put(key string, payload []byte, cost float64) {
 	}
 }
 
-// Get returns the stored payload and cost for key. The entry file is
-// read and fully verified; any damage deletes the file and reads as a
-// miss.
-func (d *DiskStore) Get(key string) ([]byte, float64, bool) {
+// Get returns the stored payload for key. The entry file is read and
+// fully verified; any damage deletes the file and reads as a miss.
+func (d *DiskStore) Get(key string) ([]byte, bool) {
 	// Taking the lock waits out a Put that is writing this key.
 	d.mu.Lock()
 	_, ok := d.index[key]
 	d.mu.Unlock()
 	if !ok {
-		return nil, 0, false
+		return nil, false
 	}
 	if err := fault.Err(fault.SpillRead); err != nil {
 		d.observe(d.opt.OnError)
-		return nil, 0, false
+		return nil, false
 	}
-	gotKey, payload, cost, err := readEntryFile(d.entryPath(key))
+	gotKey, payload, err := readEntryFile(d.entryPath(key))
 	if err == nil && gotKey != key {
 		// A digest collision or a foreign file at this path: neither is
 		// our entry.
@@ -192,9 +190,9 @@ func (d *DiskStore) Get(key string) ([]byte, float64, bool) {
 		if !errors.Is(err, fs.ErrNotExist) {
 			d.observe(d.opt.OnError)
 		}
-		return nil, 0, false
+		return nil, false
 	}
-	return payload, cost, true
+	return payload, true
 }
 
 // Contains reports whether key is indexed, without touching the disk.
@@ -234,20 +232,18 @@ func (d *DiskStore) Bytes() int64 {
 	return d.bytes
 }
 
-// janitorLocked deletes entries until the indexed bytes fit the budget
-// and reports how many it deleted. Victim choice mirrors the memory
-// tier: lowest Cost/Bytes density first.
+// janitorLocked deletes entries, oldest write first, until the indexed
+// bytes fit the budget and reports how many it deleted.
 func (d *DiskStore) janitorLocked() int {
 	if d.opt.MaxBytes <= 0 {
 		return 0
 	}
 	n := 0
 	for ; d.bytes > d.opt.MaxBytes && len(d.index) > 0; n++ {
-		victimKey := ""
-		best := math.Inf(1)
+		victimKey, oldest := "", uint64(math.MaxUint64)
 		for key, meta := range d.index {
-			if density := meta.cost / float64(meta.bytes); density < best {
-				victimKey, best = key, density
+			if meta.seq < oldest {
+				victimKey, oldest = key, meta.seq
 			}
 		}
 		d.removeLocked(victimKey)
@@ -265,11 +261,11 @@ func (d *DiskStore) observe(fn func()) {
 // fan-out directory). The SpillWrite fault seam fails the write before
 // any bytes land; SpillTorn truncates the framed bytes but lets the
 // rename publish the torn file — caught later by Get's checksum.
-func (d *DiskStore) writeEntry(key string, payload []byte, cost float64) (int64, error) {
+func (d *DiskStore) writeEntry(key string, payload []byte) (int64, error) {
 	if err := fault.Err(fault.SpillWrite); err != nil {
 		return 0, err
 	}
-	framed := encodeEntry(key, payload, cost)
+	framed := encodeEntry(key, payload)
 	out := fault.Torn(fault.SpillTorn, framed)
 	path := d.entryPath(key)
 	dir := filepath.Dir(path)
@@ -295,21 +291,22 @@ func (d *DiskStore) writeEntry(key string, payload []byte, cost float64) (int64,
 
 // Entry file layout (integers little-endian):
 //
-//	magic   [8]byte  "VSPILL01"
+//	magic   [8]byte  "VSPILL02"
 //	keyLen  uint32
 //	payLen  uint64
-//	cost    float64 bits
 //	key     []byte
 //	payload []byte
 //	sum     [32]byte SHA-256 of everything above
-const spillHeaderLen = 8 + 4 + 8 + 8
+//
+// A file of any other version fails the magic check, so the startup
+// scan deletes it as damage.
+const spillHeaderLen = 8 + 4 + 8
 
-func encodeEntry(key string, payload []byte, cost float64) []byte {
+func encodeEntry(key string, payload []byte) []byte {
 	buf := make([]byte, 0, spillHeaderLen+len(key)+len(payload)+sha256.Size)
 	buf = append(buf, spillMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cost))
 	buf = append(buf, key...)
 	buf = append(buf, payload...)
 	sum := sha256.Sum256(buf)
@@ -319,33 +316,28 @@ func encodeEntry(key string, payload []byte, cost float64) []byte {
 // readEntryFile reads and fully validates one entry file. Every
 // failure mode is an error; callers treat any error (other than
 // fs.ErrNotExist) as damage.
-func readEntryFile(path string) (key string, payload []byte, cost float64, err error) {
+func readEntryFile(path string) (key string, payload []byte, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return "", nil, 0, err
+		return "", nil, err
 	}
 	if len(data) < spillHeaderLen+sha256.Size {
-		return "", nil, 0, errors.New("cache: spill entry truncated")
+		return "", nil, errors.New("cache: spill entry truncated")
 	}
 	if !bytes.Equal(data[:8], spillMagic[:]) {
-		return "", nil, 0, fmt.Errorf("cache: spill entry magic %q is not %q", data[:8], spillMagic[:])
+		return "", nil, fmt.Errorf("cache: spill entry magic %q is not %q", data[:8], spillMagic[:])
 	}
 	keyLen := binary.LittleEndian.Uint32(data[8:12])
 	payLen := binary.LittleEndian.Uint64(data[12:20])
-	cost = math.Float64frombits(binary.LittleEndian.Uint64(data[20:28]))
 	body := uint64(len(data) - spillHeaderLen - sha256.Size)
 	if uint64(keyLen)+payLen != body {
-		return "", nil, 0, fmt.Errorf("cache: spill entry lengths %d+%d do not match %d body bytes", keyLen, payLen, body)
+		return "", nil, fmt.Errorf("cache: spill entry lengths %d+%d do not match %d body bytes", keyLen, payLen, body)
 	}
 	sumStart := spillHeaderLen + int(keyLen) + int(payLen)
 	sum := sha256.Sum256(data[:sumStart])
 	if !bytes.Equal(sum[:], data[sumStart:]) {
-		return "", nil, 0, errors.New("cache: spill entry checksum mismatch")
+		return "", nil, errors.New("cache: spill entry checksum mismatch")
 	}
 	key = string(data[spillHeaderLen : spillHeaderLen+int(keyLen)])
-	payload = data[spillHeaderLen+int(keyLen) : sumStart]
-	if math.IsNaN(cost) || cost < 0 {
-		cost = 0
-	}
-	return key, payload, cost, nil
+	return key, data[spillHeaderLen+int(keyLen) : sumStart], nil
 }

@@ -2,8 +2,10 @@ package cache
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -25,11 +27,11 @@ func openTestDisk(t *testing.T, opt DiskOptions) *DiskStore {
 
 // TestDiskRoundTrip: the entry file sits under the two-level fan-out
 // layout, counted by Len and Bytes, as soon as Put returns, and Get
-// returns the exact payload and cost.
+// returns the exact payload.
 func TestDiskRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spill")
 	d := openTestDisk(t, DiskOptions{Dir: dir})
-	d.Put("sim|SP|tiny|BASE", []byte(`{"exec_ps":123}`), 0.25)
+	d.Put("sim|SP|tiny|BASE", []byte(`{"exec_ps":123}`))
 
 	sum := hex.EncodeToString(func() []byte { h := sha256.Sum256([]byte("sim|SP|tiny|BASE")); return h[:] }())
 	want := filepath.Join(dir, sum[:2], sum[2:])
@@ -41,38 +43,41 @@ func TestDiskRoundTrip(t *testing.T) {
 		t.Errorf("Len=%d Bytes=%d after one %d-byte entry, want 1 and %d", d.Len(), d.Bytes(), st.Size(), st.Size())
 	}
 
-	payload, cost, ok := d.Get("sim|SP|tiny|BASE")
-	if !ok || string(payload) != `{"exec_ps":123}` || cost != 0.25 {
-		t.Fatalf("Get = (%q, %v, %v)", payload, cost, ok)
+	payload, ok := d.Get("sim|SP|tiny|BASE")
+	if !ok || string(payload) != `{"exec_ps":123}` {
+		t.Fatalf("Get = (%q, %v)", payload, ok)
 	}
 }
 
-// TestDiskJanitorEvictsLowestDensity: over the byte budget, the janitor
-// removes the lowest cost-per-byte entries (and their files) until the
-// landed bytes fit, counting each via OnEvict.
-func TestDiskJanitorEvictsLowestDensity(t *testing.T) {
+// TestDiskJanitorEvictsOldest: over the byte budget, the janitor
+// removes the oldest writes (and their files) until the landed bytes
+// fit, counting each via OnEvict. Entries found by the startup scan
+// are older than anything written after it.
+func TestDiskJanitorEvictsOldest(t *testing.T) {
 	var evictions atomic.Int64
 	payload := make([]byte, 256)
-	// Entry file size = header(28) + keyLen + 256 + sha(32); with 2-byte
-	// keys each entry is 318 bytes. Budget for two entries.
+	// Entry file size = header(20) + keyLen + 256 + sha(32); with 2-byte
+	// keys each entry is 310 bytes. Budget for two entries.
+	dir := filepath.Join(t.TempDir(), "spill")
 	d := openTestDisk(t, DiskOptions{
-		Dir:      filepath.Join(t.TempDir(), "spill"),
+		Dir:      dir,
 		MaxBytes: 700,
 		OnEvict:  func() { evictions.Add(1) },
 	})
-	d.Put("aa", payload, 0.01) // cheapest per byte — the victim
-	d.Put("bb", payload, 5.0)
-	d.Put("cc", payload, 3.0) // pushes bytes over 700
+	d.Put("aa", payload) // oldest write — the victim
+	d.Put("bb", payload)
+	d.Get("aa")          // a read does not refresh write order
+	d.Put("cc", payload) // pushes bytes over 700
 
 	if got := evictions.Load(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 	if d.Contains("aa") {
-		t.Error("janitor kept the cheapest entry aa")
+		t.Error("janitor kept the oldest entry aa")
 	}
 	for _, k := range []string{"bb", "cc"} {
-		if _, _, ok := d.Get(k); !ok {
-			t.Errorf("janitor evicted expensive entry %s", k)
+		if _, ok := d.Get(k); !ok {
+			t.Errorf("janitor evicted newer entry %s", k)
 		}
 	}
 	if d.Bytes() > 700 {
@@ -84,6 +89,14 @@ func TestDiskJanitorEvictsLowestDensity(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(d.opt.Dir, hexsum[:2], hexsum[2:])); !os.IsNotExist(err) {
 		t.Errorf("evicted entry file still on disk: %v", err)
 	}
+
+	// Reopened, the store holds bb and cc from its scan; a new write
+	// over the budget evicts one of them, never itself.
+	d2 := openTestDisk(t, DiskOptions{Dir: dir, MaxBytes: 700})
+	d2.Put("dd", payload)
+	if d2.Len() != 2 || !d2.Contains("dd") {
+		t.Errorf("after a write over scanned entries: Len=%d, dd kept=%v; want 2, true", d2.Len(), d2.Contains("dd"))
+	}
 }
 
 // TestDiskDamagedEntryIsMissAndRemoved: flipping a byte in a landed
@@ -93,7 +106,7 @@ func TestDiskDamagedEntryIsMissAndRemoved(t *testing.T) {
 	var errs atomic.Int64
 	dir := filepath.Join(t.TempDir(), "spill")
 	d := openTestDisk(t, DiskOptions{Dir: dir, OnError: func() { errs.Add(1) }})
-	d.Put("k", []byte("precious"), 1)
+	d.Put("k", []byte("precious"))
 
 	path := d.entryPath("k")
 	data, err := os.ReadFile(path)
@@ -105,7 +118,7 @@ func TestDiskDamagedEntryIsMissAndRemoved(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if payload, _, ok := d.Get("k"); ok {
+	if payload, ok := d.Get("k"); ok {
 		t.Fatalf("Get returned %q from a corrupt entry", payload)
 	}
 	if errs.Load() != 1 {
@@ -121,12 +134,13 @@ func TestDiskDamagedEntryIsMissAndRemoved(t *testing.T) {
 
 // TestDiskReopenScan: a fresh DiskStore over an existing directory
 // rebuilds the index from the entry files, deleting any damaged ones on
-// the spot; valid neighbours survive.
+// the spot; valid neighbours survive. An intact entry of the old
+// VSPILL01 format counts as damage too.
 func TestDiskReopenScan(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spill")
 	d1 := openTestDisk(t, DiskOptions{Dir: dir})
-	d1.Put("good", []byte("payload-1"), 2.5)
-	d1.Put("bad", []byte("payload-2"), 1.0)
+	d1.Put("good", []byte("payload-1"))
+	d1.Put("bad", []byte("payload-2"))
 	badPath := d1.entryPath("bad")
 
 	// Truncate one entry behind the store's back (a crash mid-rename on
@@ -138,23 +152,44 @@ func TestDiskReopenScan(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("not an entry"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A complete, correctly checksummed VSPILL01 entry at its key's
+	// path: magic, key and payload lengths, a float64 cost, key,
+	// payload, SHA-256.
+	old := []byte("VSPILL01")
+	old = binary.LittleEndian.AppendUint32(old, 3)
+	old = binary.LittleEndian.AppendUint64(old, 9)
+	old = binary.LittleEndian.AppendUint64(old, math.Float64bits(1.5))
+	old = append(old, "oldpayload-3"...)
+	sum := sha256.Sum256(old)
+	oldPath := d1.entryPath("old")
+	if err := os.MkdirAll(filepath.Dir(oldPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(oldPath, append(old, sum[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	var errs atomic.Int64
 	d2 := openTestDisk(t, DiskOptions{Dir: dir, OnError: func() { errs.Add(1) }})
 	if d2.Len() != 1 {
 		t.Fatalf("reopened store indexed %d entries, want 1", d2.Len())
 	}
-	if payload, cost, ok := d2.Get("good"); !ok || string(payload) != "payload-1" || cost != 2.5 {
-		t.Errorf("surviving entry = (%q, %v, %v)", payload, cost, ok)
+	if payload, ok := d2.Get("good"); !ok || string(payload) != "payload-1" {
+		t.Errorf("surviving entry = (%q, %v)", payload, ok)
 	}
 	if d2.Contains("bad") {
 		t.Error("truncated entry resurrected by the scan")
 	}
-	if errs.Load() != 1 {
-		t.Errorf("scan counted %d damaged entries, want 1", errs.Load())
+	if d2.Contains("old") {
+		t.Error("VSPILL01 entry indexed by the scan")
 	}
-	if _, err := os.Stat(badPath); !os.IsNotExist(err) {
-		t.Error("scan left the damaged file on disk")
+	if errs.Load() != 2 {
+		t.Errorf("scan counted %d damaged entries, want 2", errs.Load())
+	}
+	for _, p := range []string{badPath, oldPath} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("scan left the damaged file %s on disk", p)
+		}
 	}
 }
 
@@ -163,9 +198,9 @@ func TestDiskReopenScan(t *testing.T) {
 func TestDiskSupersededWrite(t *testing.T) {
 	d := openTestDisk(t, DiskOptions{})
 	for i := 0; i < 50; i++ {
-		d.Put("k", []byte(fmt.Sprintf("v%d", i)), 1)
+		d.Put("k", []byte(fmt.Sprintf("v%d", i)))
 	}
-	if payload, _, ok := d.Get("k"); !ok || string(payload) != "v49" {
+	if payload, ok := d.Get("k"); !ok || string(payload) != "v49" {
 		t.Errorf("Get after superseding writes = (%q, %v), want (v49, true)", payload, ok)
 	}
 	if d.Len() != 1 {
@@ -176,13 +211,13 @@ func TestDiskSupersededWrite(t *testing.T) {
 // TestDiskRemove removes the index entry and the entry file.
 func TestDiskRemove(t *testing.T) {
 	d := openTestDisk(t, DiskOptions{})
-	d.Put("k", []byte("v"), 1)
+	d.Put("k", []byte("v"))
 	path := d.entryPath("k")
 	d.Remove("k")
 	if d.Contains("k") {
 		t.Error("removed key still resident")
 	}
-	if _, _, ok := d.Get("k"); ok {
+	if _, ok := d.Get("k"); ok {
 		t.Error("removed key still readable")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -216,7 +251,7 @@ func TestDiskConcurrentStorm(t *testing.T) {
 				switch r % 5 {
 				case 0, 1:
 					puts.Add(1)
-					d.Put(k, []byte(fmt.Sprintf("payload-%d", r%1000)), float64(r%10))
+					d.Put(k, []byte(fmt.Sprintf("payload-%d", r%1000)))
 				case 2:
 					d.Get(k)
 				case 3:
@@ -252,7 +287,7 @@ func TestDiskConcurrentStorm(t *testing.T) {
 func TestDiskScanDropsUnrenamedEntry(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spill")
 	d1 := openTestDisk(t, DiskOptions{Dir: dir})
-	d1.Put("k", []byte("v"), 1)
+	d1.Put("k", []byte("v"))
 	path := d1.entryPath("k")
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -274,7 +309,7 @@ func TestDiskScanDropsUnrenamedEntry(t *testing.T) {
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Errorf("scan left the unrenamed entry on disk: %v", err)
 	}
-	if payload, _, ok := d2.Get("k"); !ok || string(payload) != "v" {
+	if payload, ok := d2.Get("k"); !ok || string(payload) != "v" {
 		t.Errorf("Get(k) = (%q, %v), want (v, true)", payload, ok)
 	}
 }

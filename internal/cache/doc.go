@@ -4,19 +4,21 @@
 // write-allocate caches of the simulated GPU (Table I): the per-SM L1D
 // and the LLC slices.
 //
-// The service half is the tiered content-addressed result store behind
+// The service half is the content-addressed result store behind
 // valleyd's profile and simulation caches:
 //
-//	LRU[V]      (lru.go)      single-lock cost-aware LRU with in-flight
-//	                          coalescing and *PanicError recovery
+//	LRU[V]      (lru.go)      single-lock exact LRU with in-flight
+//	                          coalescing, *PanicError recovery and an
+//	                          optional disk tier
 //	DiskStore   (disk.go)     content-addressed spill tier: one
 //	                          checksummed file per entry, written
-//	                          inline, byte-budget janitor
-//	Tiered[V]   (tiered.go)   the two glued together
+//	                          inline, oldest-write-first byte-budget
+//	                          janitor
 //
-// One lock guards the whole LRU, so Capacity is exact and the
-// cost-aware victim scan always sees the coldest entries of the whole
-// cache.
+// One lock guards the whole memory tier, so Capacity is exact and
+// eviction always takes the least recently used entry of the whole
+// cache. Only a key's own computation inserts it, so the cache never
+// holds more than Capacity entries, even for a moment.
 //
 // # Two-tier contract
 //

@@ -1,11 +1,11 @@
 package cache
 
-// Generic service-level LRU. Besides the hardware models above, this
-// package hosts LRU[V]: the content-addressed result cache behind
-// valleyd's profile cache and the memory tier of its simulation cache.
-// It grew out of internal/service and moved here so its eviction policy
-// is reusable (and testable) independent of the service's HTTP
-// machinery.
+// The result store. Besides the hardware models above, this package
+// hosts LRU[V]: the content-addressed result cache behind valleyd's
+// profile cache and its simulation cache, with an optional disk spill
+// tier (disk.go). It grew out of internal/service and moved here so its
+// eviction and spill policy is testable independent of the service's
+// HTTP machinery.
 
 import (
 	"container/list"
@@ -27,46 +27,42 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("cache: computation panicked: %v", e.Value)
 }
 
-// Weight is the eviction weight of one cache entry: Cost is how
-// expensive the entry was to produce (the service uses measured wall
-// seconds), Bytes its approximate resident size. Eviction prefers the
-// lowest Cost/Bytes density — the cheapest-to-recompute bytes go first.
-type Weight struct {
-	Cost  float64
-	Bytes int
-}
+// Tier labels where a GetOrCompute hit was served from.
+type Tier int
 
-// evictScan bounds the eviction victim search: only the evictScan
-// least-recently-used entries are candidates, so one eviction is O(1)-ish
-// while still letting an order-of-magnitude-more-expensive entry at the
-// cold tail outlive cheap neighbours. Recency stays the first-order
-// signal; cost breaks ties inside the cold tail.
-const evictScan = 16
+const (
+	// TierMem: served by the memory tier, including joining another
+	// caller's in-flight computation.
+	TierMem Tier = iota
+	// TierDisk: read from the spill tier and promoted into memory.
+	TierDisk
+)
 
 // LRUOptions configures an LRU.
 type LRUOptions[V any] struct {
-	// Capacity bounds resident entries (values < 1 become 1).
+	// Capacity bounds memory-resident entries (values < 1 become 1).
 	Capacity int
-	// OnHit / OnMiss observe lookup outcomes (may be nil).
-	OnHit, OnMiss func()
-	// Weigh returns an entry's eviction weight, sampled once at insert.
-	// nil means every entry weighs the same, which makes eviction exact
-	// LRU (the profile cache's policy).
-	Weigh func(V) Weight
-	// OnEvict observes capacity evictions (may be nil). It runs on the
-	// inserting goroutine after the cache lock is released, so it may
-	// take locks of its own and do I/O (the spill tier writes the entry
-	// file here) but must not call back into this cache.
-	OnEvict func(key string, val V, w Weight)
+	// Disk is the spill tier. nil means memory-only: evictions discard.
+	Disk *DiskStore
+	// Encode / Decode serialize values for the spill tier. Both must be
+	// set when Disk is; Decode must reject payloads it cannot fully
+	// reconstruct.
+	Encode func(V) ([]byte, error)
+	Decode func([]byte) (V, error)
+	// OnHit observes each hit with the tier that served it; OnMiss
+	// observes each successful fresh computation. May be nil.
+	OnHit  func(Tier)
+	OnMiss func()
 }
 
 // LRU is a content-addressed LRU cache with in-flight request
 // coalescing: concurrent lookups for the same key share one computation
 // (the first caller computes, the rest block on it and count as hits),
 // so a burst of identical requests costs one computation. Keys encode
-// the input identity plus every option that affects the result. With a
-// Weigh function, eviction is cost-aware: among the least-recently-used
-// entries, the cheapest cost-per-byte is evicted first.
+// the input identity plus every option that affects the result.
+// Eviction is exact LRU. With a disk tier, an evicted entry spills to
+// disk instead of being discarded, and a memory miss reads through to
+// disk before it computes. All methods are safe for concurrent use.
 type LRU[V any] struct {
 	mu       sync.Mutex
 	opt      LRUOptions[V]
@@ -78,7 +74,6 @@ type LRU[V any] struct {
 type lruEntry[V any] struct {
 	key string
 	val V
-	w   Weight
 }
 
 type flight[V any] struct {
@@ -87,8 +82,13 @@ type flight[V any] struct {
 	err  error
 }
 
-// NewLRU builds an empty cache.
+// NewLRU builds an empty cache over opt.Disk, which the caller opens
+// and which may be nil. It panics when given a disk tier without a
+// codec.
 func NewLRU[V any](opt LRUOptions[V]) *LRU[V] {
+	if opt.Disk != nil && (opt.Encode == nil || opt.Decode == nil) {
+		panic("cache: a disk tier requires Encode and Decode")
+	}
 	if opt.Capacity < 1 {
 		opt.Capacity = 1
 	}
@@ -100,7 +100,7 @@ func NewLRU[V any](opt LRUOptions[V]) *LRU[V] {
 	}
 }
 
-// Len returns the number of resident entries.
+// Len returns the number of memory-resident entries.
 func (c *LRU[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -108,17 +108,19 @@ func (c *LRU[V]) Len() int {
 }
 
 // GetOrCompute returns the cached value for key, or runs fn once to
-// produce it. hit is true when the value came from the cache or from
-// joining another caller's in-flight computation. Errors are not cached.
+// produce it. hit is true when the value came from either tier or from
+// joining another caller's in-flight computation. A memory miss reads
+// through to disk inside the coalesced computation, so a burst of
+// lookups for a spilled key costs one disk read. Only a key's own
+// computation inserts it, and the entry that insert evicts is written
+// to disk before GetOrCompute returns. Errors are not cached.
 func (c *LRU[V]) GetOrCompute(key string, fn func() (V, error)) (val V, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		v := el.Value.(*lruEntry[V]).val
 		c.mu.Unlock()
-		if c.opt.OnHit != nil {
-			c.opt.OnHit()
-		}
+		c.observeHit(TierMem)
 		return v, true, nil
 	}
 	if f, ok := c.inflight[key]; ok {
@@ -128,9 +130,7 @@ func (c *LRU[V]) GetOrCompute(key string, fn func() (V, error)) (val V, hit bool
 			var zero V
 			return zero, false, f.err
 		}
-		if c.opt.OnHit != nil {
-			c.opt.OnHit()
-		}
+		c.observeHit(TierMem)
 		return f.val, true, nil
 	}
 	f := &flight[V]{done: make(chan struct{})}
@@ -139,145 +139,112 @@ func (c *LRU[V]) GetOrCompute(key string, fn func() (V, error)) (val V, hit bool
 
 	// A panicking computation must still unregister the flight and close
 	// done, or every later lookup of this key would block forever.
+	fromDisk := false
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				f.err = &PanicError{Value: r, Stack: debug.Stack()}
 			}
 		}()
-		f.val, f.err = fn()
+		if f.val, fromDisk = c.readDisk(key); !fromDisk {
+			f.val, f.err = fn()
+		}
 	}()
 
 	c.mu.Lock()
 	delete(c.inflight, key)
-	var evicted []lruEntry[V]
+	var evicted *lruEntry[V]
 	if f.err == nil {
-		evicted = c.insertLocked(key, f.val)
+		c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: f.val})
+		if c.ll.Len() > c.opt.Capacity {
+			evicted = c.ll.Remove(c.ll.Back()).(*lruEntry[V])
+			delete(c.items, evicted.key)
+		}
 	}
 	c.mu.Unlock()
 	close(f.done)
-	c.notifyEvicted(evicted)
+	if evicted != nil {
+		c.spill(evicted.key, evicted.val)
+	}
 
-	// A failed computation was never cacheable; counting it as a miss
-	// would make client errors read as cache-sizing trouble in /metrics.
-	if f.err == nil && c.opt.OnMiss != nil {
+	switch {
+	case f.err != nil:
+		// A failed computation was never cacheable; counting it as a
+		// miss would make client errors read as cache-sizing trouble in
+		// /metrics.
+	case fromDisk:
+		c.observeHit(TierDisk)
+	case c.opt.OnMiss != nil:
 		c.opt.OnMiss()
 	}
-	return f.val, false, f.err
+	return f.val, fromDisk, f.err
 }
 
-// Add inserts (or refreshes) an entry without a computation, making it
-// the most recently used. Capacity evictions run exactly as for a
-// computed insert.
-func (c *LRU[V]) Add(key string, val V) {
-	c.mu.Lock()
-	evicted := c.insertLocked(key, val)
-	c.mu.Unlock()
-	c.notifyEvicted(evicted)
+func (c *LRU[V]) observeHit(t Tier) {
+	if c.opt.OnHit != nil {
+		c.opt.OnHit(t)
+	}
 }
 
-// notifyEvicted delivers eviction callbacks outside the cache lock.
-func (c *LRU[V]) notifyEvicted(evicted []lruEntry[V]) {
-	if c.opt.OnEvict == nil {
+// readDisk reads key from the spill tier. A payload that no longer
+// decodes (stale schema, damage below the checksum's radar) is dropped,
+// and the key reads as a miss.
+func (c *LRU[V]) readDisk(key string) (V, bool) {
+	var zero V
+	if c.opt.Disk == nil {
+		return zero, false
+	}
+	payload, ok := c.opt.Disk.Get(key)
+	if !ok {
+		return zero, false
+	}
+	v, err := c.opt.Decode(payload)
+	if err != nil {
+		c.opt.Disk.Remove(key)
+		return zero, false
+	}
+	return v, true
+}
+
+// spill writes one entry to the disk tier. An entry already there
+// (typically one promoted and evicted again, its value unchanged) is
+// skipped: re-spilling identical bytes buys nothing. An unencodable
+// value falls out of the cache, as it would without a disk tier.
+func (c *LRU[V]) spill(key string, val V) {
+	if c.opt.Disk == nil || c.opt.Disk.Contains(key) {
 		return
 	}
-	for i := range evicted {
-		c.opt.OnEvict(evicted[i].key, evicted[i].val, evicted[i].w)
+	if payload, err := c.opt.Encode(val); err == nil {
+		c.opt.Disk.Put(key, payload)
 	}
 }
 
-// Peek reports the resident value for key without touching recency or
-// the hit/miss observers.
-func (c *LRU[V]) Peek(key string) (V, bool) {
+// Contains reports whether key is resident in either tier, without
+// promotion, recency updates or disk reads. Admission control uses it
+// to price spilled repeat work as near-zero.
+func (c *LRU[V]) Contains(key string) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		return el.Value.(*lruEntry[V]).val, true
+	_, ok := c.items[key]
+	c.mu.Unlock()
+	return ok || (c.opt.Disk != nil && c.opt.Disk.Contains(key))
+}
+
+// SpillAll writes every memory-resident entry not already on disk to
+// the spill tier, least recently used first, so the spill janitor's
+// oldest-write-first order keeps the hottest entries longest. Service
+// shutdown calls it so a restart finds the whole working set warm, not
+// just what happened to be evicted.
+func (c *LRU[V]) SpillAll() {
+	if c.opt.Disk == nil {
+		return
 	}
-	var zero V
-	return zero, false
-}
-
-// Entry is one resident (key, value) pair, as Entries reports it.
-type Entry[V any] struct {
-	Key string
-	Val V
-}
-
-// Entries returns the resident entries in eviction order — least
-// recently used first — so feeding them back through Add in order
-// reconstructs both contents and recency.
-func (c *LRU[V]) Entries() []Entry[V] {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Entry[V], 0, c.ll.Len())
+	entries := make([]lruEntry[V], 0, c.ll.Len())
 	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*lruEntry[V])
-		out = append(out, Entry[V]{Key: e.key, Val: e.val})
+		entries = append(entries, *el.Value.(*lruEntry[V]))
 	}
-	return out
-}
-
-// insertLocked installs (or refreshes) an entry and returns the entries
-// evicted to make room, for the caller to report once the lock is
-// dropped.
-func (c *LRU[V]) insertLocked(key string, val V) []lruEntry[V] {
-	w := Weight{Cost: 1, Bytes: 1}
-	if c.opt.Weigh != nil {
-		w = c.opt.Weigh(val)
-		if w.Bytes < 1 {
-			w.Bytes = 1
-		}
-		if w.Cost < 0 {
-			w.Cost = 0
-		}
+	c.mu.Unlock()
+	for _, e := range entries {
+		c.spill(e.key, e.val)
 	}
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*lruEntry[V])
-		e.val = val
-		e.w = w
-		c.ll.MoveToFront(el)
-		return nil
-	}
-	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val, w: w})
-	var evicted []lruEntry[V]
-	for c.ll.Len() > c.opt.Capacity {
-		if e, ok := c.evictLocked(); ok {
-			evicted = append(evicted, e)
-		}
-	}
-	return evicted
-}
-
-// evictLocked removes one entry: among the evictScan least-recently-used
-// entries, the one with the lowest cost density (Cost/Bytes). Strict
-// comparison means uniform weights always evict the list tail — exact
-// LRU — and ties among weighted entries favor the colder entry. The
-// front element is never a candidate: at eviction time it is the entry
-// whose insert triggered the eviction, and letting a cheap newcomer
-// evict itself would keep it from ever becoming resident (every repeat
-// lookup would recompute it).
-func (c *LRU[V]) evictLocked() (lruEntry[V], bool) {
-	victim := c.ll.Back()
-	if victim == nil {
-		return lruEntry[V]{}, false
-	}
-	density := func(el *list.Element) float64 {
-		e := el.Value.(*lruEntry[V])
-		return e.w.Cost / float64(e.w.Bytes)
-	}
-	scan := evictScan
-	if max := c.ll.Len() - 1; max < scan {
-		scan = max
-	}
-	best := density(victim)
-	for el, n := victim.Prev(), 1; el != nil && n < scan; el, n = el.Prev(), n+1 {
-		if d := density(el); d < best {
-			victim, best = el, d
-		}
-	}
-	e := victim.Value.(*lruEntry[V])
-	c.ll.Remove(victim)
-	delete(c.items, e.key)
-	return *e, true
 }

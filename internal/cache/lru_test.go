@@ -1,49 +1,70 @@
 package cache
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// fill inserts keys with per-key weights through the compute path.
-func fill(t *testing.T, c *LRU[string], keys []string) {
+type testCell struct {
+	N int `json:"n"`
+}
+
+// testOptions configures a cache of testCells over disk (nil for
+// memory-only) with a JSON codec.
+func testOptions(capacity int, disk *DiskStore) LRUOptions[testCell] {
+	return LRUOptions[testCell]{
+		Capacity: capacity,
+		Disk:     disk,
+		Encode:   func(c testCell) ([]byte, error) { return json.Marshal(c) },
+		Decode: func(b []byte) (testCell, error) {
+			var c testCell
+			err := json.Unmarshal(b, &c)
+			return c, err
+		},
+	}
+}
+
+func newTestLRU(capacity int, disk *DiskStore) *LRU[testCell] {
+	return NewLRU(testOptions(capacity, disk))
+}
+
+// put inserts val under key through the compute path; the key must not
+// be resident in either tier.
+func put[V any](t *testing.T, c *LRU[V], key string, val V) {
 	t.Helper()
-	for _, k := range keys {
-		k := k
-		if _, hit, err := c.GetOrCompute(k, func() (string, error) { return "v:" + k, nil }); err != nil || hit {
-			t.Fatalf("inserting %q: hit=%v err=%v", k, hit, err)
-		}
+	if _, hit, err := c.GetOrCompute(key, func() (V, error) { return val, nil }); err != nil || hit {
+		t.Fatalf("inserting %q: hit=%v err=%v", key, hit, err)
 	}
 }
 
-func resident(c *LRU[string]) map[string]bool {
-	out := map[string]bool{}
-	for _, e := range c.Entries() {
-		out[e.Key] = true
-	}
-	return out
+// inMemory reports whether key is resident in the memory tier, without
+// touching recency or the observers.
+func inMemory[V any](c *LRU[V], key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.items[key]
+	return ok
 }
 
-// TestLRUCostWeightedEviction is the table-driven contract of the
-// cost-aware policy: among the least-recently-used entries, the lowest
-// Cost/Bytes density goes first; without a weigher, eviction is exact
-// LRU.
-func TestLRUCostWeightedEviction(t *testing.T) {
+// TestLRUEviction: eviction is exact LRU, a hit refreshes recency, and
+// the entry an insert evicts is never the newcomer itself.
+func TestLRUEviction(t *testing.T) {
 	cases := []struct {
 		name     string
 		capacity int
-		weights  map[string]Weight // nil entry = unweighted cache
 		insert   []string
-		touch    []string // Gets between inserts and the overflow insert
+		touch    []string // lookups between the inserts and the overflow
 		overflow []string
 		evicted  []string
 		kept     []string
 	}{
 		{
-			name:     "unweighted is exact LRU",
+			name:     "exact LRU",
 			capacity: 3,
 			insert:   []string{"a", "b", "c"},
 			overflow: []string{"d"},
@@ -51,27 +72,8 @@ func TestLRUCostWeightedEviction(t *testing.T) {
 			kept:     []string{"b", "c", "d"},
 		},
 		{
-			name:     "expensive tail entry survives, cheap neighbor goes",
+			name:     "recency refresh",
 			capacity: 3,
-			weights:  map[string]Weight{"slow": {Cost: 60, Bytes: 512}, "quick": {Cost: 0.001, Bytes: 512}, "mid": {Cost: 1, Bytes: 512}, "new": {Cost: 1, Bytes: 512}},
-			insert:   []string{"slow", "quick", "mid"},
-			overflow: []string{"new"},
-			evicted:  []string{"quick"},
-			kept:     []string{"slow", "mid", "new"},
-		},
-		{
-			name:     "density not raw cost: big cheap bytes go first",
-			capacity: 2,
-			weights:  map[string]Weight{"bulky": {Cost: 2, Bytes: 4096}, "dense": {Cost: 1, Bytes: 64}, "new": {Cost: 1, Bytes: 64}},
-			insert:   []string{"bulky", "dense"},
-			overflow: []string{"new"},
-			evicted:  []string{"bulky"}, // 2/4096 << 1/64
-			kept:     []string{"dense", "new"},
-		},
-		{
-			name:     "equal weights fall back to recency",
-			capacity: 3,
-			weights:  map[string]Weight{"a": {Cost: 1, Bytes: 1}, "b": {Cost: 1, Bytes: 1}, "c": {Cost: 1, Bytes: 1}, "d": {Cost: 1, Bytes: 1}},
 			insert:   []string{"a", "b", "c"},
 			touch:    []string{"a"},
 			overflow: []string{"d"},
@@ -79,128 +81,61 @@ func TestLRUCostWeightedEviction(t *testing.T) {
 			kept:     []string{"a", "c", "d"},
 		},
 		{
-			name:     "repeated overflow drains cheap entries in cost order",
-			capacity: 3,
-			weights: map[string]Weight{
-				"gold": {Cost: 100, Bytes: 512}, "cheap1": {Cost: 0.01, Bytes: 512}, "cheap2": {Cost: 0.02, Bytes: 512},
-				"n1": {Cost: 5, Bytes: 512}, "n2": {Cost: 5, Bytes: 512},
-			},
-			insert:   []string{"gold", "cheap1", "cheap2"},
-			overflow: []string{"n1", "n2"},
-			evicted:  []string{"cheap1", "cheap2"},
-			kept:     []string{"gold", "n1", "n2"},
+			name:     "capacity 1 admits the newcomer",
+			capacity: 1,
+			insert:   []string{"old"},
+			overflow: []string{"new"},
+			evicted:  []string{"old"},
+			kept:     []string{"new"},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := LRUOptions[string]{Capacity: tc.capacity}
-			if tc.weights != nil {
-				opt.Weigh = func(v string) Weight {
-					// Values are "v:<key>"; weigh by key.
-					return tc.weights[v[2:]]
-				}
+			c := NewLRU(LRUOptions[string]{Capacity: tc.capacity})
+			for _, k := range tc.insert {
+				put(t, c, k, "v:"+k)
 			}
-			c := NewLRU(opt)
-			fill(t, c, tc.insert)
 			for _, k := range tc.touch {
-				if _, ok := c.Peek(k); !ok {
+				if _, hit, _ := c.GetOrCompute(k, func() (string, error) { return "v:" + k, nil }); !hit {
 					t.Fatalf("touch target %q not resident", k)
 				}
-				c.GetOrCompute(k, func() (string, error) { return "v:" + k, nil })
 			}
-			fill(t, c, tc.overflow)
+			for _, k := range tc.overflow {
+				put(t, c, k, "v:"+k)
+			}
 
 			if got := c.Len(); got != tc.capacity {
 				t.Fatalf("len = %d, want capacity %d", got, tc.capacity)
 			}
-			res := resident(c)
 			for _, k := range tc.evicted {
-				if res[k] {
-					t.Errorf("%q should have been evicted; resident: %v", k, res)
+				if inMemory(c, k) {
+					t.Errorf("%q should have been evicted", k)
 				}
 			}
 			for _, k := range tc.kept {
-				if !res[k] {
-					t.Errorf("%q should have survived; resident: %v", k, res)
+				if !inMemory(c, k) {
+					t.Errorf("%q should have survived", k)
 				}
 			}
 		})
 	}
 }
 
-// TestLRUNewcomerIsNeverItsOwnVictim: on a small cache (capacity below
-// the scan window) full of expensive entries, a newly inserted cheap
-// entry must still become resident — the eviction scan may not pick
-// the just-inserted front element, or a cheap-but-hot key would be
-// recomputed on every single lookup forever.
-func TestLRUNewcomerIsNeverItsOwnVictim(t *testing.T) {
-	weights := map[string]Weight{
-		"exp1":  {Cost: 100, Bytes: 1},
-		"exp2":  {Cost: 50, Bytes: 1},
-		"cheap": {Cost: 0.001, Bytes: 1},
+// TestLRUSpillsEveryEviction: every capacity eviction reaches the disk
+// tier, and the memory tier never holds more than Capacity.
+func TestLRUSpillsEveryEviction(t *testing.T) {
+	disk := openTestDisk(t, DiskOptions{})
+	c := newTestLRU(4, disk)
+	for i := 0; i < 32; i++ {
+		put(t, c, fmt.Sprintf("k%d", i), testCell{N: i + 1})
 	}
-	c := NewLRU(LRUOptions[string]{Capacity: 2, Weigh: func(v string) Weight { return weights[v[2:]] }})
-	fill(t, c, []string{"exp1", "exp2", "cheap"})
-	if _, ok := c.Peek("cheap"); !ok {
-		t.Fatalf("cheap newcomer evicted itself; resident: %v", resident(c))
+	if c.Len() != 4 || disk.Len() != 28 {
+		t.Fatalf("%d resident + %d spilled, want 4 + 28", c.Len(), disk.Len())
 	}
-	// The victim was the lower-density old entry, not the newcomer.
-	if _, ok := c.Peek("exp2"); ok {
-		t.Errorf("exp2 (density 50) survived over exp1 (density 100); resident: %v", resident(c))
-	}
-	// And the now-resident cheap entry hits instead of recomputing.
-	if _, hit, _ := c.GetOrCompute("cheap", func() (string, error) { return "v:cheap", nil }); !hit {
-		t.Error("cheap entry not resident after insert")
-	}
-	// Capacity 1: the degenerate case must still admit every newcomer.
-	c1 := NewLRU(LRUOptions[string]{Capacity: 1, Weigh: func(v string) Weight { return weights[v[2:]] }})
-	fill(t, c1, []string{"exp1", "cheap"})
-	if _, ok := c1.Peek("cheap"); !ok {
-		t.Error("capacity-1 cache rejected its newest entry")
-	}
-}
-
-// TestLRUWeightSanitized: non-positive bytes and negative cost from a
-// weigher must not divide by zero or produce negative densities that
-// shield entries forever.
-func TestLRUWeightSanitized(t *testing.T) {
-	c := NewLRU(LRUOptions[string]{Capacity: 2, Weigh: func(v string) Weight {
-		return Weight{Cost: -5, Bytes: 0}
-	}})
-	fill(t, c, []string{"a", "b", "c"})
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
-	}
-}
-
-// TestLRUEntriesRoundTrip: Entries (LRU-first) fed back through Add
-// reconstructs contents and recency.
-func TestLRUEntriesRoundTrip(t *testing.T) {
-	src := NewLRU(LRUOptions[string]{Capacity: 4})
-	fill(t, src, []string{"a", "b", "c", "d"})
-	src.GetOrCompute("a", func() (string, error) { return "v:a", nil }) // a becomes MRU
-
-	entries := src.Entries()
-	if len(entries) != 4 {
-		t.Fatalf("entries = %d, want 4", len(entries))
-	}
-	if entries[0].Key != "b" || entries[len(entries)-1].Key != "a" {
-		t.Fatalf("entries order %v, want LRU-first (b … a)", entries)
-	}
-
-	dst := NewLRU(LRUOptions[string]{Capacity: 4})
-	for _, e := range entries {
-		dst.Add(e.Key, e.Val)
-	}
-	if got, ok := dst.Peek("a"); !ok || got != "v:a" {
-		t.Fatalf("a after round trip: %q %v", got, ok)
-	}
-	// Overflowing the rebuilt cache must evict the original LRU order:
-	// b first, not a.
-	fill(t, dst, []string{"e"})
-	res := resident(dst)
-	if res["b"] || !res["a"] {
-		t.Errorf("recency lost in round trip; resident: %v", res)
+	for i := 0; i < 28; i++ {
+		if k := fmt.Sprintf("k%d", i); !disk.Contains(k) {
+			t.Errorf("evicted %s never spilled", k)
+		}
 	}
 }
 
@@ -210,7 +145,7 @@ func TestLRUEntriesRoundTrip(t *testing.T) {
 func TestLRUCoalescingAndErrors(t *testing.T) {
 	var computes atomic.Int64
 	var hits atomic.Int64
-	c := NewLRU(LRUOptions[int]{Capacity: 8, OnHit: func() { hits.Add(1) }})
+	c := NewLRU(LRUOptions[int]{Capacity: 8, OnHit: func(Tier) { hits.Add(1) }})
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 10; i++ {
@@ -293,68 +228,11 @@ func TestLRUPanicPropagation(t *testing.T) {
 	}
 }
 
-// TestLRUEvictScanWindow: an expensive entry deeper than the scan
-// window is still protected once eviction pressure walks the tail to
-// it — i.e. the window bounds work per eviction, not correctness.
-func TestLRUEvictScanWindow(t *testing.T) {
-	weights := map[string]Weight{}
-	c := NewLRU(LRUOptions[string]{Capacity: evictScan + 4, Weigh: func(v string) Weight {
-		return weights[v[2:]]
-	}})
-	// One precious entry buried at the very bottom of the LRU list,
-	// then a tail of cheap entries longer than the scan window.
-	weights["gold"] = Weight{Cost: 1000, Bytes: 1}
-	fill(t, c, []string{"gold"})
-	var cheap []string
-	for i := 0; i < evictScan+3; i++ {
-		k := fmt.Sprintf("cheap%d", i)
-		weights[k] = Weight{Cost: 0.001, Bytes: 1}
-		cheap = append(cheap, k)
-	}
-	fill(t, c, cheap)
-	// Push enough new mid-cost entries to force many evictions.
-	for i := 0; i < evictScan; i++ {
-		k := fmt.Sprintf("new%d", i)
-		weights[k] = Weight{Cost: 1, Bytes: 1}
-		fill(t, c, []string{k})
-	}
-	if _, ok := c.Peek("gold"); !ok {
-		t.Error("high-cost entry evicted while cheaper candidates were in the scan window")
-	}
-}
-
-// TestLRUOnEvictDelivery: every capacity eviction reaches OnEvict with
-// the entry's key and its Weigh-sampled weight, and the resident count
-// never exceeds Capacity.
-func TestLRUOnEvictDelivery(t *testing.T) {
-	evicted := map[string]Weight{}
-	c := NewLRU(LRUOptions[int]{
-		Capacity: 4,
-		Weigh:    func(v int) Weight { return Weight{Cost: float64(v), Bytes: 8} },
-		OnEvict:  func(key string, _ int, w Weight) { evicted[key] = w },
-	})
-	for i := 0; i < 32; i++ {
-		c.Add(fmt.Sprintf("k%d", i), i+1)
-	}
-	if c.Len() != 4 || len(evicted) != 28 {
-		t.Fatalf("%d evicted + %d resident, want 28 + 4", len(evicted), c.Len())
-	}
-	for k, w := range evicted {
-		if w.Bytes != 8 || w.Cost < 1 {
-			t.Errorf("evicted %s carried weight %+v, want the Weigh-sampled one", k, w)
-		}
-	}
-}
-
 // TestLRUConcurrentStorm is the -race workout: every operation the
 // service performs, hammered by goroutines. The assertions pin that
 // the capacity bound holds and no key is resident twice.
 func TestLRUConcurrentStorm(t *testing.T) {
-	c := NewLRU(LRUOptions[int]{
-		Capacity: 128,
-		Weigh:    func(v int) Weight { return Weight{Cost: 1, Bytes: 1} },
-		OnEvict:  func(string, int, Weight) {},
-	})
+	c := NewLRU(LRUOptions[int]{Capacity: 128})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -368,10 +246,8 @@ func TestLRUConcurrentStorm(t *testing.T) {
 				k := fmt.Sprintf("k%d", r%256)
 				switch r % 4 {
 				case 0:
-					c.Add(k, int(r%1000))
+					c.Contains(k)
 				case 1:
-					c.Peek(k)
-				case 2:
 					c.Len()
 				default:
 					v, _, err := c.GetOrCompute(k, func() (int, error) { return int(r % 1000), nil })
@@ -387,10 +263,286 @@ func TestLRUConcurrentStorm(t *testing.T) {
 		t.Errorf("storm left %d resident entries, capacity is 128", n)
 	}
 	seen := map[string]bool{}
-	for _, e := range c.Entries() {
-		if seen[e.Key] {
-			t.Errorf("key %s resident twice", e.Key)
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		k := el.Value.(*lruEntry[int]).key
+		if seen[k] {
+			t.Errorf("key %s resident twice", k)
 		}
-		seen[e.Key] = true
+		seen[k] = true
 	}
+	if len(c.items) != len(seen) {
+		t.Errorf("%d indexed keys for %d resident entries", len(c.items), len(seen))
+	}
+}
+
+// TestLRUWarmHitAllocs: a warm memory hit — the service's hottest
+// cache path — allocates nothing.
+func TestLRUWarmHitAllocs(t *testing.T) {
+	c := newTestLRU(4, nil)
+	put(t, c, "k", testCell{N: 1})
+	compute := func() (testCell, error) { return testCell{}, errors.New("warm lookup computed") }
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, hit, err := c.GetOrCompute("k", compute); err != nil || !hit {
+			t.Fatalf("warm lookup = (%v, %v), want a memory hit", hit, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm LRU.GetOrCompute allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestLRUEvictSpillPromote is the tier-transition round trip: an
+// entry evicted from memory spills to disk, a later lookup reads it
+// back (TierDisk) and promotes it, and the lookup after that is a
+// memory hit (TierMem) — all without ever recomputing.
+func TestLRUEvictSpillPromote(t *testing.T) {
+	disk := openTestDisk(t, DiskOptions{})
+	var tiers []Tier
+	opt := testOptions(1, disk) // capacity 1: the second insert evicts the first
+	opt.OnHit = func(tier Tier) { tiers = append(tiers, tier) }
+	c := NewLRU(opt)
+
+	computes := 0
+	get := func(key string, n int) (testCell, bool) {
+		t.Helper()
+		v, hit, err := c.GetOrCompute(key, func() (testCell, error) {
+			computes++
+			return testCell{N: n}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, hit
+	}
+
+	if _, hit := get("a", 1); hit {
+		t.Fatal("first lookup of a hit")
+	}
+	if _, hit := get("b", 2); hit {
+		t.Fatal("first lookup of b hit")
+	}
+	if inMemory(c, "a") {
+		t.Fatal("a still memory-resident at capacity 1")
+	}
+	if !disk.Contains("a") {
+		t.Fatal("evicted entry a never spilled")
+	}
+
+	v, hit := get("a", 999) // 999 would betray a recompute
+	if !hit || v.N != 1 || len(tiers) != 1 || tiers[0] != TierDisk {
+		t.Fatalf("spilled lookup of a = (%+v, hit %v, tiers %v), want ({1}, a disk hit)", v, hit, tiers)
+	}
+	if !inMemory(c, "a") {
+		t.Fatal("disk hit did not promote a into memory")
+	}
+	if v, hit := get("a", 999); !hit || v.N != 1 || len(tiers) != 2 || tiers[1] != TierMem {
+		t.Fatalf("promoted lookup of a = (%+v, hit %v, tiers %v), want ({1}, a memory hit)", v, hit, tiers)
+	}
+	if computes != 2 {
+		t.Errorf("%d computations, want 2 (a and b once each)", computes)
+	}
+}
+
+// TestLRUObservers: OnHit carries the serving tier, OnMiss fires on
+// fresh computation, and neither fires on error.
+func TestLRUObservers(t *testing.T) {
+	var memHits, diskHits, misses atomic.Int64
+	opt := testOptions(1, openTestDisk(t, DiskOptions{}))
+	opt.OnHit = func(tier Tier) {
+		if tier == TierDisk {
+			diskHits.Add(1)
+		} else {
+			memHits.Add(1)
+		}
+	}
+	opt.OnMiss = func() { misses.Add(1) }
+	c := NewLRU(opt)
+	c.GetOrCompute("a", func() (testCell, error) { return testCell{N: 1}, nil }) // miss
+	c.GetOrCompute("a", func() (testCell, error) { return testCell{N: 1}, nil }) // mem hit
+	c.GetOrCompute("b", func() (testCell, error) { return testCell{N: 2}, nil }) // miss, evicts a
+	c.GetOrCompute("a", func() (testCell, error) { return testCell{N: 1}, nil }) // disk hit
+	c.GetOrCompute("c", func() (testCell, error) { return testCell{}, errors.New("nope") })
+
+	if m, d, mi := memHits.Load(), diskHits.Load(), misses.Load(); m != 1 || d != 1 || mi != 2 {
+		t.Errorf("memHits=%d diskHits=%d misses=%d, want 1/1/2 (errors observe nothing)", m, d, mi)
+	}
+}
+
+// TestLRUContainsBothTiers: Contains sees memory and disk residency
+// without promoting — the admission-control probe contract.
+func TestLRUContainsBothTiers(t *testing.T) {
+	c := newTestLRU(1, openTestDisk(t, DiskOptions{}))
+	put(t, c, "a", testCell{N: 1})
+	put(t, c, "b", testCell{N: 2}) // evicts and spills a
+
+	if !c.Contains("a") {
+		t.Error("Contains(a) false for a spilled entry")
+	}
+	if !c.Contains("b") {
+		t.Error("Contains(b) false for a memory-resident entry")
+	}
+	if c.Contains("c") {
+		t.Error("Contains(c) true for an absent key")
+	}
+	if inMemory(c, "a") {
+		t.Error("Contains promoted a into memory")
+	}
+}
+
+// TestLRUUndecodablePayloadRecomputes: a spill entry whose payload no
+// longer decodes (schema drift, silent damage below the checksum's
+// radar) is dropped and recomputed, not served or crashed on.
+func TestLRUUndecodablePayloadRecomputes(t *testing.T) {
+	disk := openTestDisk(t, DiskOptions{})
+	disk.Put("a", []byte("not json"))
+
+	c := newTestLRU(4, disk)
+	v, hit, err := c.GetOrCompute("a", func() (testCell, error) { return testCell{N: 7}, nil })
+	if err != nil || v.N != 7 || hit {
+		t.Fatalf("GetOrCompute over garbage payload = (%+v, hit %v, %v), want ({7}, a miss, nil)", v, hit, err)
+	}
+	if disk.Contains("a") {
+		t.Error("undecodable spill entry not dropped")
+	}
+}
+
+// TestLRUMemoryOnly: without a disk tier, evictions discard and
+// SpillAll is a no-op.
+func TestLRUMemoryOnly(t *testing.T) {
+	c := NewLRU(LRUOptions[testCell]{Capacity: 1})
+	put(t, c, "a", testCell{N: 1})
+	put(t, c, "b", testCell{N: 2})
+	if c.Contains("a") {
+		t.Error("evicted entry resident with no disk tier")
+	}
+	c.SpillAll()
+	v, hit, err := c.GetOrCompute("a", func() (testCell, error) { return testCell{N: 9}, nil })
+	if err != nil || hit || v.N != 9 {
+		t.Errorf("memory-only recompute = (%+v, hit %v, %v)", v, hit, err)
+	}
+}
+
+// TestLRURequiresCodec: a disk tier without Encode/Decode is a
+// constructor panic, not a latent one on the first eviction.
+func TestLRURequiresCodec(t *testing.T) {
+	disk := openTestDisk(t, DiskOptions{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewLRU accepted a disk tier with no codec")
+		}
+	}()
+	NewLRU(LRUOptions[testCell]{Capacity: 1, Disk: disk})
+}
+
+// TestLRUSpillAll: every memory-resident entry lands on disk, and a
+// second store over the same directory serves them all from disk — the
+// shutdown/restart warmth contract.
+func TestLRUSpillAll(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "spill")
+	c := newTestLRU(64, openTestDisk(t, DiskOptions{Dir: dir}))
+	const n = 20
+	for i := 0; i < n; i++ {
+		put(t, c, fmt.Sprintf("k%d", i), testCell{N: i + 1})
+	}
+	c.SpillAll()
+	if got := c.opt.Disk.Len(); got != n {
+		t.Fatalf("SpillAll landed %d of %d entries", got, n)
+	}
+
+	var diskHits atomic.Int64
+	opt := testOptions(64, openTestDisk(t, DiskOptions{Dir: dir}))
+	opt.OnHit = func(tier Tier) {
+		if tier == TierDisk {
+			diskHits.Add(1)
+		}
+	}
+	c2 := NewLRU(opt)
+	for i := 0; i < n; i++ {
+		v, hit, err := c2.GetOrCompute(fmt.Sprintf("k%d", i), func() (testCell, error) {
+			return testCell{N: -1}, nil
+		})
+		if err != nil || !hit || v.N != i+1 {
+			t.Fatalf("k%d after restart = (%+v, hit %v, %v), want ({%d}, a hit, nil)", i, v, hit, err, i+1)
+		}
+	}
+	if got := diskHits.Load(); got != n {
+		t.Errorf("%d disk hits after restart, want %d", got, n)
+	}
+}
+
+// TestLRUCoalescedDiskRead: a burst of lookups for one spilled key
+// costs a single disk read; joiners see a memory hit.
+func TestLRUCoalescedDiskRead(t *testing.T) {
+	var diskHits atomic.Int64
+	opt := testOptions(8, openTestDisk(t, DiskOptions{}))
+	opt.OnHit = func(tier Tier) {
+		if tier == TierDisk {
+			diskHits.Add(1)
+		}
+	}
+	c := NewLRU(opt)
+	put(t, c, "cold", testCell{N: 5})
+	// Evict it by filling the memory tier past capacity.
+	for i := 0; i < 16; i++ {
+		put(t, c, fmt.Sprintf("filler%d", i), testCell{N: i})
+	}
+	if inMemory(c, "cold") {
+		t.Fatal("cold still memory-resident after 16 inserts at capacity 8")
+	}
+
+	var computes atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, hit, err := c.GetOrCompute("cold", func() (testCell, error) {
+				computes.Add(1)
+				return testCell{N: -1}, nil
+			})
+			if err != nil || !hit || v.N != 5 {
+				t.Errorf("burst lookup = (%+v, hit %v, %v)", v, hit, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if computes.Load() != 0 {
+		t.Errorf("%d recomputes of a spilled key", computes.Load())
+	}
+	if got := diskHits.Load(); got != 1 {
+		t.Errorf("%d disk reads for one burst, want 1", got)
+	}
+}
+
+// TestLRUConcurrentPromoteEvictStorm is the -race workout across both
+// tiers: a working set larger than memory churns entries through
+// evict → spill → promote cycles while values stay key-determined, so
+// any cross-tier corruption shows up as a wrong value.
+func TestLRUConcurrentPromoteEvictStorm(t *testing.T) {
+	c := newTestLRU(8, openTestDisk(t, DiskOptions{MaxBytes: 1 << 20})) // tiny memory: constant eviction traffic
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			r := uint64(seed)*0x9e3779b9 + 1
+			for i := 0; i < 400; i++ {
+				r ^= r << 13
+				r ^= r >> 7
+				r ^= r << 17
+				id := int(r % 64)
+				key := fmt.Sprintf("cell-%d", id)
+				want := id*100 + 1 // pure function of the key
+				v, _, err := c.GetOrCompute(key, func() (testCell, error) {
+					return testCell{N: want}, nil
+				})
+				if err != nil {
+					t.Errorf("storm lookup %s: %v", key, err)
+				} else if v.N != want {
+					t.Errorf("storm lookup %s = %d, want %d (cross-tier corruption)", key, v.N, want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

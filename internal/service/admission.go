@@ -1,6 +1,6 @@
 package service
 
-// Cost-aware admission control. The sim cache's measured per-cell
+// Cost-aware admission control. Each freshly simulated cell's measured
 // seconds feed an EWMA cost model keyed by (config, scale); before a
 // sweep is accepted, the model prices the sweep's uncached cells plus
 // the pool's current backlog against the request's deadline. Sweeps

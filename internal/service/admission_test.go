@@ -6,6 +6,7 @@ package service
 // saturated pool.
 
 import (
+	"context"
 	"math"
 	"net/http"
 	"testing"
@@ -43,6 +44,32 @@ func TestCostModelEWMA(t *testing.T) {
 	}
 	if after, _ := c.estimate("baseline", "tiny"); after != before {
 		t.Errorf("garbage observations moved the estimate %v -> %v", before, after)
+	}
+}
+
+// TestCostModelSeesOnlyFreshCells: each freshly simulated cell feeds
+// the admission cost model once. Cells served from the cache, by a
+// repeated sweep or by ExecuteCell, feed it nothing: their times
+// measure the cache, not the simulator.
+func TestCostModelSeesOnlyFreshCells(t *testing.T) {
+	svc := New(Config{Workers: 2})
+	defer svc.Close()
+	observed := func() int64 {
+		svc.costs.mu.Lock()
+		defer svc.costs.mu.Unlock()
+		return svc.costs.n
+	}
+	req := SimulateRequest{Workloads: []string{"SP"}, Schemes: []string{"BASE", "PAE"}, Scale: "tiny"}
+	runSweepToDone(t, svc, req)
+	if n := observed(); n != 2 {
+		t.Fatalf("a cold 2-cell sweep fed the cost model %d times, want 2", n)
+	}
+	runSweepToDone(t, svc, req)
+	if _, err := svc.ExecuteCell(context.Background(), CellSpec{Workload: "SP", Scheme: "PAE", Scale: "tiny"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := observed(); n != 2 {
+		t.Errorf("fed the cost model %d times, want 2", n)
 	}
 }
 

@@ -311,7 +311,7 @@ func TestChaosSpillResilience(t *testing.T) {
 	// must bit-match the phase-1 truth.
 	s3 := New(Config{Workers: 2, SpillDir: dir})
 	defer s3.Close()
-	if n := s3.simCache.DiskLen(); n != 0 {
+	if n := spillFiles(t, dir); n != 0 {
 		t.Errorf("torn spill dir loaded %d entries, want a cold start", n)
 	}
 	if got := s3.metrics.spillErrors.Value(); got < 2 {

@@ -47,17 +47,18 @@ type cellExec struct {
 // executeCell runs one sweep cell through the cache-backed execution
 // core: chaos seams, shared trace build, mapper, pooled engine run,
 // GetOrCompute with in-flight coalescing (retried when a joined
-// computation dies with someone else's context error), and the
-// hit/miss metrics and admission-cost accounting. The returned
-// CellResult is complete except for span annotations, which the caller
-// owns. Context errors come back unwrapped; a panic inside the compute
-// closure surfaces as a cache.PanicError, already logged and counted.
+// computation dies with someone else's context error), the admission
+// cost model's observation of each fresh cell, and the hit/miss
+// metrics. The returned CellResult is complete except for span
+// annotations, which the caller owns. Context errors come back
+// unwrapped; a panic inside the compute closure surfaces as a
+// cache.PanicError, already logged and counted.
 func (s *Service) executeCell(ctx context.Context, ce cellExec) (CellResult, error) {
 	cellStart := time.Now()
 	// putSpan covers the cache insert after the compute closure
 	// returns; it stays the inert zero SpanRef on cache hits.
 	var putSpan obs.SpanRef
-	compute := func() (*simCell, error) {
+	compute := func() (experiments.ResultJSON, error) {
 		// Chaos seams: a wedged worker stalls here; an induced
 		// cell panic exercises the PanicError recovery path.
 		fault.Sleep(fault.WorkerDelay)
@@ -95,24 +96,27 @@ func (s *Service) executeCell(ctx context.Context, ce cellExec) (CellResult, err
 		eng.End()
 		runnerPool.Put(r)
 		if runErr != nil {
-			return nil, runErr
+			return experiments.ResultJSON{}, runErr
 		}
 		// The shared build must come back untouched, or it
 		// would poison this workload's remaining cells and
 		// every later sweep holding the same pointer.
 		if got := ce.sa.app.Requests(); got != ce.sa.reqs {
-			return nil, fmt.Errorf("simulating %s under %s mutated the shared trace: %d requests became %d", ce.sp.Abbr, ce.sc, ce.sa.reqs, got)
+			return experiments.ResultJSON{}, fmt.Errorf("simulating %s under %s mutated the shared trace: %d requests became %d", ce.sp.Abbr, ce.sc, ce.sa.reqs, got)
 		}
+		// Only a fresh simulation feeds the admission cost model: a
+		// cache hit measures the cache, not the simulator.
+		s.costs.observe(ce.rc.cfgName, ce.rc.scaleName, time.Since(simStart).Seconds())
 		putSpan = ce.tr.Start(ce.span.ID(), "cache_put")
-		return &simCell{Res: experiments.FlattenResult(res), Seconds: time.Since(simStart).Seconds()}, nil
+		return experiments.FlattenResult(res), nil
 	}
 	var (
-		cell *simCell
-		tier cache.Tier
+		cell experiments.ResultJSON
+		hit  bool
 		err  error
 	)
 	for attempt := 0; ; attempt++ {
-		cell, tier, err = s.simCache.GetOrCompute(ce.key, compute)
+		cell, hit, err = s.simCache.GetOrCompute(ce.key, compute)
 		// In-flight coalescing wrinkle: joining another sweep's
 		// computation means inheriting its context error if that
 		// sweep is canceled. While our own job is still alive,
@@ -138,21 +142,16 @@ func (s *Service) executeCell(ctx context.Context, ce cellExec) (CellResult, err
 	}
 	// A spill-tier hit is a hit: the cell came from the cache,
 	// not the simulator, whichever tier held it.
-	hit := tier != cache.TierMiss
 	done := CellResult{
 		Workload:   ce.sp.Abbr,
 		Scheme:     string(ce.sc),
 		Seconds:    time.Since(cellStart).Seconds(),
 		Cached:     hit,
-		ResultJSON: cell.Res,
+		ResultJSON: cell,
 	}
 	s.metrics.cellSeconds.Observe(done.Seconds)
 	if !hit {
 		s.metrics.cellsSimulated.Inc()
-		// Feed the admission cost model with the measured
-		// simulation seconds (cache hits measure the cache,
-		// not the simulator, and are skipped).
-		s.costs.observe(ce.rc.cfgName, ce.rc.scaleName, cell.Seconds)
 	}
 	return done, nil
 }

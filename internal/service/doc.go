@@ -5,8 +5,8 @@
 // over internal/cache.LRU), a bounded worker pool executing simulation
 // sweep jobs (jobs.go), a job store keeping one record per job whose
 // retained event log streams sweep progress (jobs.go, events.go), a
-// two-tier simulation-result cache that spills to disk
-// (cache.go, over internal/cache.Tiered), and a stdlib net/http JSON
+// simulation-result cache that spills to disk (cache.go, over the same
+// internal/cache.LRU with its disk tier), and a stdlib net/http JSON
 // API over all of it (http.go), with Prometheus-style plain-text
 // metrics rendered by one obs.Registry (metrics.go).
 //
@@ -115,21 +115,21 @@
 // # Two-tier simulation cache
 //
 // Sweep cells are pure functions of (workload, scale, scheme, config,
-// seed) and expensive to compute, so the simulation-result cache is
-// cost-aware and (optionally) disk-backed. Eviction is
-// cost-weighted: each cell carries its measured simulation seconds,
-// and among the least-recently-used entries the cheapest-per-byte is
-// evicted first, so one order-of-magnitude-more-expensive cell
-// outlives a crowd of trivial ones. With Config.SpillDir set, evicted
+// seed) and expensive to compute, so the simulation-result cache keeps
+// the flattened metrics of each cell and is (optionally) disk-backed.
+// Memory eviction is exact LRU. With Config.SpillDir set, evicted
 // cells spill to one checksummed file each, which the evicting call
-// writes before it returns, and promote back into memory on demand;
-// Close spills the resident working set, so a restarted valleyd
-// answers repeat sweeps from cache (cells report "cached": true,
-// valleyd_cache_tier_hits_total{tier="disk"} counts the disk serves).
-// Spill damage of any kind — failed writes, torn files, corrupt
-// entries — degrades to a recomputed miss, never an error or corrupt
-// bytes; see internal/cache's package docs for the full two-tier
-// contract.
+// writes before it returns, and promote back into memory on demand; a
+// janitor holds the directory under Config.SpillMaxBytes by deleting
+// the oldest writes first. A freshly simulated cell feeds its measured
+// seconds to the admission cost model from inside the cache's
+// computation, so cached cells never do. Close spills the resident
+// working set, so a restarted valleyd answers repeat sweeps from cache
+// (cells report "cached": true, valleyd_cache_tier_hits_total{tier="disk"}
+// counts the disk serves). Spill damage of any kind — failed writes,
+// torn files, corrupt entries, files of an older spill format —
+// degrades to a recomputed miss, never an error or corrupt bytes; see
+// internal/cache's package docs for the full two-tier contract.
 //
 // # Fault injection
 //

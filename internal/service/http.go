@@ -462,13 +462,13 @@ func deadlineBudget(r *http.Request, def time.Duration) (time.Duration, error) {
 // that already reached a terminal state is a no-op 200.
 func (s *Service) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.Job(id); !ok {
+	if !s.CancelJob(id, "canceled via DELETE /v1/jobs/"+id) {
 		writeError(w, notFoundf("unknown job %q", id))
 		return
 	}
-	s.CancelJob(id, "canceled via DELETE /v1/jobs/"+id)
 	job, ok := s.Job(id)
 	if !ok {
+		// Evicted between the cancel and the snapshot.
 		writeError(w, notFoundf("unknown job %q", id))
 		return
 	}

@@ -41,7 +41,6 @@ type Job struct {
 	// TraceID correlates the job with its span trace
 	// (GET /v1/jobs/{id}/trace), its NDJSON events and log lines.
 	TraceID  string          `json:"trace_id,omitempty"`
-	Kind     string          `json:"kind"`
 	Status   JobStatus       `json:"status"`
 	Created  time.Time       `json:"created"`
 	Started  *time.Time      `json:"started,omitempty"`
@@ -122,7 +121,6 @@ func (s *jobStore) create(total int, tr *obs.Trace, cancel context.CancelCauseFu
 		job: Job{
 			ID:       fmt.Sprintf("job-%d", s.nextID),
 			TraceID:  tr.ID(),
-			Kind:     "simulate",
 			Status:   JobQueued,
 			Created:  time.Now().UTC(),
 			Total:    total,

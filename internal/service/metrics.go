@@ -36,7 +36,7 @@ type Metrics struct {
 	// worker-pool backstop.
 	workerPanics *obs.Counter
 
-	// Tiered sim-cache accounting: hits by serving tier, and the spill
+	// Sim-cache tier accounting: hits by serving tier, and the spill
 	// tier's writes and janitor evictions. Each eviction from memory
 	// writes its entry file before the evicting call returns.
 	// spillErrors counts damage events (failed writes, corrupt or
@@ -114,7 +114,7 @@ func NewMetrics() *Metrics {
 	m.spillWrites = counter("valleyd_cache_spill_writes_total",
 		"Spill entry files written; each lands before the call that spilled it returns.")
 	m.spillEvictions = counter("valleyd_cache_spill_evictions_total",
-		"Spill entries evicted by the byte-budget janitor (lowest cost-per-byte first).")
+		"Spill entries evicted by the byte-budget janitor (oldest first).")
 	m.spillErrors = counter("valleyd_cache_spill_errors_total",
 		"Spill damage events (failed writes, corrupt or unreadable entries) degraded to cache misses.")
 

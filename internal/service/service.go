@@ -81,9 +81,9 @@ type Config struct {
 	// valleyd serves repeat sweeps warm. Damaged entries load as
 	// misses, never errors.
 	SpillDir string
-	// SpillMaxBytes bounds the spill directory; a janitor evicts the
-	// lowest cost-per-byte entries to stay under it (0 = 1 GiB;
-	// negative = unbounded). Ignored without SpillDir.
+	// SpillMaxBytes bounds the spill directory; a janitor evicts
+	// entries oldest first to stay under it (0 = 1 GiB; negative =
+	// unbounded). Ignored without SpillDir.
 	SpillMaxBytes int64
 	// DefaultDeadline, when positive, bounds every sweep that does not
 	// carry its own ?deadline_ms / X-Deadline-Ms budget: the job is
@@ -702,17 +702,6 @@ type SimulateResult struct {
 	HMeanSpeedup map[string]float64 `json:"hmean_speedup,omitempty"`
 }
 
-// simCell is what the simulation-result cache stores: the flattened
-// metrics of one (workload, scale, scheme, config, seed) cell, plus the
-// seconds the original simulation took — the cell's recompute cost,
-// which drives cost-weighted eviction in both tiers and survives
-// spills. Sweep-relative fields (speedup, per-sweep wall time) are
-// recomputed per sweep. Fields are exported for the spill codec.
-type simCell struct {
-	Res     experiments.ResultJSON `json:"result"`
-	Seconds float64                `json:"seconds"`
-}
-
 // runCoords are the run coordinates every cell of a sweep shares: the
 // simulated system, the trace scale and the mapper seed, each with its
 // wire name.
@@ -928,7 +917,6 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 	// The root span starts at the HTTP accept instant when the handler
 	// recorded one, so accept-to-enqueue time is visible in the tree.
 	root := tr.StartAt(0, "job", obs.AcceptTime(ctx),
-		obs.Attr{Key: "kind", Value: "simulate"},
 		obs.Attr{Key: "config", Value: plan.rc.cfgName},
 		obs.Attr{Key: "scale", Value: plan.rc.scaleName},
 	)

@@ -60,7 +60,7 @@ func TestCacheCapacityIsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := s.simCache.MemLen(); n != 1 {
+	if n := s.simCache.Len(); n != 1 {
 		t.Errorf("sim cache holds %d cells at capacity 1", n)
 	}
 	if n := s.cache.Len(); n != 1 {

@@ -1,9 +1,26 @@
 package service
 
 import (
+	"io/fs"
 	"path/filepath"
 	"testing"
 )
+
+// spillFiles counts the entry files in a spill directory.
+func spillFiles(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && d.Type().IsRegular() {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
 
 func runSweepToDone(t *testing.T, s *Service, req SimulateRequest) *SimulateResult {
 	t.Helper()
@@ -35,7 +52,7 @@ func TestSpillRestartWarm(t *testing.T) {
 			t.Errorf("cold cell %s/%s reported cached", c.Workload, c.Scheme)
 		}
 	}
-	if mem, disk := s1.simCache.MemLen(), s1.simCache.DiskLen(); mem != 1 || disk != 3 {
+	if mem, disk := s1.simCache.Len(), spillFiles(t, dir); mem != 1 || disk != 3 {
 		t.Fatalf("after the cold sweep %d cells in memory and %d spilled, want 1 and 3", mem, disk)
 	}
 	s1.Close() // spills the resident tail
@@ -48,7 +65,7 @@ func TestSpillRestartWarm(t *testing.T) {
 	// served from memory — the rest must promote from disk.
 	s2 := New(Config{Workers: 2, SimCacheEntries: 1, SpillDir: dir})
 	defer s2.Close()
-	if n := s2.simCache.DiskLen(); n < 4 {
+	if n := spillFiles(t, dir); n < 4 {
 		t.Fatalf("restarted service found %d spill entries, want >= 4", n)
 	}
 	warm := runSweepToDone(t, s2, req)
