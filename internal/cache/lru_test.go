@@ -439,13 +439,14 @@ func TestLRURequiresCodec(t *testing.T) {
 // shutdown/restart warmth contract.
 func TestLRUSpillAll(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spill")
-	c := newTestLRU(64, openTestDisk(t, DiskOptions{Dir: dir}))
+	disk := openTestDisk(t, DiskOptions{Dir: dir})
+	c := newTestLRU(64, disk)
 	const n = 20
 	for i := 0; i < n; i++ {
 		put(t, c, fmt.Sprintf("k%d", i), testCell{N: i + 1})
 	}
 	c.SpillAll()
-	if got := c.opt.Disk.Len(); got != n {
+	if got := disk.Len(); got != n {
 		t.Fatalf("SpillAll landed %d of %d entries", got, n)
 	}
 
