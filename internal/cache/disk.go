@@ -203,6 +203,21 @@ func (d *DiskStore) Contains(key string) bool {
 	return ok
 }
 
+// touch reports whether key is indexed and, if so, gives it the next
+// write order, as if its file had just been written. It touches only
+// the index, never the disk.
+func (d *DiskStore) touch(key string) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	meta, ok := d.index[key]
+	if ok {
+		d.seq++
+		meta.seq = d.seq
+		d.index[key] = meta
+	}
+	return ok
+}
+
 // Remove deletes key's entry file, if any.
 func (d *DiskStore) Remove(key string) {
 	d.mu.Lock()

@@ -28,7 +28,10 @@
 // again (a TierDisk hit). Capacity evictions flow the other way:
 // instead of discarding, the evicted entry is serialized and spilled.
 // Between the two, a key's value migrates but is never in neither tier
-// while it is still wanted.
+// while it is still wanted. The byte-budget janitor deletes the oldest
+// writes first, and an entry evicted again while its file is still on
+// disk is not rewritten but counts as just written, so a promoted
+// entry outlives colder ones.
 //
 // Inline writes: the evicting call writes the entry file before it
 // returns — DiskStore.Put lands the file and indexes it under the

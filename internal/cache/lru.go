@@ -208,10 +208,12 @@ func (c *LRU[V]) readDisk(key string) (V, bool) {
 
 // spill writes one entry to the disk tier. An entry already there
 // (typically one promoted and evicted again, its value unchanged) is
-// skipped: re-spilling identical bytes buys nothing. An unencodable
-// value falls out of the cache, as it would without a disk tier.
+// not rewritten, since that would write identical bytes, but it counts
+// as just written, so the janitor keeps it over colder entries. An
+// unencodable value falls out of the cache, as it would without a disk
+// tier.
 func (c *LRU[V]) spill(key string, val V) {
-	if c.opt.Disk == nil || c.opt.Disk.Contains(key) {
+	if c.opt.Disk == nil || c.opt.Disk.touch(key) {
 		return
 	}
 	if payload, err := c.opt.Encode(val); err == nil {

@@ -343,6 +343,35 @@ func TestLRUEvictSpillPromote(t *testing.T) {
 	}
 }
 
+// TestLRURespillCountsAsWrite: an entry read from disk, promoted and
+// evicted again counts as just written, so a binding spill budget
+// deletes the colder entry spilled before it.
+func TestLRURespillCountsAsWrite(t *testing.T) {
+	// 1-byte keys and 7-byte payloads ({"n":1}) make 60-byte entry
+	// files: a 20-byte header, the key, the payload and a 32-byte
+	// digest. 130 bytes hold two.
+	disk := openTestDisk(t, DiskOptions{MaxBytes: 130})
+	c := newTestLRU(1, disk)
+	put(t, c, "a", testCell{N: 1})
+	put(t, c, "b", testCell{N: 2}) // spills a
+	if v, hit, err := c.GetOrCompute("a", func() (testCell, error) { return testCell{N: 9}, nil }); err != nil || !hit || v.N != 1 {
+		t.Fatalf("lookup of spilled a = (%+v, hit %v, %v), want a disk hit on {1}", v, hit, err)
+	} // promotes a, spills b
+	put(t, c, "c", testCell{N: 3}) // evicts a, whose file is still on disk
+	put(t, c, "d", testCell{N: 4}) // spills c: over budget, the oldest write goes
+	if disk.Bytes() != 120 {
+		t.Errorf("spill bytes = %d, want 120 (two 60-byte entries)", disk.Bytes())
+	}
+	for _, tc := range []struct {
+		key  string
+		want bool
+	}{{"a", true}, {"b", false}, {"c", true}} {
+		if got := disk.Contains(tc.key); got != tc.want {
+			t.Errorf("disk holds %s = %v, want %v", tc.key, got, tc.want)
+		}
+	}
+}
+
 // TestLRUObservers: OnHit carries the serving tier, OnMiss fires on
 // fresh computation, and neither fires on error.
 func TestLRUObservers(t *testing.T) {

@@ -15,10 +15,12 @@
 //     plus a CAS for the sum) and performs zero allocations; the bucket
 //     walk is a linear scan over at most a few dozen boundaries.
 //     Counter.Add is one CAS loop and likewise never allocates.
-//   - Span recording takes one short mutex hold per start/end and
-//     amortizes storage through a ring buffer; a trace never grows past
-//     its configured span capacity (older spans are overwritten and
-//     counted as dropped).
+//   - Span recording takes one short mutex hold per start, end or
+//     annotation: a start appends to the trace's log, and an end or
+//     annotation indexes straight to its span. The log keeps every
+//     span; its size is the job's own bound (a sweep starts 2 spans
+//     plus 5 per fresh cell and 2 per cached one, at most 542 for the
+//     paper's 18 × 6 grid).
 //   - Loggers are plain *slog.Logger values; disabled levels cost one
 //     atomic load per call site, the stdlib contract.
 //
@@ -40,13 +42,13 @@
 //
 // # Span lifecycle
 //
-// A Trace is created per job with NewTrace and carries a ring buffer of
-// spans. Start opens a span (optionally under a parent and with a fixed
-// start time, e.g. the HTTP accept instant); the returned SpanRef's End
-// closes it. Spans may start and end on different goroutines from the
-// trace's creator — the trace's mutex orders all mutations. Tree
-// renders the completed (or in-progress) spans as a parent→child forest
-// for the /v1/jobs/{id}/trace endpoint; spans whose parent was
-// overwritten by the ring re-root at the top level rather than
-// disappearing.
+// A Trace is created per job with NewTrace and is an append-only log
+// of spans: span ID i is entry i-1. Start opens a span (optionally
+// under a parent and with a fixed start time, e.g. the HTTP accept
+// instant); the returned SpanRef's End closes it. Spans may start and
+// end on different goroutines from the trace's creator — the trace's
+// mutex orders all mutations. Tree renders the completed (or
+// in-progress) spans in one pass, in start order, as a parent→child
+// forest for the /v1/jobs/{id}/trace endpoint; a span whose parent is
+// not an earlier span of the same trace is a root.
 package obs

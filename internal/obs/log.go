@@ -46,25 +46,10 @@ func NewLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	}
 }
 
-// loggerKey, traceIDKey and acceptKey carry request-scoped values
-// through contexts.
-type loggerKey struct{}
+// traceIDKey and acceptKey carry request-scoped values through
+// contexts.
 type traceIDKey struct{}
 type acceptKey struct{}
-
-// WithLogger returns a context carrying l as its request-scoped logger.
-func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, loggerKey{}, l)
-}
-
-// Logger returns the context's request-scoped logger, or slog.Default()
-// when none was attached — call sites never need a nil check.
-func Logger(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(loggerKey{}).(*slog.Logger); ok {
-		return l
-	}
-	return slog.Default()
-}
 
 // WithTraceID returns a context carrying the request's trace ID.
 func WithTraceID(ctx context.Context, id string) context.Context {

@@ -109,7 +109,7 @@ func TestHistogramVecChildren(t *testing.T) {
 }
 
 func TestSpanTree(t *testing.T) {
-	tr := NewTrace("abc", 0)
+	tr := NewTrace("abc")
 	root := tr.StartAt(0, "job", time.Now().Add(-time.Second))
 	enq := tr.Start(root.ID(), "enqueue")
 	enq.End()
@@ -138,41 +138,92 @@ func TestSpanTree(t *testing.T) {
 	if len(cellNode.Children) != 1 || cellNode.Children[0].Name != "queue_wait" {
 		t.Errorf("cell children = %+v", cellNode.Children)
 	}
-	if tr.Dropped() != 0 {
-		t.Errorf("dropped = %d, want 0", tr.Dropped())
+}
+
+// TestSpanLogKeepsEverySpan: a trace keeps every span it starts, far
+// past what any sweep records. End and Annotate reach the first and the
+// last of 10,000 spans, Tree nests the last under the first, and a span
+// whose parent is not an earlier span renders as a root.
+func TestSpanLogKeepsEverySpan(t *testing.T) {
+	const n = 10_000
+	tr := NewTrace("log")
+	first := tr.Start(0, "first")
+	for i := 2; i < n-1; i++ {
+		tr.Start(0, "s").End()
+	}
+	orphan := tr.Start(n, "orphan") // its parent ID is a later span
+	orphan.End()
+	last := tr.Start(first.ID(), "last")
+	if first.ID() != 1 || orphan.ID() != n-1 || last.ID() != n {
+		t.Fatalf("span IDs = %d, %d, %d; want 1, %d, %d", first.ID(), orphan.ID(), last.ID(), n-1, n)
+	}
+	first.Annotate(Attr{"k", "first"})
+	last.Annotate(Attr{"k", "last"})
+	last.End()
+	first.End()
+
+	roots := tr.Tree()
+	if len(roots) != n-1 {
+		t.Fatalf("roots = %d, want %d", len(roots), n-1)
+	}
+	total := 0
+	var walk func([]*SpanNode)
+	walk = func(nodes []*SpanNode) {
+		for _, nd := range nodes {
+			total++
+			walk(nd.Children)
+		}
+	}
+	walk(roots)
+	if total != n {
+		t.Errorf("tree holds %d spans, want %d", total, n)
+	}
+	f := roots[0]
+	if f.ID != 1 || f.InProgress || f.Attrs["k"] != "first" {
+		t.Errorf("first span = %+v, want ID 1, ended, k=first", f)
+	}
+	if len(f.Children) != 1 {
+		t.Fatalf("first span has %d children, want 1", len(f.Children))
+	}
+	if l := f.Children[0]; l.ID != n || l.Name != "last" || l.InProgress || l.Attrs["k"] != "last" {
+		t.Errorf("last span = %+v, want ID %d, ended, k=last", l, n)
+	}
+	if o := roots[n-2]; o.ID != n-1 || o.Name != "orphan" {
+		t.Errorf("last root = %d %q, want the orphan, ID %d", o.ID, o.Name, n-1)
 	}
 }
 
-func TestSpanRingDropsOldest(t *testing.T) {
-	tr := NewTrace("ring", 4)
-	var refs []SpanRef
-	for i := 0; i < 10; i++ {
-		refs = append(refs, tr.Start(0, "s"))
+// TestSpanLogConcurrent starts, annotates and ends spans from several
+// goroutines while Tree renders, for the race detector.
+func TestSpanLogConcurrent(t *testing.T) {
+	const goroutines, per = 8, 200
+	tr := NewTrace("conc")
+	root := tr.Start(0, "root")
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				sp := tr.Start(root.ID(), "child")
+				sp.Annotate(Attr{"i", "x"})
+				sp.End()
+				if i%50 == 0 {
+					tr.Tree()
+				}
+			}
+		}()
 	}
-	for _, r := range refs {
-		r.End() // ending overwritten spans must be harmless
-	}
-	if got := tr.Dropped(); got != 6 {
-		t.Fatalf("dropped = %d, want 6", got)
-	}
+	wg.Wait()
+	root.End()
 	roots := tr.Tree()
-	if len(roots) != 4 {
-		t.Fatalf("retained roots = %d, want 4", len(roots))
+	if len(roots) != 1 || len(roots[0].Children) != goroutines*per {
+		t.Fatalf("tree = %d roots, want 1 with %d children", len(roots), goroutines*per)
 	}
-	// The newest spans survive.
-	if roots[len(roots)-1].ID != 10 {
-		t.Errorf("newest retained ID = %d, want 10", roots[len(roots)-1].ID)
-	}
-}
-
-func TestSpanOrphanReroots(t *testing.T) {
-	tr := NewTrace("orphan", 2)
-	parent := tr.Start(0, "parent")
-	tr.Start(parent.ID(), "a")
-	tr.Start(parent.ID(), "b") // overwrites parent in the 2-slot ring
-	roots := tr.Tree()
-	if len(roots) != 2 {
-		t.Fatalf("roots = %d, want 2 (orphans re-root)", len(roots))
+	for _, c := range roots[0].Children {
+		if c.InProgress || c.Attrs["i"] != "x" {
+			t.Fatalf("child %+v not ended and annotated", c)
+		}
 	}
 }
 
@@ -181,7 +232,7 @@ func TestNilTraceIsNoop(t *testing.T) {
 	sp := tr.Start(0, "x")
 	sp.End()
 	sp.Annotate(Attr{"k", "v"})
-	if tr.Tree() != nil || tr.Dropped() != 0 || tr.ID() != "" {
+	if tr.Tree() != nil || tr.ID() != "" {
 		t.Fatal("nil trace must be inert")
 	}
 }
@@ -220,15 +271,6 @@ func TestParseLevelAndNewLogger(t *testing.T) {
 
 func TestContextHelpers(t *testing.T) {
 	ctx := context.Background()
-	if Logger(ctx) != slog.Default() {
-		t.Error("bare context should yield the default logger")
-	}
-	var buf bytes.Buffer
-	l := slog.New(slog.NewTextHandler(&buf, nil))
-	ctx = WithLogger(ctx, l)
-	if Logger(ctx) != l {
-		t.Error("WithLogger round trip failed")
-	}
 	if TraceID(ctx) != "" {
 		t.Error("bare context should have no trace ID")
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -12,11 +11,10 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// Span is one timed operation inside a Trace. IDs are assigned in start
-// order from 1; Parent 0 means top level. A zero End means the span is
-// still open.
+// Span is one timed operation inside a Trace. Its ID is its position in
+// start order, from 1; Parent 0 means top level. A zero End means the
+// span is still open.
 type Span struct {
-	ID     int
 	Parent int
 	Name   string
 	Start  time.Time
@@ -24,32 +22,21 @@ type Span struct {
 	Attrs  []Attr
 }
 
-// Trace is a per-job span recorder: a mutex-guarded ring buffer of
-// spans. When more than the configured capacity of spans start, the
-// oldest are overwritten and counted as dropped — a runaway job can
-// never grow its trace without bound. Safe for concurrent use; spans
-// may start and end on different goroutines.
+// Trace is a per-job span recorder: a mutex-guarded, append-only log of
+// spans. Span ID i is entry i-1, so ending or annotating a span is one
+// index. Nothing caps the log: a job bounds its own trace, at 2 spans
+// plus 5 per fresh sweep cell and 2 per cached one. Safe for concurrent
+// use; spans may start and end on different goroutines.
 type Trace struct {
-	id  string
-	cap int
+	id string
 
-	mu      sync.Mutex
-	spans   []Span // ring, insertion order once full
-	next    int    // ring slot for the next span
-	nextID  int
-	dropped int
+	mu    sync.Mutex
+	spans []Span
 }
 
-// defaultSpanCap bounds a trace that did not choose its own capacity.
-const defaultSpanCap = 4096
-
-// NewTrace builds a trace identified by id, retaining at most maxSpans
-// spans (0 uses a 4096-span default).
-func NewTrace(id string, maxSpans int) *Trace {
-	if maxSpans <= 0 {
-		maxSpans = defaultSpanCap
-	}
-	return &Trace{id: id, cap: maxSpans}
+// NewTrace builds an empty trace identified by id.
+func NewTrace(id string) *Trace {
+	return &Trace{id: id}
 }
 
 // ID returns the trace identifier (the job's trace_id).
@@ -89,67 +76,37 @@ func (t *Trace) StartAt(parent int, name string, at time.Time, attrs ...Attr) Sp
 		at = time.Now()
 	}
 	t.mu.Lock()
-	t.nextID++
-	sp := Span{ID: t.nextID, Parent: parent, Name: name, Start: at, Attrs: attrs}
-	if len(t.spans) < t.cap {
-		t.spans = append(t.spans, sp)
-	} else {
-		t.spans[t.next] = sp
-		t.dropped++
-	}
-	t.next = (t.next + 1) % t.cap
-	id := t.nextID
+	t.spans = append(t.spans, Span{Parent: parent, Name: name, Start: at, Attrs: attrs})
+	id := len(t.spans)
 	t.mu.Unlock()
 	return SpanRef{t: t, id: id}
 }
 
-// End closes the span now. Ending a span the ring has already
-// overwritten is a no-op.
+// End closes the span now.
 func (s SpanRef) End() { s.EndAt(time.Time{}) }
 
 // EndAt closes the span at an explicit time (zero = now).
 func (s SpanRef) EndAt(at time.Time) {
-	if s.t == nil || s.id == 0 {
+	if s.t == nil {
 		return
 	}
 	if at.IsZero() {
 		at = time.Now()
 	}
-	t := s.t
-	t.mu.Lock()
-	for i := range t.spans {
-		if t.spans[i].ID == s.id {
-			t.spans[i].End = at
-			break
-		}
-	}
-	t.mu.Unlock()
+	s.t.mu.Lock()
+	s.t.spans[s.id-1].End = at
+	s.t.mu.Unlock()
 }
 
 // Annotate appends attributes to an open (or closed) span.
 func (s SpanRef) Annotate(attrs ...Attr) {
-	if s.t == nil || s.id == 0 {
+	if s.t == nil {
 		return
 	}
-	t := s.t
-	t.mu.Lock()
-	for i := range t.spans {
-		if t.spans[i].ID == s.id {
-			t.spans[i].Attrs = append(t.spans[i].Attrs, attrs...)
-			break
-		}
-	}
-	t.mu.Unlock()
-}
-
-// Dropped returns how many spans the ring has overwritten.
-func (t *Trace) Dropped() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	s.t.mu.Lock()
+	sp := &s.t.spans[s.id-1]
+	sp.Attrs = append(sp.Attrs, attrs...)
+	s.t.mu.Unlock()
 }
 
 // SpanNode is one node of the rendered span tree (the JSON shape of
@@ -165,24 +122,19 @@ type SpanNode struct {
 	Children   []*SpanNode       `json:"children,omitempty"`
 }
 
-// Tree renders the retained spans as a forest ordered by span ID (start
-// order). Spans whose parent has been overwritten by the ring re-root
-// at the top level.
+// Tree renders the spans as a forest in start order, in one pass. A
+// span whose parent is not an earlier span of this trace is a root.
 func (t *Trace) Tree() []*SpanNode {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	spans := make([]Span, len(t.spans))
-	copy(spans, t.spans)
-	t.mu.Unlock()
-
-	sort.Slice(spans, func(i, j int) bool { return spans[i].ID < spans[j].ID })
+	defer t.mu.Unlock()
 	now := time.Now()
-	nodes := make(map[int]*SpanNode, len(spans))
+	nodes := make([]*SpanNode, len(t.spans))
 	var roots []*SpanNode
-	for _, sp := range spans {
-		n := &SpanNode{ID: sp.ID, Name: sp.Name, Start: sp.Start}
+	for i, sp := range t.spans {
+		n := &SpanNode{ID: i + 1, Name: sp.Name, Start: sp.Start}
 		if sp.End.IsZero() {
 			n.DurationUS = now.Sub(sp.Start).Microseconds()
 			n.InProgress = true
@@ -195,11 +147,9 @@ func (t *Trace) Tree() []*SpanNode {
 				n.Attrs[a.Key] = a.Value
 			}
 		}
-		nodes[sp.ID] = n
-	}
-	for _, sp := range spans {
-		n := nodes[sp.ID]
-		if parent, ok := nodes[sp.Parent]; ok && sp.Parent != 0 && sp.Parent != sp.ID {
+		nodes[i] = n
+		if sp.Parent >= 1 && sp.Parent <= i {
+			parent := nodes[sp.Parent-1]
 			parent.Children = append(parent.Children, n)
 		} else {
 			roots = append(roots, n)

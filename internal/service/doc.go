@@ -16,13 +16,13 @@
 // through one cached compute. resolveInput turns a request's workload,
 // trace_csv or trace_file into a profileInput (trace info, cache
 // identity wl:ABBR:scale or tr:<sha>, a restartable source or a one-shot
-// body, the container's stage labels, a release func); the stream and
-// ProfileTrace entry points build theirs directly. profile alone keys,
-// looks up and computes, under one of two semaphores: profileSem
-// (Workers slots) for restartable inputs, which may hold a trace in
-// memory, and streamSem (4 × Workers) for one-shot bodies, which hold
-// O(window × bits) but read a client's body mid-compute and so must not
-// starve profileSem. A one-shot body's key is its hash, known only once
+// body, the container's stage labels, a release func); ProfileStream
+// and ProfileStreamBinary build theirs directly from a CSV or VTRC
+// body. profile alone keys, looks up and computes, under one of two
+// semaphores: profileSem (Workers slots) for restartable inputs, which
+// may hold a trace in memory, and streamSem (4 × Workers) for one-shot
+// bodies, which hold O(window × bits) but read a client's body
+// mid-compute and so must not starve profileSem. A one-shot body's key is its hash, known only once
 // drained, so it is profiled before the lookup: its hit dedupes
 // storage, not compute. Advise reads a container at most once: that
 // pass is observed under the container's format label, every pass over
@@ -143,14 +143,16 @@
 // # Observability
 //
 // The service is instrumented end to end via internal/obs. Every
-// request carries a trace id (client X-Trace-Id or generated), a
-// request-scoped slog.Logger in its context, and a latency observation
-// into valleyd_http_request_duration_seconds{path,code} — unknown paths
-// collapse into path="other" so the label table stays bounded. Each
-// sweep job records a ring-buffered span tree (accept → enqueue →
-// per-cell queue wait → trace build → engine run → cache put), served
-// by GET /v1/jobs/{id}/trace and correlated with the job's NDJSON
-// events through the shared trace_id. Queue wait, per-cell simulation
+// request carries a trace id (client X-Trace-Id or generated) in its
+// context, logs a debug line with it, and makes a latency observation
+// into valleyd_http_request_duration_seconds{path,code}, labelled by
+// Handler's route table — unknown paths collapse into path="other" so
+// the label table stays bounded. Each sweep job records a span tree
+// (accept → enqueue → per-cell queue wait → trace build → engine run →
+// cache put) in an append-only log that keeps every span: 2, plus 5 per
+// fresh cell and 2 per cached one. It is served by GET
+// /v1/jobs/{id}/trace and correlated with the job's NDJSON events
+// through the shared trace_id. Queue wait, per-cell simulation
 // seconds and the streaming pipeline's per-stage times feed lock-free
 // histograms; they, every counter and every sampled gauge are
 // registered once on the obs.Registry that renders /metrics

@@ -1,14 +1,12 @@
 package service
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -93,11 +91,11 @@ func (s *Service) Handler() http.Handler {
 // statusRecorder captures the response code for metrics.
 //
 // Wrapping a ResponseWriter hides the underlying writer's optional
-// interfaces behind the embedded-interface promotion, so the ones the
-// handlers rely on are forwarded explicitly: Flush (NDJSON streaming)
-// and Hijack (anything taking over the connection). The rest are
-// dropped deliberately — io.ReaderFrom (sendfile) would bypass the
-// recorded status code on its fast path, and http.Pusher is HTTP/2
+// interfaces behind the embedded-interface promotion, so the one the
+// handlers rely on is forwarded explicitly: Flush, for NDJSON
+// streaming. The rest are dropped deliberately — no handler takes over
+// its connection (http.Hijacker), io.ReaderFrom (sendfile) would bypass
+// the recorded status code on its fast path, and http.Pusher is HTTP/2
 // only, which the plain valleyd listener never negotiates. A handler
 // needing one of those must grow an explicit forwarder here, not
 // unwrap the recorder.
@@ -119,23 +117,13 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
-// Hijack forwards connection takeover to the wrapped writer, erroring
-// (like net/http itself) when the underlying writer does not support
-// it rather than panicking on a type assertion.
-func (r *statusRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	h, ok := r.ResponseWriter.(http.Hijacker)
-	if !ok {
-		return nil, nil, fmt.Errorf("underlying ResponseWriter (%T) does not support hijacking", r.ResponseWriter)
-	}
-	return h.Hijack()
-}
-
 // instrument wraps a handler with the request-scoped observability
-// layer: a fresh trace ID (or the client's X-Trace-Id), a child logger
-// carrying trace_id/path (and tenant, from X-Tenant, when present)
-// reachable downstream via obs.Logger(ctx), the per-path request
-// counter and the request-latency histogram. path is the bounded label
-// value, not the raw URL.
+// layer: a fresh trace ID (or the client's X-Trace-Id) and the accept
+// instant in the request context, the per-path request counter, the
+// request-latency histogram and a debug request log line carrying
+// trace_id and path (and tenant, from X-Tenant, when present). path is
+// the route's label from Handler, never the raw URL, so the label
+// tables stay bounded.
 func (s *Service) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -147,8 +135,7 @@ func (s *Service) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		if tenant := r.Header.Get("X-Tenant"); tenant != "" {
 			log = log.With("tenant", tenant)
 		}
-		ctx := obs.WithLogger(r.Context(), log)
-		ctx = obs.WithTraceID(ctx, traceID)
+		ctx := obs.WithTraceID(r.Context(), traceID)
 		ctx = obs.WithAcceptTime(ctx, start)
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r.WithContext(ctx))
@@ -332,16 +319,21 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // profileQueryOptions parses ?window=&bits=&line_bytes=&scheme=&seed=
-// for CSV-body uploads.
+// for CSV-body uploads. It parses window, bits, line_bytes and seed in
+// that order, so a request with several bad values always names the
+// first.
 func profileQueryOptions(r *http.Request, req *ProfileRequest) error {
 	q := r.URL.Query()
-	for name, dst := range map[string]*int{"window": &req.Window, "bits": &req.Bits, "line_bytes": &req.LineBytes} {
-		if v := q.Get(name); v != "" {
+	for _, opt := range []struct {
+		name string
+		dst  *int
+	}{{"window", &req.Window}, {"bits", &req.Bits}, {"line_bytes", &req.LineBytes}} {
+		if v := q.Get(opt.name); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil {
-				return badRequestf("bad %s %q", name, v)
+				return badRequestf("bad %s %q", opt.name, v)
 			}
-			*dst = n
+			*opt.dst = n
 		}
 	}
 	if v := q.Get("seed"); v != "" {

@@ -192,6 +192,23 @@ func TestHTTPProfileBadInputs(t *testing.T) {
 	}
 }
 
+// TestHTTPProfileQueryNamesFirstBadOption: with several bad upload
+// options, every request's 400 names the first in parse order.
+func TestHTTPProfileQueryNamesFirstBadOption(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	h := svc.Handler()
+	for i := 0; i < 20; i++ {
+		req := httptest.NewRequest("POST", "/v1/profile?window=x&bits=y&line_bytes=z", strings.NewReader("K,k,1,0\n"))
+		req.Header.Set("Content-Type", "text/csv")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `window \"x\"`) {
+			t.Fatalf("request %d: status %d, body %q; want 400 naming window \"x\"", i, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // TestHTTPScaleSchemeErrorBodies pins the 400 bodies for a bad scale or
 // scheme on /v1/profile and /v1/simulate, word for word: clients match
 // on them, and the CLIs share the parsers that produce them.

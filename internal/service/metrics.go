@@ -12,8 +12,8 @@ import (
 // counters and histograms here, gauges by the wiring code that owns the
 // sampled structure (newProfileCache, newSimCache, newPool, New), so a
 // gauge exists exactly when its source does. Counter and histogram
-// updates are lock-free; only resolving a labelled child (requests and
-// dispatch counts by label) takes the vec's short mutex.
+// updates are lock-free; only resolving a labelled child (a request's
+// path and code) takes the vec's short mutex.
 type Metrics struct {
 	reg *obs.Registry
 
@@ -149,27 +149,9 @@ func (m *Metrics) gauge(name, help string, fn func() float64) {
 	m.reg.Register(obs.GaugeFunc{Name: name, Help: help, Fn: fn})
 }
 
-// knownPaths is the closed set of per-path label values: the routes
-// Handler registers. Anything else — future unrouted paths, scanners —
-// collapses to "other", so the request counter and the latency vec
-// stay bounded however hostile the traffic.
-var knownPaths = map[string]struct{}{
-	"/v1/profile":     {},
-	"/v1/advise":      {},
-	"/v1/simulate":    {},
-	"/v1/jobs":        {},
-	"/v1/jobs/events": {},
-	"/v1/jobs/trace":  {},
-	"/healthz":        {},
-	"/metrics":        {},
-}
-
 // observeRequest counts one completed HTTP request and records its wall
-// time.
+// time. path is a route label from Handler's table, or "other".
 func (m *Metrics) observeRequest(path string, code int, d time.Duration) {
-	if _, ok := knownPaths[path]; !ok {
-		path = "other"
-	}
 	c := strconv.Itoa(code)
 	m.requests.With(path, c).Inc()
 	m.httpDur.With(path, c).ObserveDuration(d)

@@ -1,24 +1,19 @@
 package service
 
 // statusRecorder contract tests: the metrics wrapper must keep
-// forwarding the optional ResponseWriter interfaces the handlers rely
-// on (Flush for NDJSON streaming, Hijack for connection takeover),
-// including when middleware stacks end up wrapping the wrapper.
+// forwarding the optional ResponseWriter interface the handlers rely
+// on (Flush for NDJSON streaming), including when middleware stacks end
+// up wrapping the wrapper.
 
 import (
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
-// Compile-time pins: losing either interface from the wrapper type is
-// a build failure, not a runtime surprise in a streaming handler.
-var (
-	_ http.Flusher  = (*statusRecorder)(nil)
-	_ http.Hijacker = (*statusRecorder)(nil)
-)
+// Compile-time pin: losing Flush from the wrapper type is a build
+// failure, not a runtime surprise in a streaming handler.
+var _ http.Flusher = (*statusRecorder)(nil)
 
 // TestStatusRecorderDoubleWrapFlush: a Flush on a recorder wrapping
 // another recorder must reach the innermost writer. Middleware stacks
@@ -48,50 +43,5 @@ func TestStatusRecorderDoubleWrapFlush(t *testing.T) {
 	f.Flush()
 	if !base.Flushed {
 		t.Error("Flush through a double-wrapped recorder never reached the underlying writer")
-	}
-}
-
-// TestStatusRecorderHijack exercises both halves of the Hijack
-// contract: over a real connection the takeover succeeds (double
-// wrapped, as a middleware stack would), and over a writer with no
-// Hijacker underneath it returns an error instead of panicking.
-func TestStatusRecorderHijack(t *testing.T) {
-	const raw = "HTTP/1.1 200 OK\r\nContent-Length: 7\r\nConnection: close\r\n\r\nhijack\n"
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{
-			ResponseWriter: &statusRecorder{ResponseWriter: w, code: http.StatusOK},
-			code:           http.StatusOK,
-		}
-		conn, bw, err := rec.Hijack()
-		if err != nil {
-			t.Errorf("hijack over a live connection: %v", err)
-			return
-		}
-		defer conn.Close()
-		bw.WriteString(raw) //nolint:errcheck // best-effort raw response
-		bw.Flush()          //nolint:errcheck
-	}))
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(body) != "hijack\n" {
-		t.Errorf("hijacked response body %q, want %q", body, "hijack\n")
-	}
-
-	// httptest.ResponseRecorder has no Hijacker: the forwarder must
-	// surface that as an error naming the offending writer type.
-	rec := &statusRecorder{ResponseWriter: httptest.NewRecorder(), code: http.StatusOK}
-	if _, _, err := rec.Hijack(); err == nil {
-		t.Error("hijack over a non-hijackable writer returned nil error")
-	} else if !strings.Contains(err.Error(), "ResponseRecorder") {
-		t.Errorf("hijack error %q does not name the underlying writer type", err)
 	}
 }

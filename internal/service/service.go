@@ -388,18 +388,6 @@ func (s *Service) ProfileStreamBinary(r io.Reader, req ProfileRequest) (*Profile
 	return s.profile(&profileInput{src: trace.NewBinaryStream(r), stages: &s.metrics.stageBinary}, opt)
 }
 
-// ProfileTrace profiles an already-decoded trace under its content
-// hash, for embedders that hold a materialized *App.
-func (s *Service) ProfileTrace(app *trace.App, sha string, req ProfileRequest) (*ProfileResult, bool, error) {
-	opt, err := req.options()
-	if err != nil {
-		return nil, false, err
-	}
-	in := &profileInput{src: trace.AppSource(app), stages: &s.metrics.stageNative}
-	in.identify(in.src.Info(), sha)
-	return s.profile(in, opt)
-}
-
 // hashedTraceStream is what a one-shot body is besides a trace.Source
 // (whose one Stream is the decoder itself): a decoder that knows the
 // trace's canonical digest once drained.
@@ -854,20 +842,6 @@ func (s *Service) Simulate(req SimulateRequest) (Job, error) {
 	return s.SimulateCtx(context.Background(), req)
 }
 
-// spanCapFor sizes a sweep's span ring: root + enqueue plus up to six
-// spans per cell, floored so tiny sweeps never drop and capped so a
-// full-catalog sweep cannot grow the ring past the obs default.
-func spanCapFor(totalCells int) int {
-	n := 2 + 6*totalCells
-	if n < 64 {
-		n = 64
-	}
-	if n > 4096 {
-		n = 4096
-	}
-	return n
-}
-
 // SimulateCtx is Simulate with request-scoped observability: the job
 // adopts the context's trace ID (obs.WithTraceID; one is minted when
 // absent) and records a span trace — HTTP accept, enqueue, per-cell
@@ -913,7 +887,7 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 		traceID = obs.NewTraceID()
 	}
 	total := len(plan.cells)
-	tr := obs.NewTrace(traceID, spanCapFor(total))
+	tr := obs.NewTrace(traceID)
 	// The root span starts at the HTTP accept instant when the handler
 	// recorded one, so accept-to-enqueue time is visible in the tree.
 	root := tr.StartAt(0, "job", obs.AcceptTime(ctx),
@@ -921,9 +895,9 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 		obs.Attr{Key: "scale", Value: plan.rc.scaleName},
 	)
 
-	// The job context outlives the request: values (trace ID, logger)
-	// carry over, the request's cancellation does not — a 202 job must
-	// survive its handler returning — and the deadline instant is
+	// The job context outlives the request: values (trace ID, accept
+	// time) carry over, the request's cancellation does not — a 202 job
+	// must survive its handler returning — and the deadline instant is
 	// re-applied. The cancel function is kept in the job's record so
 	// DELETE and stream disconnects can fire it with a cause.
 	jobCtx, cancelJob := context.WithCancelCause(context.WithoutCancel(ctx))

@@ -163,7 +163,15 @@ func TestStreamingUploadMatchesMaterialized(t *testing.T) {
 	if sum != streamed.Trace.SHA256 {
 		t.Fatalf("incremental hash %s != materialized hash %s", streamed.Trace.SHA256, sum)
 	}
-	mat, hit, err := svc.ProfileTrace(app, sum, ProfileRequest{})
+	// The materialized app goes through the same compute as every other
+	// input, under its content hash.
+	opt, err := ProfileRequest{}.options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &profileInput{src: trace.AppSource(app), stages: &svc.metrics.stageNative}
+	in.identify(in.src.Info(), sum)
+	mat, hit, err := svc.profile(in, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

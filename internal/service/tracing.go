@@ -10,13 +10,12 @@ import (
 // forest from HTTP accept through enqueue, per-cell queue wait, trace
 // build, engine run and cache put. Durations are microseconds; spans
 // still open at render time report in_progress with their duration so
-// far. DroppedSpans counts ring overwrites on runaway jobs — the tree
-// re-roots orphans rather than losing them silently.
+// far. The forest holds every span the job started: 2, plus 5 per
+// fresh cell and 2 per cached one.
 type JobTrace struct {
-	JobID        string          `json:"job_id"`
-	TraceID      string          `json:"trace_id"`
-	DroppedSpans int             `json:"dropped_spans,omitempty"`
-	Spans        []*obs.SpanNode `json:"spans"`
+	JobID   string          `json:"job_id"`
+	TraceID string          `json:"trace_id"`
+	Spans   []*obs.SpanNode `json:"spans"`
 }
 
 // JobTrace renders the named job's span tree. It reports false for
@@ -31,12 +30,7 @@ func (s *Service) JobTrace(id string) (JobTrace, bool) {
 	if spans == nil {
 		spans = []*obs.SpanNode{}
 	}
-	return JobTrace{
-		JobID:        id,
-		TraceID:      tr.ID(),
-		DroppedSpans: tr.Dropped(),
-		Spans:        spans,
-	}, true
+	return JobTrace{JobID: id, TraceID: tr.ID(), Spans: spans}, true
 }
 
 func (s *Service) handleJobTrace(w http.ResponseWriter, r *http.Request) {

@@ -77,19 +77,15 @@ func TestJobTraceEndpoint(t *testing.T) {
 		t.Fatalf("trace endpoint status = %d", tr.StatusCode)
 	}
 	var jt struct {
-		JobID        string          `json:"job_id"`
-		TraceID      string          `json:"trace_id"`
-		DroppedSpans int             `json:"dropped_spans"`
-		Spans        []*spanNodeJSON `json:"spans"`
+		JobID   string          `json:"job_id"`
+		TraceID string          `json:"trace_id"`
+		Spans   []*spanNodeJSON `json:"spans"`
 	}
 	if err := json.NewDecoder(tr.Body).Decode(&jt); err != nil {
 		t.Fatal(err)
 	}
 	if jt.JobID != job.ID || jt.TraceID != job.TraceID {
 		t.Errorf("trace identifies %s/%s, want %s/%s", jt.JobID, jt.TraceID, job.ID, job.TraceID)
-	}
-	if jt.DroppedSpans != 0 {
-		t.Errorf("a 2-cell sweep dropped %d spans", jt.DroppedSpans)
 	}
 
 	root := findSpan(jt.Spans, "job")
@@ -161,6 +157,47 @@ func TestJobTraceEndpoint(t *testing.T) {
 	waitJob(t, svc, job2.ID)
 }
 
+// TestJobTraceSpanBound pins the bound on a job's span log: 2 spans per
+// job (job, enqueue), plus 5 per fresh cell (cell, queue_wait,
+// trace_build, engine_run, cache_put) and 2 per cached one (cell,
+// queue_wait), all under the one job root.
+func TestJobTraceSpanBound(t *testing.T) {
+	svc := New(Config{Workers: 2})
+	defer svc.Close()
+	req := SimulateRequest{Workloads: []string{"MT", "LU"}, Schemes: []string{"BASE", "PAE"}, Scale: "tiny"}
+	for _, tc := range []struct {
+		name  string
+		spans int
+	}{
+		{"fresh", 2 + 5*4},
+		{"cached repeat", 2 + 2*4},
+	} {
+		job, err := svc.Simulate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j := waitJob(t, svc, job.ID); j.Status != JobDone {
+			t.Fatalf("%s sweep: status %s (%s)", tc.name, j.Status, j.Error)
+		}
+		jt, ok := svc.JobTrace(job.ID)
+		if !ok {
+			t.Fatalf("%s sweep: no trace", tc.name)
+		}
+		n := 0
+		var walk func([]*obs.SpanNode)
+		walk = func(nodes []*obs.SpanNode) {
+			for _, nd := range nodes {
+				n++
+				walk(nd.Children)
+			}
+		}
+		walk(jt.Spans)
+		if len(jt.Spans) != 1 || n != tc.spans {
+			t.Errorf("%s sweep: %d roots and %d spans, want 1 root and %d spans", tc.name, len(jt.Spans), n, tc.spans)
+		}
+	}
+}
+
 func TestJobTraceUnknownJob(t *testing.T) {
 	svc, ts := newTestServer(t)
 	_ = svc
@@ -222,7 +259,7 @@ func TestSweepCellPanicFailsJob(t *testing.T) {
 	}
 	plan := sweepPlan{rc: rc, specs: []workload.Spec{boom}, schemes: []mapping.Scheme{mapping.BASE},
 		cells: []cellExec{rc.cell(boom, mapping.BASE)}}
-	tr := obs.NewTrace("panictrace", 64)
+	tr := obs.NewTrace("panictrace")
 	root := tr.Start(0, "job")
 	job, err := svc.jobs.create(len(plan.cells), tr, nil, nil)
 	if err != nil {
