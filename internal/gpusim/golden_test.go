@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -22,16 +23,23 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 // to a model, a timing, a workload generator or the engine's event
 // order moves the digest. A speed-up must leave it alone; run with
 // -update only after an intentional model change.
+//
+// It also pins the grid's total count of events fired, which a model
+// change moves and a queue change must not.
 func TestGoldenResultsDigest(t *testing.T) {
 	cfg := Baseline()
 	r := NewRunner()
 	var grid []Result
+	var events, relinks uint64
 	for _, specs := range [][]workload.Spec{workload.ValleySet(), workload.NonValleySet()} {
 		for _, spec := range specs {
 			app := spec.Build(workload.Tiny)
 			for _, s := range mapping.Schemes() {
 				m := mapping.MustNew(s, cfg.Layout, mapping.Options{Seed: 1})
 				grid = append(grid, r.Run(app, m, cfg))
+				ev, rl := r.EngineCounts()
+				events += ev
+				relinks += rl
 			}
 		}
 	}
@@ -41,8 +49,10 @@ func TestGoldenResultsDigest(t *testing.T) {
 	}
 	sum := sha256.Sum256(b)
 	got := hex.EncodeToString(sum[:])
+	t.Logf("%d cells: %d events fired, %d relinks (%.3f per event)", len(grid), events, relinks, float64(relinks)/float64(events))
 
 	goldenPath := filepath.Join("testdata", "results_tiny.sha256")
+	eventsPath := filepath.Join("testdata", "events_tiny.txt")
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -50,7 +60,10 @@ func TestGoldenResultsDigest(t *testing.T) {
 		if err := os.WriteFile(goldenPath, []byte(got+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("golden updated: %s (%d cells, %d JSON bytes)", goldenPath, len(grid), len(b))
+		if err := os.WriteFile(eventsPath, []byte(strconv.FormatUint(events, 10)+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden updated: %s (%d cells, %d JSON bytes), %s", goldenPath, len(grid), len(b), eventsPath)
 		return
 	}
 	want, err := os.ReadFile(goldenPath)
@@ -59,5 +72,12 @@ func TestGoldenResultsDigest(t *testing.T) {
 	}
 	if w := strings.TrimSpace(string(want)); got != w {
 		t.Fatalf("simulator output drifted: %d cells hash to %s, golden %s (run with -update if the model changed on purpose)", len(grid), got, w)
+	}
+	wantEvents, err := os.ReadFile(eventsPath)
+	if err != nil {
+		t.Fatalf("reading golden event count (run with -update to create it): %v", err)
+	}
+	if w := strings.TrimSpace(string(wantEvents)); strconv.FormatUint(events, 10) != w {
+		t.Fatalf("the grid fired %d events, golden %s (run with -update if the model changed on purpose)", events, w)
 	}
 }

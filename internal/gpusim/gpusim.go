@@ -331,6 +331,16 @@ func NewRunner() *Runner {
 	return &Runner{dramPool: dram.NewPool()}
 }
 
+// EngineCounts reports the event engine's work in the last Run on r:
+// the events it fired and the times its queue moved a pending event
+// (sim.Engine's Events and Relinks). Both are exact for a given input,
+// so unlike a timing they show a change in the simulator's work
+// without host noise. Result does not carry them, so they change no
+// digest or cached cell.
+func (r *Runner) EngineCounts() (events, relinks uint64) {
+	return r.eng.Events(), r.eng.Relinks()
+}
+
 func (r *Runner) getProgs() []gpu.WarpProgram {
 	if n := len(r.progFree); n > 0 {
 		p := r.progFree[n-1]

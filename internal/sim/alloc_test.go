@@ -86,8 +86,8 @@ func TestResetReproducesFreshEngine(t *testing.T) {
 	var reused Engine
 	runOnce(&reused)
 	reused.Reset()
-	if reused.Now() != 0 || reused.Pending() != 0 || reused.Events() != 0 {
-		t.Fatalf("Reset left state: now=%v pending=%d events=%d", reused.Now(), reused.Pending(), reused.Events())
+	if reused.Now() != 0 || reused.Pending() != 0 || reused.Events() != 0 || reused.Relinks() != 0 {
+		t.Fatalf("Reset left state: now=%v pending=%d events=%d relinks=%d", reused.Now(), reused.Pending(), reused.Events(), reused.Relinks())
 	}
 	got := runOnce(&reused)
 	for i := range want {

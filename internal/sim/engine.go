@@ -92,6 +92,7 @@ type Engine struct {
 	now     Time
 	last    Time // radix base: last <= now, and every pending event is at >= last
 	fired   uint64
+	relinks uint64
 	pending int
 	free    int32 // head of the recycled-slot list
 	slab    []eventRec
@@ -105,6 +106,12 @@ func (e *Engine) Now() Time { return e.now }
 
 // Events returns the number of events executed so far.
 func (e *Engine) Events() uint64 { return e.fired }
+
+// Relinks returns the number of times the queue has moved a pending
+// event from one list to another since the last Reset. It counts the
+// queue's work exactly: divided by Events, it is the bookkeeping each
+// event costs beyond its own insert and removal.
+func (e *Engine) Relinks() uint64 { return e.relinks }
 
 // Pending returns the number of scheduled-but-unfired events.
 func (e *Engine) Pending() int { return e.pending }
@@ -266,6 +273,7 @@ func (e *Engine) redistribute() int32 {
 		r := &e.slab[ref-1]
 		next := r.next
 		e.link(bits.Len64(uint64(r.at^e.last)), ref, r.at)
+		e.relinks++
 		ref = next
 	}
 	return e.head[0]
