@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -54,6 +55,57 @@ func BenchmarkEngineFanout(b *testing.B) {
 			e.Run()
 		})
 	}
+}
+
+// clockDelays returns n event delays shaped like the simulator's: whole
+// cycles of its three clocks (714, 1082 and 1429 ps, the 1.4 GHz core,
+// the 924 MHz DRAM and the 700 MHz NoC), 72% under 2^16 ps, 93% under
+// 2^20 ps and none at 2^26 ps or more, as in the paper suite's delay
+// histogram at small scale.
+func clockDelays(n int) []Time {
+	periods := [...]Time{714, 1082, 1429}
+	rng := rand.New(rand.NewSource(1))
+	out := make([]Time, n)
+	for i := range out {
+		var lo, hi Time
+		switch u := rng.Intn(100); {
+		case u < 72:
+			lo, hi = 1, 1<<16
+		case u < 93:
+			lo, hi = 1<<16, 1<<20
+		default:
+			lo, hi = 1<<20, 1<<26
+		}
+		p := periods[i%len(periods)]
+		first, last := (lo+p-1)/p, (hi-1)/p // the cycle counts inside [lo, hi)
+		out[i] = p * (first + Time(rng.Int63n(int64(last-first+1))))
+	}
+	return out
+}
+
+// BenchmarkEngineClocks runs the queue at the paper suite's shape:
+// about 18k pending events, the peak it reaches on MT at small scale,
+// each firing scheduling the next at a delay from clockDelays. It
+// reports the queue's relinks per event beside the time.
+func BenchmarkEngineClocks(b *testing.B) {
+	const pending = 18 << 10
+	delays := clockDelays(4096)
+	var e Engine
+	b.ReportAllocs()
+	n := 0
+	var step Handler
+	step = func(any) {
+		if n++; n <= b.N {
+			e.ScheduleCall(delays[n%len(delays)], step, nil)
+		}
+	}
+	for i := 0; i < pending; i++ {
+		e.ScheduleCall(delays[i%len(delays)], step, nil)
+	}
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	b.ReportMetric(float64(e.Relinks())/float64(e.Events()), "relinks/event")
 }
 
 // BenchmarkEngineClosure measures the legacy closure pattern — a fresh
