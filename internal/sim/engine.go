@@ -68,8 +68,8 @@ func (c Clock) ToCycles(t Time) float64 { return float64(t) / float64(c.Period) 
 type Handler func(arg any)
 
 // eventRec is one slot in the engine's event slab. next threads the
-// record onto its bucket's FIFO list while pending and onto the free
-// list once fired, as a slot number plus one so that 0 ends a list.
+// record onto its wheel slot's FIFO list while pending and onto the
+// free list once fired, as a slot number plus one so that 0 ends a list.
 type eventRec struct {
 	at   Time
 	next int32
@@ -77,28 +77,68 @@ type eventRec struct {
 	arg  any
 }
 
+// The queue is a hierarchical timing wheel: wheelLevels levels of
+// wheelSlots slots, level l splitting time by the l-th wheelBits-bit
+// digit. At 12 bits a level's occupancy is 64 words under a one-word
+// summary, and the wheel costs about 196 KB per engine.
+const (
+	wheelBits   = 12
+	wheelSlots  = 1 << wheelBits
+	wheelLevels = (64 + wheelBits - 1) / wheelBits
+)
+
+// wheelLevel is one level of the timing wheel. A slot's head and tail
+// name the first and last event of its FIFO list and mean something
+// only while the slot's bit in occ is set; summary has bit w set while
+// occ[w] is non-zero.
+type wheelLevel struct {
+	summary uint64
+	occ     [wheelSlots / 64]uint64
+	head    [wheelSlots]int32
+	tail    [wheelSlots]int32
+}
+
+// lowest returns the lowest occupied slot. The level must hold an
+// event.
+func (lv *wheelLevel) lowest() uint64 {
+	w := uint64(bits.TrailingZeros64(lv.summary))
+	return w*64 + uint64(bits.TrailingZeros64(lv.occ[w]))
+}
+
+// vacate marks slot s empty and reports whether the level is now empty.
+func (lv *wheelLevel) vacate(s uint64) bool {
+	w := s / 64
+	if lv.occ[w] &^= 1 << (s % 64); lv.occ[w] == 0 {
+		lv.summary &^= 1 << w
+	}
+	return lv.summary == 0
+}
+
 // Engine is a discrete-event simulator. The zero value is ready to use.
 //
-// Pending events live in a slab of recycled records, queued in a radix
-// heap keyed on event time. An event at t sits in bucket
-// bits.Len64(t ^ last), where last is the latest minimum: bucket 0
-// holds the events due at last, and each bucket's events precede every
-// higher bucket's. Inserting compares no keys; when bucket 0 runs dry,
-// the lowest non-empty bucket is redistributed around its minimum.
-// Buckets are FIFO and equal times always share one, so events
-// scheduled for the same instant fire in scheduling order — see doc.go
-// for the full determinism contract.
+// Pending events live in a slab of recycled records, queued in a
+// hierarchical timing wheel keyed on event time (Varghese and Lauck,
+// SOSP 1987). An event at t sits on the level of the highest
+// wheelBits-bit digit in which t differs from the wheel's base last, in
+// the slot named by that digit of t. Level 0's slots are therefore
+// exact picoseconds, and every event on a level precedes every event on
+// the levels above it. Slots are FIFO lists. When level 0 runs dry,
+// last moves to the start of the lowest occupied slot and that slot
+// cascades: its events relink, in list order, onto the lower levels,
+// which are empty. An event moves at most wheelLevels-1 times, and
+// equal times always share a slot, so events scheduled for the same
+// instant fire in scheduling order — see doc.go for the full
+// determinism contract.
 type Engine struct {
 	now     Time
-	last    Time // radix base: last <= now, and every pending event is at >= last
+	last    Time // wheel base: every pending event is at >= last, and last <= now wherever anything can be scheduled
 	fired   uint64
 	relinks uint64
 	pending int
-	free    int32 // head of the recycled-slot list
+	free    int32  // head of the recycled-slot list
+	levels  uint64 // bit l set while wheel level l holds an event
 	slab    []eventRec
-	head    [65]int32 // per-bucket FIFO lists of pending events
-	tail    [65]int32
-	first   [65]Time // earliest event time in each non-empty bucket
+	wheel   [wheelLevels]wheelLevel
 }
 
 // Now returns the current simulation time.
@@ -108,9 +148,10 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Events() uint64 { return e.fired }
 
 // Relinks returns the number of times the queue has moved a pending
-// event from one list to another since the last Reset. It counts the
-// queue's work exactly: divided by Events, it is the bookkeeping each
-// event costs beyond its own insert and removal.
+// event from one list to another since the last Reset: one per event
+// per cascade that carries it. It counts the queue's work exactly:
+// divided by Events, it is the bookkeeping each event costs beyond its
+// own insert and removal, and it never exceeds wheelLevels-1 per event.
 func (e *Engine) Relinks() uint64 { return e.relinks }
 
 // Pending returns the number of scheduled-but-unfired events.
@@ -146,8 +187,9 @@ func (e *Engine) ScheduleCall(delay Time, h Handler, arg any) {
 
 // AtCall runs h(arg) at absolute time t (>= Now). With a long-lived h
 // and a pooled arg this is the zero-allocation scheduling path: the
-// event record comes from the engine's free list and returns to it when
-// the event fires.
+// event record comes from the engine's free list, is appended to the
+// tail of its wheel slot without comparing times, and returns to the
+// free list when the event fires.
 func (e *Engine) AtCall(t Time, h Handler, arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
@@ -161,7 +203,7 @@ func (e *Engine) AtCall(t Time, h Handler, arg any) {
 	}
 	r := &e.slab[ref-1]
 	r.at, r.h, r.arg = t, h, arg
-	e.link(bits.Len64(uint64(t^e.last)), ref, t)
+	e.link(ref, t)
 	e.pending++
 }
 
@@ -176,18 +218,24 @@ func (e *Engine) Run() Time {
 // RunUntil executes events with timestamps <= deadline. It returns true if
 // the queue drained, false if the deadline was hit first. Time advances to
 // min(deadline, last event time) and never moves backwards.
+//
+// It compares the deadline with the start of the lowest occupied slot,
+// which on level 0 is the next event's time, and cascades a slot only
+// when that start is <= deadline. So the wheel's base never passes the
+// clock, and events scheduled after a deadline stop still file
+// correctly.
 func (e *Engine) RunUntil(deadline Time) bool {
 	for e.pending > 0 {
-		next := e.last
-		if e.head[0] == 0 {
-			next = e.first[e.lowest()]
-		}
-		if next > deadline {
-			// Stop without redistributing, so that last stays <= now.
+		l := uint(bits.TrailingZeros64(e.levels))
+		if e.slotStart(l, e.wheel[l].lowest()) > deadline {
 			e.now = max(e.now, deadline)
 			return false
 		}
-		e.step()
+		if l == 0 {
+			e.step()
+		} else {
+			e.cascade()
+		}
 	}
 	return true
 }
@@ -211,18 +259,27 @@ func (e *Engine) RunBounded(maxEvents int) bool {
 // regression tests pin this).
 func (e *Engine) Reset() {
 	clear(e.slab) // drop handler and arg references
-	*e = Engine{slab: e.slab[:0]}
+	slab := e.slab[:0]
+	*e = Engine{}
+	e.slab = slab
 }
 
-// step fires the earliest event. The slot is recycled before the
-// handler runs so the handler's own scheduling can reuse it.
+// step fires the earliest event, cascading first if level 0 is empty.
+// Between a cascade and the firing, last is the cascaded slot's start
+// and may be later than Now(); the firing sets Now() to an event at or
+// after last. The slot is recycled before the handler runs so the
+// handler's own scheduling can reuse it.
 func (e *Engine) step() {
-	ref := e.head[0]
-	if ref == 0 {
-		ref = e.redistribute()
+	for e.levels&1 == 0 {
+		e.cascade()
 	}
+	lv := &e.wheel[0]
+	s := lv.lowest()
+	ref := lv.head[s]
 	r := &e.slab[ref-1]
-	e.head[0] = r.next
+	if lv.head[s] = r.next; r.next == 0 && lv.vacate(s) {
+		e.levels &^= 1
+	}
 	e.now = r.at
 	h, arg := r.h, r.arg
 	r.h, r.arg = nil, nil // drop references so pooled args can be collected
@@ -232,51 +289,53 @@ func (e *Engine) step() {
 	h(arg)
 }
 
-// link appends slot ref, an event at t, to bucket b's FIFO list.
-func (e *Engine) link(b int, ref int32, t Time) {
+// link appends slot ref, an event at t, to the FIFO list of its wheel
+// slot under the current base.
+func (e *Engine) link(ref int32, t Time) {
+	l := uint(bits.Len64(uint64(t^e.last)|1)-1) / wheelBits
+	s := uint64(t) >> (l * wheelBits) & (wheelSlots - 1)
+	lv := &e.wheel[l]
 	e.slab[ref-1].next = 0
-	if e.head[b] == 0 {
-		e.head[b], e.first[b] = ref, t
+	if w, bit := s/64, uint64(1)<<(s%64); lv.occ[w]&bit == 0 {
+		lv.occ[w] |= bit
+		lv.summary |= 1 << w
+		e.levels |= 1 << l
+		lv.head[s] = ref
 	} else {
-		e.slab[e.tail[b]-1].next = ref
-		e.first[b] = min(e.first[b], t)
+		e.slab[lv.tail[s]-1].next = ref
 	}
-	e.tail[b] = ref
+	lv.tail[s] = ref
 }
 
-// lowest returns the lowest non-empty bucket above 0. The queue must
-// hold an event outside bucket 0.
-func (e *Engine) lowest() int {
-	b := 1
-	for e.head[b] == 0 {
-		b++
-	}
-	return b
+// slotStart returns the earliest time slot s of level l can hold under
+// the current base. On level 0 that is the time of the slot's events.
+func (e *Engine) slotStart(l uint, s uint64) Time {
+	shift := l * wheelBits
+	return Time(uint64(e.last)>>(shift+wheelBits)<<(shift+wheelBits) | s<<shift)
 }
 
-// redistribute refills the empty bucket 0 and returns its first event.
-// It advances last to the earliest time in the lowest non-empty bucket
-// and relinks that bucket's events, in list order, into bucket
-// Len64(at ^ last). All of them land in lower buckets, which are empty,
-// so every bucket stays FIFO; events in higher buckets keep their
-// bucket under the new last. A lone event fires straight from its old
-// bucket.
-func (e *Engine) redistribute() int32 {
-	b := e.lowest()
-	ref := e.head[b]
-	e.head[b] = 0
-	e.last = e.first[b]
-	if e.slab[ref-1].next == 0 {
-		return ref
+// cascade empties the lowest occupied slot of the lowest occupied
+// level, which must be above level 0, into the levels below it. last
+// moves to the slot's start. Every event in the slot is at or after
+// that start and shares its digits from the slot's level up, so each
+// lands on a lower level, and those are empty: relinking in list order
+// keeps every slot FIFO. Events in other slots keep their level and
+// slot under the new base.
+func (e *Engine) cascade() {
+	l := uint(bits.TrailingZeros64(e.levels))
+	lv := &e.wheel[l]
+	s := lv.lowest()
+	if lv.vacate(s) {
+		e.levels &^= 1 << l
 	}
-	for ref != 0 {
+	e.last = e.slotStart(l, s)
+	for ref := lv.head[s]; ref != 0; {
 		r := &e.slab[ref-1]
 		next := r.next
-		e.link(bits.Len64(uint64(r.at^e.last)), ref, r.at)
+		e.link(ref, r.at)
 		e.relinks++
 		ref = next
 	}
-	return e.head[0]
 }
 
 // Server models a single resource that serves one request at a time in

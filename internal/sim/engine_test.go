@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -142,6 +143,47 @@ func TestEngineRunUntilNeverRewinds(t *testing.T) {
 	e.Run()
 	if want := []Time{100, 100, 200}; !slices.Equal(order, want) {
 		t.Fatalf("fired at %v, want %v", order, want)
+	}
+}
+
+// TestEngineEveryLevel files events around every digit boundary of the
+// wheel, 2^(j·wheelBits) - 1, + 0 and + 1 for every level j, in
+// descending time order, so that every level holds an event and every
+// level cascades. Besides the event scheduled at each boundary b, a tie
+// at b is scheduled up front, and the first event at b schedules a late
+// one at b once b's slot has cascaded: the three must fire in that
+// order.
+func TestEngineEveryLevel(t *testing.T) {
+	var e Engine
+	var got, want []string
+	note := func(name string) Handler {
+		return func(any) { got = append(got, fmt.Sprintf("%s@%d", name, e.Now())) }
+	}
+	first := func(any) {
+		got = append(got, fmt.Sprintf("first@%d", e.Now()))
+		e.ScheduleCall(0, note("late"), nil)
+	}
+	for j := wheelLevels - 1; j >= 0; j-- {
+		b := Time(1) << (j * wheelBits)
+		e.AtCall(b+1, note("after"), nil)
+		e.AtCall(b, first, nil)
+		e.AtCall(b-1, note("before"), nil)
+		e.AtCall(b, note("tie"), nil)
+	}
+	if all := uint64(1)<<wheelLevels - 1; e.levels != all {
+		t.Fatalf("occupied levels %b, want %b", e.levels, all)
+	}
+	for j := 0; j < wheelLevels; j++ {
+		b := Time(1) << (j * wheelBits)
+		want = append(want, fmt.Sprintf("before@%d", b-1), fmt.Sprintf("first@%d", b),
+			fmt.Sprintf("tie@%d", b), fmt.Sprintf("late@%d", b), fmt.Sprintf("after@%d", b+1))
+	}
+	e.Run()
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired\n%v\nwant\n%v", got, want)
+	}
+	if limit := (wheelLevels - 1) * e.Events(); e.Relinks() > limit {
+		t.Errorf("%d relinks for %d events, want at most %d", e.Relinks(), e.Events(), limit)
 	}
 }
 

@@ -34,13 +34,20 @@ func (p *orderProg) byte() byte {
 	return b
 }
 
-// delay decodes a delay from 0 to about 2^40 ps, biased towards ties.
+// delay decodes a delay from 0 to about 2^40 ps, biased towards ties
+// and towards the wheel's digit boundaries.
 func (p *orderProg) delay() Time {
 	b := p.byte()
 	switch b >> 6 {
 	case 0:
 		return 0
 	case 1:
+		// 0x40-0x4f: up to 15 ps. 0x50-0x7f: 2^(j·wheelBits) + δ with
+		// j = 1, 2, 3 from bits 4-5, every digit boundary below 2^40,
+		// and δ = -1, 0, +1 from the low bits.
+		if j := int(b >> 4 & 3); j != 0 {
+			return Time(1)<<(j*wheelBits) + Time(b&15)%3 - 1
+		}
 		return Time(b & 15)
 	case 2:
 		return Time(p.byte())<<8 | Time(p.byte())
@@ -171,6 +178,22 @@ func FuzzEngineOrder(f *testing.F) {
 	// then events at 3 and 0 and a Run.
 	f.Add(slices.Concat([]byte{0, 0xe0, 0xff, 1, 0xc8, 0x10, 0}, at(7),
 		[]byte{3, 1, 0, 6, 0}, at(3), []byte{7, 5}))
+	// boundary encodes the delay 2^(j·wheelBits) + d, d in -1..1.
+	boundary := func(j, d int) byte { return byte(0x40 | j<<4 | (d + 1)) }
+	// One program per digit boundary b = 2^(j·wheelBits) below 2^40:
+	// events at b, b-1 and b+1 and a tie at b+1, then RunUntil(b-1),
+	// which fires b-1 and must stop short of b's slot. That event's
+	// handler schedules one more at b, into b's slot before it cascades;
+	// the Run that follows fires the first event at b, whose handler
+	// schedules another at b after the cascade. The three events at b
+	// must fire in scheduling order. Then, after a Reset, two events at
+	// b+1 and RunUntil(b): it must cascade b's slot, whose start is the
+	// deadline, and stop without firing them.
+	for j := 1; j <= 3; j++ {
+		f.Add([]byte{0, boundary(j, 0), 1, boundary(j, -1), 0, boundary(j, 1), 2,
+			4, boundary(j, -1), 1, 0x41, 5, 1, 0, 0, 0, 0, 0,
+			6, 0, boundary(j, 1), 2, 4, boundary(j, 0), 5})
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Longer programs add little coverage and make the fuzzer's
