@@ -12,6 +12,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 
 	"valleymap/internal/cache"
 	"valleymap/internal/sim"
@@ -188,10 +189,9 @@ type txEvent struct {
 	write bool
 }
 
-// mshr is one L1 miss-status holding register: an outstanding line and
-// the warps waiting on it.
+// mshr is one L1 miss-status holding register: the warps waiting on
+// its outstanding line, which SM.mshrLines holds.
 type mshr struct {
-	line    uint64
 	waiters []*warpState
 }
 
@@ -206,10 +206,12 @@ type SM struct {
 	lsu sim.Server
 
 	// mshrs is the L1 MSHR file, cfg.MSHRs entries. The first mshrUsed
-	// hold outstanding misses; free entries keep their waiter slices'
-	// capacity for reuse.
-	mshrs    []mshr
-	mshrUsed int
+	// hold outstanding misses, and mshrLines[i] is entry i's line, so a
+	// lookup scans a dense array of lines. Free entries keep their
+	// waiter slices' capacity for reuse.
+	mshrs     []mshr
+	mshrLines []uint64
+	mshrUsed  int
 
 	// stalled holds read transactions refused by a full MSHR file, in
 	// arrival order (head-indexed ring so draining does not reallocate);
@@ -239,12 +241,13 @@ func New(eng *sim.Engine, id int, cfg Config, fabric Fabric) *SM {
 		panic(fmt.Sprintf("gpu: MSHRs = %d, want >= 1", cfg.MSHRs))
 	}
 	return &SM{
-		ID:     id,
-		cfg:    cfg,
-		eng:    eng,
-		fabric: fabric,
-		l1:     cache.MustNew(cfg.L1),
-		mshrs:  make([]mshr, cfg.MSHRs),
+		ID:        id,
+		cfg:       cfg,
+		eng:       eng,
+		fabric:    fabric,
+		l1:        cache.MustNew(cfg.L1),
+		mshrs:     make([]mshr, cfg.MSHRs),
+		mshrLines: make([]uint64, cfg.MSHRs),
 	}
 }
 
@@ -459,8 +462,8 @@ func (s *SM) read(addr uint64, ws *warpState) {
 	}
 	s.l1.Access(line, false) // allocate; write-through L1 victims are clean
 	e := &s.mshrs[s.mshrUsed]
+	s.mshrLines[s.mshrUsed] = line
 	s.mshrUsed++
-	e.line = line
 	e.waiters = append(e.waiters, ws)
 	s.fabric.IssueRead(now, s.ID, line, s)
 }
@@ -468,12 +471,7 @@ func (s *SM) read(addr uint64, ws *warpState) {
 // pendingMSHR returns the index of the MSHR holding line, or -1 if no
 // miss to line is outstanding.
 func (s *SM) pendingMSHR(line uint64) int {
-	for i := range s.mshrs[:s.mshrUsed] {
-		if s.mshrs[i].line == line {
-			return i
-		}
-	}
-	return -1
+	return slices.Index(s.mshrLines[:s.mshrUsed], line)
 }
 
 // FillLine implements ReadSink: it completes an outstanding miss, wakes
@@ -490,6 +488,7 @@ func (s *SM) FillLine(line uint64, at sim.Time) {
 		// Free the entry by swapping it past the occupied prefix.
 		s.mshrUsed--
 		s.mshrs[i], s.mshrs[s.mshrUsed] = s.mshrs[s.mshrUsed], s.mshrs[i]
+		s.mshrLines[i] = s.mshrLines[s.mshrUsed]
 	}
 	for s.stalledHead < len(s.stalled) && s.mshrUsed < len(s.mshrs) {
 		tx := s.stalled[s.stalledHead]
