@@ -152,6 +152,8 @@ type ParallelismProbe interface {
 type Controller struct {
 	eng     *sim.Engine
 	cfg     Config
+	rowOf   layout.Decoder
+	bankOf  layout.Decoder // the global bank: vault and bank
 	channel int
 	banks   []bank
 	bus     sim.Server
@@ -165,7 +167,10 @@ type Controller struct {
 // NewController builds the controller for one channel.
 func NewController(eng *sim.Engine, cfg Config, channel int, probe ParallelismProbe) *Controller {
 	n := cfg.Layout.BanksPerChannel()
-	c := &Controller{eng: eng, cfg: cfg, channel: channel, probe: probe, banks: make([]bank, n)}
+	c := &Controller{
+		eng: eng, cfg: cfg, channel: channel, probe: probe, banks: make([]bank, n),
+		rowOf: cfg.Layout.Decoder(layout.Row), bankOf: cfg.Layout.BankDecoder(),
+	}
 	for i := range c.banks {
 		c.banks[i].openRow = -1
 		// Far enough in the past that the first ACT is never tRC-gated.
@@ -182,13 +187,13 @@ func (c *Controller) Stats() Stats {
 	return s
 }
 
-// Enqueue admits a transaction. The layout decodes bank and row from the
-// (already mapped) address.
+// Enqueue admits a transaction. Decoders compiled from the layout give
+// its bank and row from the (already mapped) address.
 func (c *Controller) Enqueue(r *Request) {
 	now := c.eng.Now()
 	r.arrive = now
-	r.row = c.cfg.Layout.RowOf(r.Addr)
-	r.bank = c.cfg.Layout.BankGlobal(r.Addr)
+	r.row = c.rowOf.Decode(r.Addr)
+	r.bank = c.bankOf.Decode(r.Addr)
 	r.ctl = c
 	if r.bank >= len(c.banks) {
 		panic(fmt.Sprintf("dram: bank %d out of range (%d banks)", r.bank, len(c.banks)))
@@ -316,7 +321,7 @@ func (c *Controller) service(bi int, now sim.Time) {
 
 // System is the set of per-channel controllers.
 type System struct {
-	cfg         Config
+	channelOf   layout.Decoder
 	Controllers []*Controller
 	pool        *Pool
 }
@@ -331,7 +336,7 @@ func NewSystem(eng *sim.Engine, cfg Config, probe ParallelismProbe) *System {
 // so a caller running many simulations back to back (gpusim.Runner)
 // reuses request records across runs.
 func NewSystemWithPool(eng *sim.Engine, cfg Config, probe ParallelismProbe, pool *Pool) *System {
-	s := &System{cfg: cfg, pool: pool}
+	s := &System{channelOf: cfg.Layout.Decoder(layout.Channel), pool: pool}
 	for ch := 0; ch < cfg.Layout.Channels(); ch++ {
 		c := NewController(eng, cfg, ch, probe)
 		c.pool = pool
@@ -346,8 +351,7 @@ func (s *System) Get() *Request { return s.pool.Get() }
 
 // Enqueue routes a transaction to its channel controller.
 func (s *System) Enqueue(r *Request) {
-	ch := s.cfg.Layout.ChannelOf(r.Addr)
-	s.Controllers[ch].Enqueue(r)
+	s.Controllers[s.channelOf.Decode(r.Addr)].Enqueue(r)
 }
 
 // Stats sums controller counters.

@@ -229,6 +229,59 @@ func (l Layout) BankGlobal(addr uint64) int {
 	return int(l.Extract(Vault, addr))<<uint(l.Width(Bank)) | int(l.Extract(Bank, addr))
 }
 
+// A Decoder extracts one DRAM coordinate from addresses with shifts
+// and masks compiled once from a layout, so a decode visits only the
+// coordinate's own segments. Layout.Decoder(f) decodes what Extract(f,
+// ·) does and Layout.BankDecoder what BankGlobal does; the DRAM model
+// decodes every request's channel, row and bank with them.
+type Decoder struct {
+	steps []decodeStep
+}
+
+// decodeStep moves one segment: width bits of the address from bit lo
+// up to bit at of the result, mask being width ones.
+type decodeStep struct {
+	lo, at uint
+	mask   uint64
+}
+
+// Decode returns addr's coordinate.
+func (d Decoder) Decode(addr uint64) int {
+	var out uint64
+	for _, s := range d.steps {
+		out |= (addr >> s.lo & s.mask) << s.at
+	}
+	return int(out)
+}
+
+// Decoder compiles the decode of field f: Decoder(f).Decode(addr)
+// equals Extract(f, addr) for every addr.
+func (l Layout) Decoder(f Field) Decoder {
+	var d Decoder
+	d.add(l, f, 0)
+	return d
+}
+
+// BankDecoder compiles BankGlobal: BankDecoder().Decode(addr) equals
+// BankGlobal(addr) for every addr.
+func (l Layout) BankDecoder() Decoder {
+	var d Decoder
+	d.add(l, Bank, 0)
+	d.add(l, Vault, uint(l.Width(Bank)))
+	return d
+}
+
+// add appends field f's segments, lowest first, packed upwards from
+// result bit at.
+func (d *Decoder) add(l Layout, f Field, at uint) {
+	for _, s := range l.Segments {
+		if s.Field == f {
+			d.steps = append(d.steps, decodeStep{lo: uint(s.Lo), at: at, mask: 1<<uint(s.Width()) - 1})
+			at += uint(s.Width())
+		}
+	}
+}
+
 // Capacity returns the total bytes addressed by the layout.
 func (l Layout) Capacity() uint64 { return uint64(1) << uint(l.Bits) }
 

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -205,6 +206,36 @@ func TestBankGlobalDense(t *testing.T) {
 				t.Fatalf("BankGlobal collision at %d", g)
 			}
 			seen[g] = true
+		}
+	}
+}
+
+// TestDecoderMatchesExtract holds the compiled decoders to their
+// reference: on both preset layouts, for every field and for 10k random
+// 64-bit addresses, bits above the layout's width included, Decoder(f)
+// decodes what Extract(f, ·) extracts and BankDecoder what BankGlobal
+// returns.
+func TestDecoderMatchesExtract(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]uint64, 10000)
+	for i := range addrs {
+		addrs[i] = rng.Uint64()
+	}
+	addrs[0], addrs[1] = 0, ^uint64(0)
+	for _, l := range []Layout{HynixGDDR5(), Stacked3D()} {
+		bank := l.BankDecoder()
+		for f := Field(0); f < fieldCount; f++ {
+			d := l.Decoder(f)
+			for _, a := range addrs {
+				if got, want := d.Decode(a), int(l.Extract(f, a)); got != want {
+					t.Fatalf("%s: Decoder(%v).Decode(%#x) = %#x, Extract = %#x", l.Name, f, a, got, want)
+				}
+			}
+		}
+		for _, a := range addrs {
+			if got, want := bank.Decode(a), l.BankGlobal(a); got != want {
+				t.Fatalf("%s: BankDecoder().Decode(%#x) = %#x, BankGlobal = %#x", l.Name, a, got, want)
+			}
 		}
 	}
 }
