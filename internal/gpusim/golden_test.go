@@ -25,7 +25,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 // -update only after an intentional model change.
 //
 // It also pins the grid's total count of events fired, which a model
-// change moves and a queue change must not.
+// change moves and a queue change must not, and holds the queue's
+// relinks to its bound: the engine's timing wheel has six levels, so no
+// event moves more than five times.
 func TestGoldenResultsDigest(t *testing.T) {
 	cfg := Baseline()
 	r := NewRunner()
@@ -50,6 +52,9 @@ func TestGoldenResultsDigest(t *testing.T) {
 	sum := sha256.Sum256(b)
 	got := hex.EncodeToString(sum[:])
 	t.Logf("%d cells: %d events fired, %d relinks (%.3f per event)", len(grid), events, relinks, float64(relinks)/float64(events))
+	if relinks > 5*events {
+		t.Errorf("the queue relinked %d times for %d events, want at most 5 per event", relinks, events)
+	}
 
 	goldenPath := filepath.Join("testdata", "results_tiny.sha256")
 	eventsPath := filepath.Join("testdata", "events_tiny.txt")

@@ -131,7 +131,7 @@ func (lv *wheelLevel) vacate(s uint64) bool {
 // determinism contract.
 type Engine struct {
 	now     Time
-	last    Time // wheel base: every pending event is at >= last, and last <= now wherever anything can be scheduled
+	last    Time // wheel base: every pending event is at >= last
 	fired   uint64
 	relinks uint64
 	pending int
@@ -151,7 +151,7 @@ func (e *Engine) Events() uint64 { return e.fired }
 // event from one list to another since the last Reset: one per event
 // per cascade that carries it. It counts the queue's work exactly:
 // divided by Events, it is the bookkeeping each event costs beyond its
-// own insert and removal, and it never exceeds wheelLevels-1 per event.
+// own insert and removal, and it never exceeds five per event.
 func (e *Engine) Relinks() uint64 { return e.relinks }
 
 // Pending returns the number of scheduled-but-unfired events.
@@ -252,16 +252,14 @@ func (e *Engine) RunBounded(maxEvents int) bool {
 	return e.pending == 0
 }
 
-// Reset returns the engine to time zero with an empty queue, keeping
-// the slab capacity for reuse. Any still-pending events are dropped. A
-// Reset engine behaves exactly like a zero-value Engine, so a reused
-// engine reproduces a fresh engine's run bit for bit (the determinism
-// regression tests pin this).
+// Reset returns the engine to time zero with an empty wheel and zero
+// counts, keeping the slab capacity for reuse. Any still-pending events
+// are dropped. A Reset engine behaves exactly like a zero-value Engine,
+// so a reused engine reproduces a fresh engine's run bit for bit (the
+// determinism regression tests pin this).
 func (e *Engine) Reset() {
 	clear(e.slab) // drop handler and arg references
-	slab := e.slab[:0]
-	*e = Engine{}
-	e.slab = slab
+	*e = Engine{slab: e.slab[:0]}
 }
 
 // step fires the earliest event, cascading first if level 0 is empty.
