@@ -67,9 +67,9 @@ func (c Clock) ToCycles(t Time) float64 { return float64(t) / float64(c.Period) 
 // paths.
 type Handler func(arg any)
 
-// eventRec is one slot in the engine's event slab. next threads the
+// eventRec is one record in the engine's event slab. next threads the
 // record onto its wheel slot's FIFO list while pending and onto the
-// free list once fired, as a slot number plus one so that 0 ends a list.
+// free list once fired, as a slab index plus one so that 0 ends a list.
 type eventRec struct {
 	at   Time
 	next int32
@@ -135,7 +135,7 @@ type Engine struct {
 	fired   uint64
 	relinks uint64
 	pending int
-	free    int32  // head of the recycled-slot list
+	free    int32  // head of the recycled-record list
 	levels  uint64 // bit l set while wheel level l holds an event
 	slab    []eventRec
 	wheel   [wheelLevels]wheelLevel
@@ -265,7 +265,7 @@ func (e *Engine) Reset() {
 // step fires the earliest event, cascading first if level 0 is empty.
 // Between a cascade and the firing, last is the cascaded slot's start
 // and may be later than Now(); the firing sets Now() to an event at or
-// after last. The slot is recycled before the handler runs so the
+// after last. The record is recycled before the handler runs so the
 // handler's own scheduling can reuse it.
 func (e *Engine) step() {
 	for e.levels&1 == 0 {
@@ -287,8 +287,8 @@ func (e *Engine) step() {
 	h(arg)
 }
 
-// link appends slot ref, an event at t, to the FIFO list of its wheel
-// slot under the current base.
+// link appends record ref, an event at t, to the FIFO list of its
+// wheel slot under the current base.
 func (e *Engine) link(ref int32, t Time) {
 	l := uint(bits.Len64(uint64(t^e.last)|1)-1) / wheelBits
 	s := uint64(t) >> (l * wheelBits) & (wheelSlots - 1)
