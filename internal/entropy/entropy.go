@@ -79,10 +79,10 @@ func ProfileTB(tb *trace.TB, bits int) TBProfile {
 	return p
 }
 
-// countAddrBits adds addr's one-bits below width into ones — the single
-// counting kernel shared by the materialized and streaming profilers, so
-// both paths perform bit-for-bit identical arithmetic. It is the
-// profilers' hot loop, so each one-bit costs one trailing-zero count.
+// countAddrBits adds addr's one-bits below width into ones, one
+// trailing-zero count per one-bit. It is the materialized profiler's
+// counting kernel and the reference for the streaming profiler's byte
+// lanes (laneCounter), which must count the same bits.
 func countAddrBits(ones []int64, addr uint64, width int) {
 	for a := addr; a != 0; a &= a - 1 {
 		if b := bits.TrailingZeros64(a); b < width {
@@ -94,7 +94,10 @@ func countAddrBits(ones []int64, addr uint64, width int) {
 // ShannonNormalized computes Equation 1: −Σ pᵢ log_v pᵢ with v = number of
 // probabilities. With v < 2 the entropy is 0 (a constant value carries no
 // information); with v == 2 this is the familiar base-2 entropy, so the
-// paper's footnote example {2/3, 1/3} yields 0.918.
+// paper's footnote example {2/3, 1/3} yields 0.918. Each term is rounded
+// to float64 before it is subtracted, so no platform fuses the multiply
+// and the subtraction, and the streaming profiler's table of terms
+// (entropyTable) reproduces the sum exactly.
 func ShannonNormalized(probs []float64) float64 {
 	v := len(probs)
 	if v < 2 {
@@ -103,7 +106,7 @@ func ShannonNormalized(probs []float64) float64 {
 	h := 0.0
 	for _, p := range probs {
 		if p > 0 {
-			h -= p * math.Log(p)
+			h -= float64(p * math.Log(p))
 		}
 	}
 	return h / math.Log(float64(v))

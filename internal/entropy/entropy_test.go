@@ -337,3 +337,43 @@ func BenchmarkAppProfile(b *testing.B) {
 		AppProfile(app, 12, 30, nil)
 	}
 }
+
+// TestEntropyTableMatchesShannon: the streaming profiler's table
+// kernel equals ShannonNormalized bit for bit over every ordered
+// composition of w (every sequence of positive counts summing to w,
+// which is every window's distinct-value counts in every
+// first-appearance order), for w ≤ 12. Widths run downward, so the
+// table is rebuilt in place from a wider one.
+func TestEntropyTableMatchesShannon(t *testing.T) {
+	var tab entropyTable
+	var counts []int
+	var probs []float64
+	checked := 0
+	for w := 12; w >= 1; w-- {
+		tab.setWidth(w)
+		// Bit k of parts set ends a part after unit k+1.
+		for parts := 0; parts < 1<<(w-1); parts++ {
+			counts, probs = counts[:0], probs[:0]
+			run := 1
+			for k := 0; k < w-1; k++ {
+				if parts>>k&1 != 0 {
+					counts = append(counts, run)
+					run = 0
+				}
+				run++
+			}
+			counts = append(counts, run)
+			for _, c := range counts {
+				probs = append(probs, float64(c)/float64(w))
+			}
+			got, want := tab.eval(counts), ShannonNormalized(probs)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("w=%d counts %v: table %.17g != ShannonNormalized %.17g", w, counts, got, want)
+			}
+			checked++
+		}
+	}
+	if checked != 1<<12-1 {
+		t.Fatalf("checked %d compositions, want %d", checked, 1<<12-1)
+	}
+}

@@ -10,15 +10,34 @@ package entropy
 //   - the last min(w, TBs) TB profiles (the window) O(window × bits)
 //   - the running per-bit window-entropy sums       O(bits)
 //
-// independent of trace length. The Accumulator reproduces the
-// materialized AppProfile arithmetic operation for operation (same
-// summation order, same Ratio dedup, same divisions), so the streamed
-// Profile is bit-identical to the materialized one; the golden
-// equivalence tests in stream_test.go pin that down for every built-in
-// workload.
+// independent of trace length.
+//
+// The Accumulator's three kernels are the fast ones; the materialized
+// path in entropy.go (countAddrBits, windowEntropyBit,
+// ShannonNormalized) is the reference they must match:
+//
+//   - Bit counting adds each address a byte at a time into byte-lane
+//     counters (laneCounter): one table lookup counts a byte's eight
+//     bits in eight 8-bit lanes of one word. The lanes are flushed into
+//     the per-bit counts every 255 rows, before a lane can overflow,
+//     and at each TB close.
+//   - The window keeps its BVRs column-major, one ring column per bit,
+//     and a window is walked with a wrapping slot index.
+//   - Equation 1 reads each distinct value's p·ln p term and the
+//     normalizer ln v from a per-width table (entropyTable), summing the
+//     terms in the same first-appearance order as windowEntropyBit.
+//
+// Each kernel performs the reference's arithmetic operation for
+// operation (same summation order, same Ratio equality, same divisions),
+// so the streamed Profile is bit-identical to the materialized one. The
+// golden tests in stream_test.go pin that down for every built-in
+// workload, TestProfileDigest pins the values themselves, and
+// TestEntropyTableMatchesShannon checks the table against
+// ShannonNormalized over every count composition of w ≤ 12.
 
 import (
 	"io"
+	"math"
 	"time"
 
 	"valleymap/internal/trace"
@@ -58,27 +77,31 @@ type Accumulator struct {
 	appPerBit   []float64
 	appRequests int
 
-	// Current kernel: ring of the last ≤ window TB profiles plus the
-	// running per-bit window-entropy sums (WindowEntropy, online).
+	// Current kernel: a ring of the last ≤ window TBs' BVRs plus the
+	// running per-bit window-entropy sums (WindowEntropy, online). The
+	// ring grows on demand to min(TBs, window) slots.
 	kOpen     bool
-	ring      []TBProfile // grown on demand to min(TBs, window) slots
-	count     int         // TBs completed in the current kernel
+	ones      [][]int64 // ones[b][slot]: bit b's one-count in the slot's TB
+	totals    []int64   // totals[slot]: the slot's TB's request count
+	next      int       // ring slot of the next closing TB
+	count     int       // TBs completed in the current kernel
 	sums      []float64
 	windows   int
 	kRequests int
 
-	// Scratch for per-window entropy (windowEntropyBit's locals).
-	vals   []Ratio
-	counts []int
-	probs  []float64
+	// Per-window scratch: the distinct BVRs of one bit's window in
+	// first-appearance order, and how often each occurs.
+	tab      entropyTable
+	valOnes  []int64
+	valTotal []int64
+	counts   []int
 
 	// Current TB.
 	tbOpen bool
-	tbID   int
 	tbReqs int
-	ones   []int64
-
-	done bool
+	lanes  laneCounter
+	tbOnes []int64
+	done   bool
 }
 
 // NewAccumulator builds a streaming profiler. Memory is
@@ -98,8 +121,10 @@ func NewAccumulator(opt StreamOptions) *Accumulator {
 		bits:      bits,
 		bf:        opt.BatchTransform,
 		appPerBit: make([]float64, bits),
+		ones:      make([][]int64, bits),
 		sums:      make([]float64, bits),
-		ones:      make([]int64, bits),
+		lanes:     laneCounter{wide: bits > 32},
+		tbOnes:    make([]int64, bits),
 	}
 }
 
@@ -121,7 +146,6 @@ func (a *Accumulator) Fold(b *trace.Batch) {
 			a.openKernel()
 		}
 		a.tbOpen = true
-		a.tbID = b.TBID
 	}
 	if len(b.Requests) == 0 {
 		return
@@ -129,89 +153,107 @@ func (a *Accumulator) Fold(b *trace.Batch) {
 	if !a.kOpen {
 		a.openKernel()
 	}
-	if !a.tbOpen {
-		a.tbOpen = true
-		a.tbID = b.TBID
+	a.tbOpen = true
+	a.scratch = a.scratch[:0]
+	for _, r := range b.Requests {
+		a.scratch = append(a.scratch, r.Addr)
 	}
 	if a.bf != nil {
-		a.scratch = a.scratch[:0]
-		for _, r := range b.Requests {
-			a.scratch = append(a.scratch, r.Addr)
-		}
 		a.bf(a.scratch)
-		for _, addr := range a.scratch {
-			countAddrBits(a.ones, addr, a.bits)
-		}
-	} else {
-		for _, r := range b.Requests {
-			countAddrBits(a.ones, r.Addr, a.bits)
-		}
 	}
+	a.lanes.add(a.scratch, a.tbOnes)
 	a.tbReqs += len(b.Requests)
 }
 
 func (a *Accumulator) openKernel() {
 	a.kOpen = true
 	a.count = 0
+	a.next = 0
 	a.windows = 0
 	a.kRequests = 0
-	a.ring = a.ring[:0]
+	a.totals = a.totals[:0]
+	for b := range a.ones {
+		a.ones[b] = a.ones[b][:0]
+	}
 	for i := range a.sums {
 		a.sums[i] = 0
 	}
 }
 
-// closeTB turns the in-progress TB counts into a TBProfile in its ring
-// slot and folds the window it completes, if any.
+// closeTB stores the in-progress TB's BVRs in its ring slot and folds
+// the window it completes, if any.
 func (a *Accumulator) closeTB() {
 	if !a.tbOpen {
 		return
 	}
-	slot := a.count % a.window
-	if slot == len(a.ring) {
-		a.ring = append(a.ring, TBProfile{BVR: make([]Ratio, a.bits)})
-	}
-	p := &a.ring[slot] // reuses the slot's BVR storage
-	p.ID = a.tbID
-	p.Requests = a.tbReqs
+	a.lanes.flush(a.tbOnes)
 	total := int64(a.tbReqs)
-	for i := 0; i < a.bits; i++ {
-		p.BVR[i] = Ratio{Ones: a.ones[i], Total: total}
-		a.ones[i] = 0
+	// Ratio.Eq makes an empty TB's 0/0 equal only to another 0/0. The
+	// cross-multiplied test in foldWindow gets the same answer when the
+	// ring stores 0/0 as 1/0.
+	empty := int64(0)
+	if total == 0 {
+		empty = 1
+	}
+	slot := a.next
+	if slot == len(a.totals) {
+		a.totals = append(a.totals, total)
+		for b, n := range a.tbOnes {
+			a.ones[b] = append(a.ones[b], n+empty)
+		}
+	} else {
+		a.totals[slot] = total
+		for b, n := range a.tbOnes {
+			a.ones[b][slot] = n + empty
+		}
+	}
+	clear(a.tbOnes)
+	if a.next++; a.next == a.window {
+		a.next = 0
 	}
 	a.count++
 	a.kRequests += a.tbReqs
 	a.tbOpen = false
 	a.tbReqs = 0
 	if a.count >= a.window {
-		a.foldWindow(a.count-a.window, a.window)
+		// The ring is full and its oldest TB sits in the next slot.
+		a.foldWindow(a.next, a.window)
 	}
 }
 
-// foldWindow adds the entropy of the window starting at TB sequence
-// index start with effective width w to the per-bit sums — the exact
-// inner computation of windowEntropyBit, per bit in the same order.
-func (a *Accumulator) foldWindow(start, w int) {
-	for b := 0; b < a.bits; b++ {
-		a.vals = a.vals[:0]
-		a.counts = a.counts[:0]
-		a.probs = a.probs[:0]
-	next:
+// foldWindow adds the entropy of the w TBs from ring slot head on to
+// the per-bit sums: windowEntropyBit's inner computation, per bit in
+// the same order, with the distinct BVRs counted in first-appearance
+// order and compared by cross-multiplication as Ratio.Eq does.
+func (a *Accumulator) foldWindow(head, w int) {
+	a.tab.setWidth(w)
+	if len(a.counts) < w {
+		a.valOnes = make([]int64, w)
+		a.valTotal = make([]int64, w)
+		a.counts = make([]int, w)
+	}
+	vo, vt, counts := a.valOnes[:w], a.valTotal[:w], a.counts[:w]
+	totals := a.totals
+	for b, col := range a.ones {
+		col = col[:len(totals)]
+		v := 0
+		s := head
 		for k := 0; k < w; k++ {
-			r := a.ring[(start+k)%a.window].BVR[b]
-			for j, v := range a.vals {
-				if v.Eq(r) {
-					a.counts[j]++
-					continue next
-				}
+			o, t := col[s], totals[s]
+			if s++; s == len(totals) {
+				s = 0
 			}
-			a.vals = append(a.vals, r)
-			a.counts = append(a.counts, 1)
+			j := 0
+			for j < v && vo[j]*t != o*vt[j] {
+				j++
+			}
+			if j == v {
+				vo[v], vt[v], counts[v] = o, t, 0
+				v++
+			}
+			counts[j]++
 		}
-		for _, c := range a.counts {
-			a.probs = append(a.probs, float64(c)/float64(w))
-		}
-		a.sums[b] += ShannonNormalized(a.probs)
+		a.sums[b] += a.tab.eval(counts[:v])
 	}
 	a.windows++
 }
@@ -253,6 +295,127 @@ func (a *Accumulator) Profile() Profile {
 		}
 	}
 	return out
+}
+
+// spread[x] holds bit i of the byte x in byte i, so adding it to a lane
+// word counts x's eight bits in eight 8-bit counters at once.
+var spread = func() (t [256]uint64) {
+	for x := range t {
+		for i := 0; i < 8; i++ {
+			t[x] |= uint64(x>>i&1) << (8 * i)
+		}
+	}
+	return t
+}()
+
+// laneCounter counts one-bits per address bit, countAddrBits' fast
+// equivalent. Lane j holds the counts of bits 8j to 8j+7, one per byte,
+// so a byte's counter would overflow after 255 rows: flush moves the
+// lanes into per-bit counts by then, and at each TB close.
+type laneCounter struct {
+	lanes [8]uint64
+	wide  bool // some profiled bit is above bit 31
+	rows  int  // rows added since the last flush, < laneRows
+}
+
+const laneRows = 255
+
+// add counts the one-bits of addrs, flushing into ones every laneRows
+// rows.
+func (c *laneCounter) add(addrs []uint64, ones []int64) {
+	for len(addrs) > 0 {
+		k := min(len(addrs), laneRows-c.rows)
+		if c.wide {
+			c.add8(addrs[:k])
+		} else {
+			c.add4(addrs[:k])
+		}
+		if c.rows += k; c.rows == laneRows {
+			c.flush(ones)
+		}
+		addrs = addrs[k:]
+	}
+}
+
+// add4 counts address bits 0 to 31, with its four lanes in registers.
+func (c *laneCounter) add4(addrs []uint64) {
+	l0, l1, l2, l3 := c.lanes[0], c.lanes[1], c.lanes[2], c.lanes[3]
+	for _, a := range addrs {
+		l0 += spread[uint8(a)]
+		l1 += spread[uint8(a>>8)]
+		l2 += spread[uint8(a>>16)]
+		l3 += spread[uint8(a>>24)]
+	}
+	c.lanes[0], c.lanes[1], c.lanes[2], c.lanes[3] = l0, l1, l2, l3
+}
+
+// add8 counts all 64 address bits.
+func (c *laneCounter) add8(addrs []uint64) {
+	l := c.lanes
+	for _, a := range addrs {
+		l[0] += spread[uint8(a)]
+		l[1] += spread[uint8(a>>8)]
+		l[2] += spread[uint8(a>>16)]
+		l[3] += spread[uint8(a>>24)]
+		l[4] += spread[uint8(a>>32)]
+		l[5] += spread[uint8(a>>40)]
+		l[6] += spread[uint8(a>>48)]
+		l[7] += spread[uint8(a>>56)]
+	}
+	c.lanes = l
+}
+
+// flush adds the lane counts of the bits below len(ones) into ones and
+// clears the lanes. Bits 64 and above never count, as in countAddrBits.
+func (c *laneCounter) flush(ones []int64) {
+	if c.rows == 0 {
+		return
+	}
+	for b := range ones[:min(len(ones), 64)] {
+		ones[b] += int64(c.lanes[b>>3] >> (8 * (b & 7)) & 0xff)
+	}
+	c.lanes = [8]uint64{}
+	c.rows = 0
+}
+
+// entropyTable evaluates Equation 1 for windows of one width w from
+// precomputed terms: plogp[c] is p·ln p of a value seen c times
+// (p = c/w) and lnv[v] is the normalizer ln v. eval performs
+// ShannonNormalized's arithmetic term for term.
+type entropyTable struct {
+	w     int
+	plogp []float64 // index 1..w
+	lnv   []float64 // index 2..w
+}
+
+// setWidth rebuilds the table when the window width changes.
+func (t *entropyTable) setWidth(w int) {
+	if t.w == w {
+		return
+	}
+	t.w = w
+	t.plogp = append(t.plogp[:0], 0)
+	t.lnv = append(t.lnv[:0], 0)
+	for c := 1; c <= w; c++ {
+		p := float64(c) / float64(w)
+		t.plogp = append(t.plogp, float64(p*math.Log(p)))
+		t.lnv = append(t.lnv, math.Log(float64(c)))
+	}
+}
+
+// eval returns the normalized entropy of a window whose distinct
+// values occur counts times, in first-appearance order: exactly
+// ShannonNormalized over the probabilities counts[i]/w.
+func (t *entropyTable) eval(counts []int) float64 {
+	v := len(counts)
+	if v < 2 {
+		return 0
+	}
+	h := 0.0
+	for _, c := range counts {
+		h -= t.plogp[c]
+	}
+	return h / t.lnv[v]
 }
 
 // ProfileStream drains a trace stream into a Profile in one sequential

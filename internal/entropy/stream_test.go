@@ -226,3 +226,58 @@ func (s *failingStream) Next() (*trace.Batch, error) {
 type errBoom struct{}
 
 func (errBoom) Error() string { return "boom" }
+
+// collectBatches drains st into owned copies of its batches, so a
+// benchmark can replay them without the producer's cost.
+func collectBatches(b *testing.B, st trace.Stream) (batches []trace.Batch, rows int) {
+	b.Helper()
+	for {
+		in, err := st.Next()
+		if err == io.EOF {
+			return batches, rows
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := *in
+		if in.Kernel != nil {
+			hdr := *in.Kernel
+			out.Kernel = &hdr
+		}
+		out.Requests = append([]trace.Request(nil), in.Requests...)
+		batches = append(batches, out)
+		rows += len(in.Requests)
+	}
+}
+
+// BenchmarkAccumulatorFold measures the streaming fold alone (bit
+// counting, the window ring and Equation 1) over the coalesced
+// full-scale MT and SP traces at the service's defaults, w = 12 and
+// 30 bits. MT is row-heavy (about 250 lines per TB), SP is close-heavy
+// (5 lines per TB). One op folds every batch of the trace into one
+// long-lived accumulator, each pass opening a new kernel, and must not
+// allocate once the ring has grown.
+func BenchmarkAccumulatorFold(b *testing.B) {
+	for _, abbr := range []string{"MT", "SP"} {
+		b.Run(abbr, func(b *testing.B) {
+			spec, _ := workload.ByAbbr(abbr)
+			batches, rows := collectBatches(b,
+				trace.CoalesceStream(trace.AppSource(spec.Build(workload.Full)).Stream(), 128))
+			acc := NewAccumulator(StreamOptions{Window: 12, Bits: 30})
+			pass := func() {
+				for i := range batches {
+					acc.Fold(&batches[i])
+				}
+			}
+			if n := testing.AllocsPerRun(1, pass); n != 0 {
+				b.Fatalf("a warm pass allocates %v times, want 0", n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+	}
+}
