@@ -1,6 +1,7 @@
 package entropy
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -84,25 +85,58 @@ func TestStreamProfileGoldenTransform(t *testing.T) {
 
 // TestStreamProfileGoldenParameterSweep varies window, bits, line size
 // and coalescing off, including windows larger than the TB count (the
-// clamped single-window path).
+// clamped single-window path). Windows 2 and 13 walk the ring across
+// its wrap at other widths than the default 12. The wide cases profile
+// 33, 40 and 64 bits after a transform that XORs shifted copies of the
+// address into bits 32–63, so the upper byte lanes count one-bits.
 func TestStreamProfileGoldenParameterSweep(t *testing.T) {
 	spec, _ := workload.ByAbbr("SP")
 	app := spec.Build(workload.Tiny)
+	widen := func(a uint64) uint64 { return a ^ a<<25 ^ a<<34 }
 	cases := []struct {
 		name                    string
 		lineBytes, window, bits int
+		wide                    bool
 	}{
-		{"w1", 128, 1, 30},
-		{"w4-b16", 128, 4, 16},
-		{"line512", 512, 12, 30},
-		{"uncoalesced", 0, 12, 30},
-		{"window-larger-than-kernel", 128, 100000, 30},
+		{"w1", 128, 1, 30, false},
+		{"w2", 128, 2, 30, false},
+		{"w4-b16", 128, 4, 16, false},
+		{"w13", 128, 13, 30, false},
+		{"line512", 512, 12, 30, false},
+		{"uncoalesced", 0, 12, 30, false},
+		{"window-larger-than-kernel", 128, 100000, 30, false},
+		{"b33", 128, 12, 33, true},
+		{"b40-w13", 128, 13, 40, true},
+		{"b64", 128, 12, 64, true},
+		{"b64-uncoalesced-w2", 0, 2, 64, true},
 	}
 	for _, tc := range cases {
-		want := materializedProfile(app, tc.lineBytes, tc.window, tc.bits, nil)
+		var f Transform
+		var bf func([]uint64)
+		if tc.wide {
+			f = widen
+			bf = func(addrs []uint64) {
+				for i, a := range addrs {
+					addrs[i] = widen(a)
+				}
+			}
+		}
+		want := materializedProfile(app, tc.lineBytes, tc.window, tc.bits, f)
+		if tc.wide && want.Mean(upperBits(tc.bits)) == 0 {
+			t.Fatalf("SP/%s: bits 32 and up have no entropy, so the upper lanes are not exercised", tc.name)
+		}
 		requireIdentical(t, "SP/"+tc.name,
-			want, streamedProfile(t, app, tc.lineBytes, tc.window, tc.bits, nil))
+			want, streamedProfile(t, app, tc.lineBytes, tc.window, tc.bits, bf))
 	}
+}
+
+// upperBits lists the bit positions from 32 up to bits.
+func upperBits(bits int) []int {
+	var out []int
+	for b := 32; b < bits; b++ {
+		out = append(out, b)
+	}
+	return out
 }
 
 // TestAccumulatorBatchSplitInvariance: splitting a TB across many small
@@ -176,6 +210,24 @@ func TestAccumulatorEdgeCases(t *testing.T) {
 	}}
 	want := materializedProfile(app, 0, 3, 16, nil)
 	requireIdentical(t, "empty-kernel", want, streamedProfile(t, app, 0, 3, 16, nil))
+
+	// An empty TB's BVR is 0/0, which equals only another 0/0 and never
+	// 0/n: bits 20 and up are 0/n in every non-empty TB here.
+	gaps := &trace.App{Kernels: []trace.Kernel{{Name: "gaps", WarpsPerTB: 1, TBs: []trace.TB{
+		{ID: 0, Requests: manyRequests(0, 5)},
+		{ID: 1},
+		{ID: 2, Requests: manyRequests(2, 3)},
+		{ID: 3},
+		{ID: 4},
+		{ID: 5, Requests: manyRequests(5, 6)},
+	}}}}
+	for _, w := range []int{2, 3, 6} {
+		want := materializedProfile(gaps, 0, w, 24, nil)
+		if want.PerBit[23] == 0 {
+			t.Fatalf("w=%d: bit 23 reads 0, so empty TBs count as 0/n", w)
+		}
+		requireIdentical(t, fmt.Sprintf("empty-tbs/w%d", w), want, streamedProfile(t, gaps, 0, w, 24, nil))
+	}
 
 	// Headerless streams open an implicit kernel instead of dropping
 	// requests on the floor.
