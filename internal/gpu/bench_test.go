@@ -136,3 +136,22 @@ func TestSMRelaunchZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildProgramsIntoZeroAlloc pins the simulator's per-launch
+// program construction: with its program slice and Coalescer warm,
+// rebuilding a TB's programs (coalescing through the shared dedup set,
+// mapping every transaction and splitting by warp) allocates nothing.
+func TestBuildProgramsIntoZeroAlloc(t *testing.T) {
+	tb := mixedTB()
+	flip := func(a uint64) uint64 { return a ^ 1<<12 }
+	var co trace.Coalescer
+	progs := BuildProgramsInto(nil, &co, tb, 4, 128, flip)
+	if avg := testing.AllocsPerRun(20, func() {
+		progs = BuildProgramsInto(progs, &co, tb, 4, 128, flip)
+	}); avg != 0 {
+		t.Errorf("rebuilding a warm TB's programs allocates %v per launch, want 0", avg)
+	}
+	if n := len(progs[0].Instr(0)); n != 32 {
+		t.Errorf("warp 0 issues %d transactions, want 32", n)
+	}
+}

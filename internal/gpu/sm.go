@@ -60,16 +60,17 @@ func (p *WarpProgram) Reset() {
 // mapAddr — the BIM address mapper sits directly after the coalescer
 // (Section IV). mapAddr may be nil for the identity mapping.
 func BuildPrograms(tb *trace.TB, warps, lineBytes int, mapAddr func(uint64) uint64) []WarpProgram {
-	var scratch trace.TB
-	return BuildProgramsInto(nil, &scratch, tb, warps, lineBytes, mapAddr)
+	var co trace.Coalescer
+	return BuildProgramsInto(nil, &co, tb, warps, lineBytes, mapAddr)
 }
 
 // BuildProgramsInto is BuildPrograms with caller-owned buffers: dst is
 // recycled for the program slice (grown as needed, every program
-// Reset), and scratch holds the coalesced TB. The simulator pools both
-// across TB launches, so steady-state program construction reuses the
-// same backing arrays instead of allocating per TB.
-func BuildProgramsInto(dst []WarpProgram, scratch *trace.TB, tb *trace.TB, warps, lineBytes int, mapAddr func(uint64) uint64) []WarpProgram {
+// Reset), and co coalesces the TB into its own reused buffers. The
+// simulator keeps both across TB launches, so steady-state program
+// construction reuses the same backing arrays instead of allocating
+// per TB.
+func BuildProgramsInto(dst []WarpProgram, co *trace.Coalescer, tb *trace.TB, warps, lineBytes int, mapAddr func(uint64) uint64) []WarpProgram {
 	if cap(dst) >= warps {
 		dst = dst[:warps]
 	} else {
@@ -78,9 +79,8 @@ func BuildProgramsInto(dst []WarpProgram, scratch *trace.TB, tb *trace.TB, warps
 	for w := range dst {
 		dst[w].Reset()
 	}
-	trace.CoalesceTBInto(scratch, tb, lineBytes)
+	reqs := co.Coalesce(tb, lineBytes).Requests
 	i := 0
-	reqs := scratch.Requests
 	for i < len(reqs) {
 		j := i
 		for j < len(reqs) && reqs[j].Warp == reqs[i].Warp && reqs[j].Kind == reqs[i].Kind {

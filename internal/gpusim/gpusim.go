@@ -304,7 +304,7 @@ type Runner struct {
 	reqFree  []*memReq
 	dramPool *dram.Pool
 	progFree [][]gpu.WarpProgram
-	scratch  trace.TB
+	coal     trace.Coalescer
 	// onStage, when set, receives coarse per-run stage durations (see
 	// SetStageObserver). Deliberately per-run, not per-event: the event
 	// engine's zero-allocation steady state must stay untouched.
@@ -522,7 +522,7 @@ func (run *Runner) runKernel(ctx context.Context, sms []*gpu.SM, k *trace.Kernel
 		}
 		tb := &k.TBs[next]
 		next++
-		progs := gpu.BuildProgramsInto(run.getProgs(), &run.scratch, tb, k.WarpsPerTB, lineBytes, mapAddr)
+		progs := gpu.BuildProgramsInto(run.getProgs(), &run.coal, tb, k.WarpsPerTB, lineBytes, mapAddr)
 		// The one closure per TB launch below recycles the program
 		// buffer and refills the SM's slot; per-TB allocations are noise
 		// next to the TB's own request traffic.

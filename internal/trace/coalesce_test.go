@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -136,5 +138,75 @@ func TestCoalesceProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceCoalesce is coalescing by its definition: each warp run's
+// line addresses in order of first touch, found by scanning the run's
+// output so far.
+func referenceCoalesce(tb *TB, lineBytes int) []Request {
+	var out []Request
+	mask := ^uint64(lineBytes - 1)
+	start := 0
+	for i, r := range tb.Requests {
+		if i > 0 && (r.Warp != tb.Requests[i-1].Warp || r.Kind != tb.Requests[i-1].Kind) {
+			start = len(out)
+		}
+		seen := false
+		for _, o := range out[start:] {
+			seen = seen || o.Addr == r.Addr&mask
+		}
+		if !seen {
+			out = append(out, Request{Addr: r.Addr & mask, Kind: r.Kind, Warp: r.Warp})
+		}
+	}
+	return out
+}
+
+// TestCoalescerMatchesReference runs random TBs through one reused
+// Coalescer and through CoalesceStream and compares both with
+// referenceCoalesce. Runs reach 400 accesses over up to thousands of
+// lines, so the dedup set grows and probes past collisions, and the
+// Coalescer's set is reset between runs and reused across TBs.
+func TestCoalescerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var c Coalescer
+	for i := 0; i < 300; i++ {
+		tb := TB{ID: i}
+		for len(tb.Requests) < 1200 {
+			warp, kind := int32(rng.Intn(3)), Kind(rng.Intn(2))
+			span := 1 << (7 + rng.Intn(12))
+			for n := 1 + rng.Intn(400); n > 0; n-- {
+				tb.Requests = append(tb.Requests, Request{Addr: uint64(rng.Intn(span)), Kind: kind, Warp: warp})
+			}
+		}
+		want := referenceCoalesce(&tb, 128)
+		if got := c.Coalesce(&tb, 128); !reflect.DeepEqual(got.Requests, want) || got.ID != i {
+			t.Fatalf("TB %d: Coalescer gives %d transactions, reference %d", i, len(got.Requests), len(want))
+		}
+		app := &App{Kernels: []Kernel{{Name: "k", WarpsPerTB: 3, TBs: []TB{tb}}}}
+		got := drainApp(t, CoalesceStream(AppSource(app).Stream(), 128), SourceInfo{})
+		if !reflect.DeepEqual(got.Kernels[0].TBs[0].Requests, want) {
+			t.Fatalf("TB %d: CoalesceStream differs from the reference", i)
+		}
+	}
+}
+
+// TestLineSetGenerationWrap: when the generation counter wraps, reset
+// clears the table, so a line added 2^32 runs earlier does not read as
+// seen.
+func TestLineSetGenerationWrap(t *testing.T) {
+	var s lineSet
+	s.reset()
+	if !s.add(128) || s.add(128) {
+		t.Fatal("a new line must be added once")
+	}
+	s.gen = math.MaxUint32
+	s.reset()
+	if s.gen != 1 {
+		t.Fatalf("generation after the wrap = %d, want 1", s.gen)
+	}
+	if !s.add(128) {
+		t.Error("a line from before the wrap reads as seen")
 	}
 }

@@ -200,7 +200,7 @@ type coalesceStream struct {
 	runActive bool
 	runWarp   int32
 	runKind   Kind
-	lines     []uint64 // line addresses seen in the current run
+	lines     lineSet // line addresses seen in the current run
 
 	out  Batch
 	reqs []Request
@@ -236,21 +236,11 @@ func (c *coalesceStream) Next() (*Batch, error) {
 		if !c.runActive || r.Warp != c.runWarp || r.Kind != c.runKind {
 			c.runActive = true
 			c.runWarp, c.runKind = r.Warp, r.Kind
-			c.lines = c.lines[:0]
+			c.lines.reset()
 		}
-		la := r.Addr & c.mask
-		seen := false
-		for _, l := range c.lines {
-			if l == la {
-				seen = true
-				break
-			}
+		if la := r.Addr & c.mask; c.lines.add(la) {
+			c.reqs = append(c.reqs, Request{Addr: la, Kind: c.runKind, Warp: c.runWarp})
 		}
-		if seen {
-			continue
-		}
-		c.lines = append(c.lines, la)
-		c.reqs = append(c.reqs, Request{Addr: la, Kind: c.runKind, Warp: c.runWarp})
 	}
 	c.out = Batch{KernelIndex: b.KernelIndex, TBID: b.TBID, TBStart: b.TBStart, Requests: c.reqs}
 	return &c.out, nil
