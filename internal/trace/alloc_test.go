@@ -5,13 +5,17 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
 // TestIngestAllocs pins the allocation ceilings of the three ingest
 // paths over benchApp, per full pass. The CSV decoder allocates its
 // scanner buffer, batch, hasher and kernel names, and grows its hash
-// scratch (27 on a linux/amd64 host), none of it per row. The binary
+// scratch (27 on a linux/amd64 host), none of it per row. Its bytes per
+// pass are pinned too: the scanner buffer starts at 64 KiB, not at the
+// 1 MiB line limit, which every upload used to allocate and zero. The
+// binary
 // reader decoder allocates fixed-size buffers, its hasher and kernel
 // names (14); an MmapSource pass, a replay, allocates only its decoder
 // struct: batches alias the mapping, kernel headers were saved at open
@@ -59,19 +63,20 @@ func TestIngestAllocs(t *testing.T) {
 	r := bytes.NewReader(data)
 	cr := bytes.NewReader(csvData)
 	cases := []struct {
-		name    string
-		ceiling float64
-		pass    func()
+		name         string
+		ceiling      float64
+		bytesCeiling uint64 // 0: not pinned
+		pass         func()
 	}{
-		{"CSVStream", 32, func() {
+		{"CSVStream", 32, 256 << 10, func() {
 			cr.Reset(csvData)
 			drain(NewCSVStream(cr))
 		}},
-		{"BinaryStream", 32, func() {
+		{"BinaryStream", 32, 0, func() {
 			r.Reset(data)
 			drain(NewBinaryStream(r))
 		}},
-		{"MmapSource", 1, func() { drain(src.Stream()) }},
+		{"MmapSource", 1, 0, func() { drain(src.Stream()) }},
 	}
 	for _, tc := range cases {
 		if got := testing.AllocsPerRun(10, tc.pass); got > tc.ceiling {
@@ -79,5 +84,27 @@ func TestIngestAllocs(t *testing.T) {
 		} else {
 			t.Logf("%s: %v allocs per pass (ceiling %v)", tc.name, got, tc.ceiling)
 		}
+		if tc.bytesCeiling == 0 {
+			continue
+		}
+		if got := bytesPerRun(10, tc.pass); got > tc.bytesCeiling {
+			t.Errorf("%s allocates %d bytes per pass, ceiling %d", tc.name, got, tc.bytesCeiling)
+		} else {
+			t.Logf("%s: %d bytes per pass (ceiling %d)", tc.name, got, tc.bytesCeiling)
+		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

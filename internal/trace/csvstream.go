@@ -64,9 +64,18 @@ func NewCSVStream(r io.Reader) *CSVStream {
 // empty hash's digest in that case).
 func NewCSVStreamUnhashed(r io.Reader) *CSVStream { return newCSVStream(r) }
 
+// The scanner's line buffer starts at csvBufStart and doubles as long
+// lines need, up to csvMaxLine; a line that does not fit with its
+// newline fails with bufio.ErrTooLong. Starting small spares every
+// upload of well-formed, short lines a zeroed 1 MiB allocation.
+const (
+	csvBufStart = 64 << 10
+	csvMaxLine  = 1 << 20
+)
+
 func newCSVStream(r io.Reader) *CSVStream {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, csvBufStart), csvMaxLine)
 	return &CSVStream{sc: sc, kernelIndex: -1, reqs: make([]Request, 0, maxBatchRequests)}
 }
 

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
@@ -349,4 +351,38 @@ func (s *sliceStream) Next() (*Batch, error) {
 	b := &s.batches[s.i]
 	s.i++
 	return b, nil
+}
+
+// TestCSVStreamLongLines: the decoder's line buffer starts small and
+// grows to 1 MiB, so a kernel line of 1 MiB less one byte (its newline
+// fills the buffer) still decodes, and one byte more fails with
+// bufio.ErrTooLong.
+func TestCSVStreamLongLines(t *testing.T) {
+	const limit = 1 << 20
+	for _, tc := range []struct {
+		lineLen int
+		err     error
+	}{
+		{limit - 1, nil},
+		{limit, bufio.ErrTooLong},
+	} {
+		name := strings.Repeat("k", tc.lineLen-len("K,,4,0"))
+		in := "K," + name + ",4,0\nR,0,0,R,80\n"
+		st := NewCSVStream(strings.NewReader(in))
+		var hdr string
+		var err error
+		for err == nil {
+			var b *Batch
+			if b, err = st.Next(); err == nil && b.Kernel != nil {
+				hdr = b.Kernel.Name
+			}
+		}
+		if tc.err == nil {
+			if err != io.EOF || hdr != name {
+				t.Errorf("a %d-byte kernel line: err %v, name of %d bytes, want EOF after the %d-byte name", tc.lineLen, err, len(hdr), len(name))
+			}
+		} else if !errors.Is(err, tc.err) {
+			t.Errorf("a %d-byte kernel line: err %v, want %v", tc.lineLen, err, tc.err)
+		}
+	}
 }
