@@ -70,7 +70,7 @@ func (s *Service) executeCell(ctx context.Context, ce cellExec) (CellResult, err
 		app := ce.sa.get(ce.sp, ce.rc.scale)
 		build.End()
 		m := mapping.MustNew(ce.sc, ce.rc.cfg.Layout, mapping.Options{Seed: ce.rc.seed})
-		r := runnerPool.Get().(*gpusim.Runner)
+		r := s.runners.get()
 		eng := ce.tr.Start(ce.span.ID(), "engine_run")
 		var setup, kernels, collect time.Duration
 		r.SetStageObserver(func(stage string, d time.Duration) {
@@ -94,7 +94,7 @@ func (s *Service) executeCell(ctx context.Context, ce cellExec) (CellResult, err
 			obs.Attr{Key: "collect_us", Value: strconv.FormatInt(collect.Microseconds(), 10)},
 		)
 		eng.End()
-		runnerPool.Put(r)
+		s.runners.put(r)
 		if runErr != nil {
 			return experiments.ResultJSON{}, runErr
 		}

@@ -134,6 +134,7 @@ type Service struct {
 	simCache *simCache
 	jobs     *jobStore
 	pool     *pool
+	runners  runnerPool
 	// costs prices sweep cells for admission control and Retry-After
 	// hints (EWMA of measured cell seconds; see admission.go).
 	costs *costModel
@@ -946,11 +947,38 @@ func (s *Service) CancelJob(id, reason string) bool {
 	return s.jobs.cancel(id, fmt.Errorf("%w: %s", context.Canceled, reason))
 }
 
-// runnerPool shares gpusim.Runners (engine slab, request pools, program
-// buffers) across sweep cells. Runner reuse is bit-deterministic — see
-// internal/sim's determinism contract — so cells drawing warm runners
-// produce the same Results as cold ones.
-var runnerPool = sync.Pool{New: func() any { return gpusim.NewRunner() }}
+// runnerPool keeps idle gpusim.Runners (engine, slab, request pools,
+// program buffers) for reuse across sweep cells. It is a free list, not
+// a sync.Pool, so garbage collections do not drop warm Runners, and it
+// never holds more Runners than cells ever ran at once. Runner reuse is
+// bit-deterministic — see internal/sim's determinism contract — so
+// cells drawing warm runners produce the same Results as cold ones.
+type runnerPool struct {
+	mu    sync.Mutex
+	free  []*gpusim.Runner
+	built int // Runners built so far
+}
+
+// get takes an idle Runner, or builds one when none is idle.
+func (p *runnerPool) get() *gpusim.Runner {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return r
+	}
+	p.built++
+	p.mu.Unlock()
+	return gpusim.NewRunner()
+}
+
+// put returns a Runner that get handed out.
+func (p *runnerPool) put(r *gpusim.Runner) {
+	p.mu.Lock()
+	p.free = append(p.free, r)
+	p.mu.Unlock()
+}
 
 // sharedApp materializes one workload trace at most once per sweep and
 // shares it across that workload's scheme cells. The *trace.App is

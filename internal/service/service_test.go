@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -619,5 +620,41 @@ func TestExecuteCellSharesSweepKeys(t *testing.T) {
 			t.Errorf("ExecuteCell %s/%s on a fresh service: cached=%v, metrics match=%v; want a simulation equal to the sweep's",
 				c.Workload, c.Scheme, cold.Cached, cold.ResultJSON == c.ResultJSON)
 		}
+	}
+}
+
+// TestRunnerPoolSurvivesGC: idle Runners stay in the service's free
+// list across garbage collections, so a sweep after a GC reuses them
+// instead of building new ones, and the list never holds more Runners
+// than cells ran at once. One worker runs one cell at a time, so
+// exactly one Runner is ever built.
+func TestRunnerPoolSurvivesGC(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	sweep := func(seed int64) {
+		t.Helper()
+		job, err := s.Simulate(SimulateRequest{Workloads: []string{"MT", "SP"}, Schemes: []string{"BASE", "PAE"}, Scale: "tiny", Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j := waitJob(t, s, job.ID); j.Status != JobDone || len(j.Result.Cells) != 4 {
+			t.Fatalf("sweep at seed %d: status %s, error %q", seed, j.Status, j.Error)
+		}
+	}
+	counts := func() (built, idle int) {
+		s.runners.mu.Lock()
+		defer s.runners.mu.Unlock()
+		return s.runners.built, len(s.runners.free)
+	}
+	sweep(1)
+	if built, idle := counts(); built != 1 || idle != 1 {
+		t.Fatalf("after one sweep: %d Runners built, %d idle; want 1 and 1", built, idle)
+	}
+	runtime.GC()
+	runtime.GC()
+	// A new seed misses the result cache, so every cell simulates again.
+	sweep(2)
+	if built, idle := counts(); built != 1 || idle != 1 {
+		t.Errorf("after a GC and another sweep: %d Runners built, %d idle; want 1 and 1", built, idle)
 	}
 }
