@@ -4,7 +4,6 @@
 //
 //	experiments [-exp all|fig3|fig5|fig10|table2|suite|fig18|fig19|fig20|ablation]
 //	            [-scale tiny|small|full] [-seed N] [-format text|json]
-//	experiments -trace FILE [-window 12] [-format text|json]
 //
 // "suite" renders Figures 11–17 from one valley-benchmark sweep. With
 // -format json, each experiment emits a machine-readable envelope
@@ -12,11 +11,9 @@
 // value for a single experiment, a JSON array for -exp all — so services
 // and scripts can consume sweep results directly.
 //
-// -trace sidesteps the packaged benchmarks entirely and profiles a local
-// trace file with the Figure-5 per-bit analysis. Both containers are
-// accepted (sniffed by magic): CSV streams through the text decoder;
-// VTRC binary (see cmd/tracepack) is mmapped and profiled zero-copy,
-// so full-scale captures profile at flat memory.
+// The -trace and -window flags are gone: entropymap -trace profiles a
+// local trace file (CSV or VTRC, optionally after -scheme), and
+// valleyd's /v1/profile answers with the profile as JSON.
 package main
 
 import (
@@ -35,17 +32,7 @@ func main() {
 	scale := flag.String("scale", "small", "trace scale: tiny, small, full")
 	seed := flag.Int64("seed", 1, "BIM seed (1..3 are the paper's BIM-1..BIM-3)")
 	format := flag.String("format", "text", "output format: text, json")
-	traceFile := flag.String("trace", "", "profile a local trace file (CSV or VTRC binary, sniffed) instead of running packaged experiments")
-	window := flag.Int("window", 12, "window size w for -trace profiling")
 	flag.Parse()
-
-	if *traceFile != "" {
-		if err := profileTrace(*traceFile, *window, strings.ToLower(*format)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		return
-	}
 
 	sc, err := valleymap.ParseScale(*scale)
 	if err != nil {
@@ -68,46 +55,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "unknown format %q (want text or json)\n", *format)
 		os.Exit(2)
-	}
-}
-
-// profileTrace runs the Figure-5 per-bit entropy analysis over a local
-// trace file. Binary files take the mmap path inside OpenTraceFile, so
-// the profile runs zero-copy at flat memory regardless of trace size.
-func profileTrace(path string, window int, format string) error {
-	src, release, err := valleymap.OpenTraceFile(path)
-	if err != nil {
-		return err
-	}
-	defer release() //nolint:errcheck // read-only handle
-	prof, err := valleymap.AnalyzeSource(src, valleymap.AnalysisOptions{Window: window})
-	if err != nil {
-		return err
-	}
-	info := src.Info()
-	switch format {
-	case "json":
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(map[string]any{
-			"experiment": "trace",
-			"options":    map[string]any{"trace": path, "window": window},
-			"data": map[string]any{
-				"name":     info.Name,
-				"abbr":     info.Abbr,
-				"requests": prof.Requests,
-				"per_bit":  prof.PerBit,
-			},
-		})
-	case "text":
-		fmt.Printf("%s (%s): per-bit window entropy, w=%d, %d requests\n",
-			info.Name, info.Abbr, window, prof.Requests)
-		for b := 29; b >= 6; b-- {
-			fmt.Printf("bit %2d  %.3f\n", b, prof.PerBit[b])
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown format %q (want text or json)", format)
 	}
 }
 
