@@ -101,7 +101,8 @@ type Accumulator struct {
 	tbReqs int
 	lanes  laneCounter
 	tbOnes []int64
-	done   bool
+
+	done bool
 }
 
 // NewAccumulator builds a streaming profiler. Memory is
