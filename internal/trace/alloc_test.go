@@ -13,11 +13,10 @@ import (
 // paths over benchApp, per full pass. The CSV decoder allocates its
 // scanner buffer, batch, hasher and kernel names, and grows its hash
 // scratch (27 on a linux/amd64 host), none of it per row. Its bytes per
-// pass are pinned too: the scanner buffer starts at 64 KiB, not at the
-// 1 MiB line limit, which every upload used to allocate and zero. The
-// binary
-// reader decoder allocates fixed-size buffers, its hasher and kernel
-// names (14); an MmapSource pass, a replay, allocates only its decoder
+// pass are pinned too (about 166 KB on that host): the scanner buffer
+// starts at 64 KiB and grows only for long lines. The binary reader
+// decoder allocates fixed-size buffers, its hasher and kernel names
+// (14); an MmapSource pass, a replay, allocates only its decoder
 // struct: batches alias the mapping, kernel headers were saved at open
 // and a replay builds no hasher. A leap past any ceiling means a buffer
 // stopped being reused, a stack buffer started escaping, or a parser
