@@ -33,6 +33,15 @@ const (
 	DefaultHigh = 0.6
 )
 
+// DefaultWindow and DefaultBits are the repo-wide analysis defaults: a
+// window of 12 TBs, the baseline configuration's SM count (the paper's
+// heuristic for w), over the 30-bit physical addresses of the 1 GB
+// Hynix GDDR5 part.
+const (
+	DefaultWindow = 12
+	DefaultBits   = 30
+)
+
 // Ratio is an exact BVR: Ones one-bits observed out of Total requests.
 // Exact rationals avoid floating-point fuzz when counting distinct BVR
 // values inside a window.

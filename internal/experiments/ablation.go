@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
+	"valleymap/internal/entropy"
 	"valleymap/internal/gpusim"
 	"valleymap/internal/layout"
 	"valleymap/internal/mapping"
@@ -60,32 +62,12 @@ func AblationInputBreadth(opt Options) []BreadthPoint {
 			base := runner.Run(app, mapping.NewBASE(l), cfg)
 			res := runner.Run(app, m, cfg)
 			spSum += float64(base.ExecTime) / float64(res.ExecTime)
-			st := trace.CoalesceStream(trace.AppSource(app).Stream(), opt.LineBytes)
-			prof := streamProfile(st, opt.Window, opt.Bits, m.MapBatch)
-			cbSum += prof.Min(chBank)
+			cbSum += profileSource(trace.AppSource(app), m.MapBatch).Min(chBank)
 		}
 		points[i].Speedup = spSum / float64(len(specs))
 		points[i].MinCB = cbSum / float64(len(specs))
 	}
 	return points
-}
-
-// RenderAblationBreadth prints the input-breadth sweep.
-func RenderAblationBreadth(w io.Writer, opt Options) {
-	fmt.Fprintf(w, "Ablation — BIM input-bit breadth (MT/LU/SC/SP mean)\n")
-	fmt.Fprintf(w, "  %-12s %14s %10s %14s\n", "inputs", "input bits", "speedup", "min ch+bank H")
-	for _, pt := range AblationInputBreadth(opt) {
-		fmt.Fprintf(w, "  %-12s %14d %9.2fx %14.2f\n",
-			pt.Name, popcount(pt.InMask), pt.Speedup, pt.MinCB)
-	}
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 // WindowPoint is one entry of the window-size sensitivity sweep.
@@ -105,16 +87,16 @@ func AblationWindowSize(opt Options, windows []int) []WindowPoint {
 	spec, _ := workload.ByAbbr("MT")
 	// Coalesce once into memory, then stream one profiling pass per
 	// window size.
-	app := trace.CoalesceApp(spec.Build(opt.Scale), opt.LineBytes)
+	app := trace.CoalesceApp(spec.Build(opt.Scale), trace.DefaultLineBytes)
 	src := trace.AppSource(app)
 	chBank := []int{8, 9, 10, 11, 12, 13}
 	var nonBlock []int
-	for b := 6; b < opt.Bits; b++ {
+	for b := 6; b < entropy.DefaultBits; b++ {
 		nonBlock = append(nonBlock, b)
 	}
 	out := make([]WindowPoint, 0, len(windows))
 	for _, w := range windows {
-		p := streamProfile(src.Stream(), w, opt.Bits, nil)
+		p := streamProfile(src.Stream(), w, nil)
 		out = append(out, WindowPoint{
 			Window:     w,
 			MeanChBank: p.Mean(chBank),
@@ -124,11 +106,26 @@ func AblationWindowSize(opt Options, windows []int) []WindowPoint {
 	return out
 }
 
-// RenderAblationWindow prints the window sweep.
-func RenderAblationWindow(w io.Writer, opt Options) {
-	fmt.Fprintf(w, "Ablation — window size sensitivity (MT)\n")
-	fmt.Fprintf(w, "  %-8s %14s %12s\n", "window", "mean ch+bank H", "mean H")
-	for _, pt := range AblationWindowSize(opt, []int{1, 2, 4, 8, 12, 16, 24, 48}) {
-		fmt.Fprintf(w, "  %-8d %14.3f %12.3f\n", pt.Window, pt.MeanChBank, pt.MeanAll)
+// ablationOutput is both ablations: the input-breadth sweep and MT's
+// window sweep over w = 1..48.
+func ablationOutput(opt Options) Output {
+	breadth := AblationInputBreadth(opt)
+	windows := AblationWindowSize(opt, []int{1, 2, 4, 8, 12, 16, 24, 48})
+	return Output{
+		Data: map[string]any{"input_breadth": breadth, "window_size": windows},
+		Render: func(w io.Writer) {
+			fmt.Fprintf(w, "Ablation — BIM input-bit breadth (MT/LU/SC/SP mean)\n")
+			fmt.Fprintf(w, "  %-12s %14s %10s %14s\n", "inputs", "input bits", "speedup", "min ch+bank H")
+			for _, pt := range breadth {
+				fmt.Fprintf(w, "  %-12s %14d %9.2fx %14.2f\n",
+					pt.Name, bits.OnesCount64(pt.InMask), pt.Speedup, pt.MinCB)
+			}
+			fmt.Fprintln(w)
+			fmt.Fprintf(w, "Ablation — window size sensitivity (MT)\n")
+			fmt.Fprintf(w, "  %-8s %14s %12s\n", "window", "mean ch+bank H", "mean H")
+			for _, pt := range windows {
+				fmt.Fprintf(w, "  %-8d %14.3f %12.3f\n", pt.Window, pt.MeanChBank, pt.MeanAll)
+			}
+		},
 	}
 }

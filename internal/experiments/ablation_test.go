@@ -56,9 +56,12 @@ func TestAblationWindowSize(t *testing.T) {
 }
 
 func TestAblationRenderers(t *testing.T) {
+	abl, err := Run("ablation", tinyOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b bytes.Buffer
-	RenderAblationBreadth(&b, tinyOpt())
-	RenderAblationWindow(&b, tinyOpt())
+	abl.Render(&b)
 	out := b.String()
 	if !strings.Contains(out, "input-bit breadth") || !strings.Contains(out, "window size") {
 		t.Error("ablation renderers missing headers")

@@ -65,32 +65,12 @@ func TestExperimentsDigest(t *testing.T) {
 // with -format text and with -format json.
 func cliOutput(t *testing.T, name string, opt Options) (text, js []byte) {
 	t.Helper()
-	var b bytes.Buffer
-	switch name {
-	case "fig3":
-		RenderFigure3(&b)
-	case "fig5":
-		RenderFigure5(&b, opt)
-	case "fig10":
-		RenderFigure10(&b, opt)
-	case "table2":
-		RenderTable2(&b, opt)
-	case "suite":
-		fmt.Fprintf(&b, "Running the valley suite (10 benchmarks x 6 schemes, %s scale)...\n\n", opt.Scale)
-		RenderSuiteFigures(&b, ValleySuite(opt))
-	case "fig18":
-		RenderFigure18(&b, opt)
-	case "fig19":
-		RenderFigure19(&b, opt)
-	case "fig20":
-		RenderFigure20(&b, NonValleySuite(opt))
-	case "ablation":
-		RenderAblationBreadth(&b, opt)
-		fmt.Fprintln(&b)
-		RenderAblationWindow(&b, opt)
-	default:
-		t.Fatalf("no text renderer for %q", name)
+	out, err := Run(name, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var b bytes.Buffer
+	out.Render(&b)
 	env, err := JSONPayload(name, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section VI) plus the analysis figures of Sections II–IV.
-// Each experiment has a structured form (for tests, benchmarks and JSON
-// export) and a text renderer (for the cmd/experiments tool).
+// Each experiment has a structured form (for tests and benchmarks), and
+// one table (table.go) names every experiment and turns its computed
+// value into both outputs of the cmd/experiments tool: text and JSON.
 package experiments
 
 import (
@@ -15,35 +16,21 @@ import (
 	"valleymap/internal/workload"
 )
 
-// Options controls experiment scale and randomness.
+// Options controls experiment scale and randomness. Every experiment
+// profiles at the repo-wide analysis defaults: entropy.DefaultWindow,
+// entropy.DefaultBits and trace.DefaultLineBytes.
 type Options struct {
 	// Scale selects trace size (workload.Small is the bench default).
 	Scale workload.Scale
 	// Seed selects the random BIM instance for PAE/FAE/ALL (1..3 map to
 	// BIM-1..BIM-3 of Figure 19).
 	Seed int64
-	// Window is the entropy window size w; 0 means the SM count of the
-	// baseline configuration (12), the paper's heuristic.
-	Window int
-	// Bits is the physical address width (30 for the 1 GB Hynix part).
-	Bits int
-	// LineBytes is the coalescing granularity.
-	LineBytes int
 }
 
 // Defaults fills zero fields.
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Window == 0 {
-		o.Window = 12
-	}
-	if o.Bits == 0 {
-		o.Bits = 30
-	}
-	if o.LineBytes == 0 {
-		o.LineBytes = 128
 	}
 	return o
 }
@@ -53,9 +40,9 @@ func (o Options) withDefaults() Options {
 // mapping addresses a batch at a time through bf.
 // In-memory and generator streams cannot fail, so an error here is a
 // programming bug, not an input condition.
-func streamProfile(st trace.Stream, window, bits int, bf func([]uint64)) entropy.Profile {
+func streamProfile(st trace.Stream, window int, bf func([]uint64)) entropy.Profile {
 	p, err := entropy.ProfileStream(st, entropy.StreamOptions{
-		Window: window, Bits: bits, BatchTransform: bf,
+		Window: window, Bits: entropy.DefaultBits, BatchTransform: bf,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: profiling stream: %v", err))
@@ -63,11 +50,12 @@ func streamProfile(st trace.Stream, window, bits int, bf func([]uint64)) entropy
 	return p
 }
 
-// profileSource profiles straight from a workload generator: generate →
-// coalesce → profile at O(TB) memory, never materializing the trace.
-func profileSource(src trace.Source, opt Options) entropy.Profile {
-	st := trace.CoalesceStream(src.Stream(), opt.LineBytes)
-	return streamProfile(st, opt.Window, opt.Bits, nil)
+// profileSource profiles straight from a source: coalesce → profile at
+// the default window and O(TB) memory, never materializing the trace,
+// optionally mapping addresses through bf after coalescing.
+func profileSource(src trace.Source, bf func([]uint64)) entropy.Profile {
+	st := trace.CoalesceStream(src.Stream(), trace.DefaultLineBytes)
+	return streamProfile(st, entropy.DefaultWindow, bf)
 }
 
 // Figure3 reproduces the worked window-entropy example: 8 TBs with BVR
@@ -93,7 +81,7 @@ func Figure5(opt Options) map[string]entropy.Profile {
 	opt = opt.withDefaults()
 	out := make(map[string]entropy.Profile, 18)
 	for _, spec := range workload.All() {
-		out[spec.Abbr] = profileSource(spec.Source(opt.Scale), opt)
+		out[spec.Abbr] = profileSource(spec.Source(opt.Scale), nil)
 	}
 	return out
 }
@@ -111,8 +99,7 @@ func Figure10(opt Options) map[mapping.Scheme]entropy.Profile {
 		m := mapping.MustNew(s, l, mapping.Options{Seed: opt.Seed})
 		// Build once, stream each candidate's profile with the batched
 		// BIM transform hook (coalescing precedes the mapper).
-		st := trace.CoalesceStream(trace.AppSource(app).Stream(), opt.LineBytes)
-		out[s] = streamProfile(st, opt.Window, opt.Bits, m.MapBatch)
+		out[s] = profileSource(trace.AppSource(app), m.MapBatch)
 	}
 	return out
 }

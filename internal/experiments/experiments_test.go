@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -154,35 +155,54 @@ func TestMeans(t *testing.T) {
 	}
 }
 
-func TestRenderersProduceOutput(t *testing.T) {
-	var b bytes.Buffer
-	RenderFigure3(&b)
-	RenderFigure5(&b, tinyOpt())
-	RenderFigure10(&b, tinyOpt())
-	RenderTable2(&b, tinyOpt())
-	suite := RunSuite(workload.ValleySet()[:2], mapping.Schemes(), baselineCfg(), tinyOpt())
-	RenderSuiteFigures(&b, suite)
-	nv := RunSuite(workload.NonValleySet()[:2], mapping.Schemes(), baselineCfg(), tinyOpt())
-	RenderFigure20(&b, nv)
-	out := b.String()
-	for _, want := range []string{
-		"Figure 3", "Figure 5", "Figure 10", "Table II",
-		"Figure 11", "Figure 12", "Figure 13a", "Figure 13b",
-		"Figure 14a", "Figure 14b", "Figure 14c", "Figure 15",
-		"Figure 16", "Figure 17", "Figure 20", "HMEAN",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
+// TestExperimentOutputs runs every table entry at tiny scale: its text
+// must be free of NaN and bad format verbs and carry its figures'
+// headings, and its JSON data must marshal.
+func TestExperimentOutputs(t *testing.T) {
+	headings := map[string][]string{
+		"fig3":   {"Figure 3"},
+		"fig5":   {"Figure 5", "<- entropy valley"},
+		"fig10":  {"Figure 10"},
+		"table2": {"Table II"},
+		"suite": {"Figure 11", "Figure 12", "Figure 13a", "Figure 13b",
+			"Figure 14a", "Figure 14b", "Figure 14c", "Figure 15",
+			"Figure 16", "Figure 17", "HMEAN"},
+		"fig18":    {"Figure 18"},
+		"fig19":    {"Figure 19"},
+		"fig20":    {"Figure 20", "HMEAN"},
+		"ablation": {"input-bit breadth", "window size"},
 	}
-	if strings.Contains(out, "NaN") || strings.Contains(out, "%!") {
-		t.Error("rendering produced NaN or bad verbs")
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			out, err := Run(name, tinyOpt())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b bytes.Buffer
+			out.Render(&b)
+			text := b.String()
+			if text == "" || strings.Contains(text, "NaN") || strings.Contains(text, "%!") {
+				t.Errorf("text is empty or has NaN or bad verbs:\n%s", text)
+			}
+			for _, want := range headings[name] {
+				if !strings.Contains(text, want) {
+					t.Errorf("text missing %q", want)
+				}
+			}
+			if _, err := json.Marshal(out.Data); err != nil {
+				t.Errorf("JSON data does not marshal: %v", err)
+			}
+		})
+		delete(headings, name)
+	}
+	for name := range headings {
+		t.Errorf("headings listed for %q, which is not an experiment", name)
 	}
 }
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Seed != 1 || o.Window != 12 || o.Bits != 30 || o.LineBytes != 128 {
+	if o.Seed != 1 {
 		t.Errorf("defaults = %+v", o)
 	}
 }

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"valleymap/internal/entropy"
 	"valleymap/internal/gpusim"
-	"valleymap/internal/layout"
 	"valleymap/internal/mapping"
+	"valleymap/internal/trace"
 )
 
 // JSON export of every experiment, for the cmd/experiments -format json
@@ -36,9 +34,9 @@ func optionsJSON(o Options) OptionsJSON {
 	return OptionsJSON{
 		Scale:     o.Scale.String(),
 		Seed:      o.Seed,
-		Window:    o.Window,
-		Bits:      o.Bits,
-		LineBytes: o.LineBytes,
+		Window:    entropy.DefaultWindow,
+		Bits:      entropy.DefaultBits,
+		LineBytes: trace.DefaultLineBytes,
 	}
 }
 
@@ -137,62 +135,12 @@ func SuitePayload(s SuiteResult) SuiteJSON {
 	return out
 }
 
-// Names lists every experiment in presentation order — the single
-// registry the CLI's -exp validation, "all" sequencing, and JSONPayload
-// all share.
-func Names() []string {
-	return []string{"fig3", "fig5", "fig10", "table2", "suite", "fig18", "fig19", "fig20", "ablation"}
-}
-
 // JSONPayload runs the named experiment and returns its envelope. Names
 // match the cmd/experiments -exp values (see Names).
 func JSONPayload(name string, opt Options) (Envelope, error) {
-	env := Envelope{Experiment: name, Options: optionsJSON(opt)}
-	switch name {
-	case "fig3":
-		w2, w4 := Figure3()
-		env.Data = map[string]float64{"hstar_w2": w2, "hstar_w4": w4}
-	case "fig5":
-		profs := Figure5(opt)
-		l := layout.HynixGDDR5()
-		ch, bank := l.FieldBits(layout.Channel), l.FieldBits(layout.Bank)
-		data := map[string]any{}
-		for abbr, p := range profs {
-			data[abbr] = map[string]any{
-				"per_bit":  p.PerBit,
-				"requests": p.Requests,
-				"valley":   p.ChannelBankValley(ch, bank, entropy.DefaultLow, entropy.DefaultHigh),
-			}
-		}
-		env.Data = data
-	case "fig10":
-		profs := Figure10(opt)
-		data := map[string]any{}
-		for sc, p := range profs {
-			data[string(sc)] = map[string]any{"per_bit": p.PerBit, "requests": p.Requests}
-		}
-		env.Data = data
-	case "table2":
-		env.Data = Table2(opt)
-	case "suite":
-		env.Data = SuitePayload(ValleySuite(opt))
-	case "fig18":
-		env.Data = Figure18(opt)
-	case "fig19":
-		data := map[string][3]float64{}
-		for sc, trio := range Figure19(opt) {
-			data[string(sc)] = trio
-		}
-		env.Data = data
-	case "fig20":
-		env.Data = SuitePayload(NonValleySuite(opt))
-	case "ablation":
-		env.Data = map[string]any{
-			"input_breadth": AblationInputBreadth(opt),
-			"window_size":   AblationWindowSize(opt, []int{1, 2, 4, 8, 12, 16, 24, 48}),
-		}
-	default:
-		return Envelope{}, fmt.Errorf("experiments: unknown experiment %q", name)
+	out, err := Run(name, opt)
+	if err != nil {
+		return Envelope{}, err
 	}
-	return env, nil
+	return Envelope{Experiment: name, Options: optionsJSON(opt), Data: out.Data}, nil
 }

@@ -14,6 +14,10 @@ package trace
 
 import "math/bits"
 
+// DefaultLineBytes is the coalescing granularity the coalescers use for
+// a line size ≤ 0: the 128-byte L1 line of the simulated GPU.
+const DefaultLineBytes = 128
+
 // CoalesceTB returns a new TB whose requests are the coalesced
 // transactions of tb at the given line size. Transaction addresses are
 // line-aligned. Order of first touch is preserved.

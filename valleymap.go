@@ -383,26 +383,6 @@ func RunSuite(specs []WorkloadSpec, schemes []Scheme, cfg SimConfig, o Experimen
 	return experiments.RunSuite(specs, schemes, cfg, o)
 }
 
-// Renderers produce the text form of each experiment.
-func RenderFigure3(w io.Writer)                       { experiments.RenderFigure3(w) }
-func RenderFigure5(w io.Writer, o ExperimentOptions)  { experiments.RenderFigure5(w, o) }
-func RenderFigure10(w io.Writer, o ExperimentOptions) { experiments.RenderFigure10(w, o) }
-func RenderTable2(w io.Writer, o ExperimentOptions)   { experiments.RenderTable2(w, o) }
-func RenderSuiteFigures(w io.Writer, s SuiteResult)   { experiments.RenderSuiteFigures(w, s) }
-func RenderFigure18(w io.Writer, o ExperimentOptions) { experiments.RenderFigure18(w, o) }
-func RenderFigure19(w io.Writer, o ExperimentOptions) { experiments.RenderFigure19(w, o) }
-func RenderFigure20(w io.Writer, s SuiteResult)       { experiments.RenderFigure20(w, s) }
-
-// RenderAblationBreadth prints the BIM input-breadth ablation.
-func RenderAblationBreadth(w io.Writer, o ExperimentOptions) {
-	experiments.RenderAblationBreadth(w, o)
-}
-
-// RenderAblationWindow prints the entropy window-size ablation.
-func RenderAblationWindow(w io.Writer, o ExperimentOptions) {
-	experiments.RenderAblationWindow(w, o)
-}
-
 // WriteTraceCSV streams an application trace in the package's CSV trace
 // format (see internal/trace: K records for kernels, R records for
 // requests), so traces can be inspected or exchanged with other tools.

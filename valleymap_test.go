@@ -1,9 +1,7 @@
 package valleymap_test
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"valleymap"
@@ -68,16 +66,6 @@ func TestFacadeWorkloadSets(t *testing.T) {
 		len(valleymap.ValleyWorkloads()) != 10 ||
 		len(valleymap.NonValleyWorkloads()) != 6 {
 		t.Error("workload set sizes wrong")
-	}
-}
-
-func TestFacadeRenderers(t *testing.T) {
-	var b bytes.Buffer
-	opt := valleymap.ExperimentOptions{Scale: valleymap.ScaleTiny}
-	valleymap.RenderFigure3(&b)
-	valleymap.RenderFigure5(&b, opt)
-	if !strings.Contains(b.String(), "Figure 5") {
-		t.Error("renderers broken through facade")
 	}
 }
 
