@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"os"
 
 	"valleymap"
 )
@@ -42,51 +43,58 @@ func main() {
 	cfg := valleymap.BaselineConfig()
 	rng := rand.New(rand.NewSource(7))
 
-	custom := customBroad(rng)
-	gates, depth := custom.GateCost()
+	matrix := customBroad(rng)
+	gates, depth := matrix.GateCost()
 	fmt.Printf("custom Broad BIM: %d XOR gates, depth %d, invertible=%v\n\n",
-		gates, depth, custom.Invertible())
+		gates, depth, matrix.Invertible())
+	custom, err := valleymap.NewCustomMapper("CUSTOM", layout, matrix)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
-	// Candidate mappers: the packaged schemes plus the custom BIM
-	// (wrapped as a transform at trace level for analysis, and compared
-	// in simulation via the closest packaged family, PAE).
+	// Candidate mappers: the packaged schemes plus the custom BIM,
+	// wrapped as a scheme so that the analysis and the simulator run it
+	// like any packaged one.
 	benchmarks := []string{"MT", "LU", "SC", "SP"}
 	chBank := []int{8, 9, 10, 11, 12, 13}
+	var mappers []valleymap.Mapper
+	for _, s := range []valleymap.Scheme{valleymap.BASE, valleymap.PM, valleymap.RMP, valleymap.PAE} {
+		mappers = append(mappers, valleymap.NewMapper(s, layout, 1))
+	}
+	mappers = append(mappers, custom)
 
 	fmt.Printf("%-6s", "bench")
-	schemes := []valleymap.Scheme{valleymap.BASE, valleymap.PM, valleymap.RMP, valleymap.PAE}
-	for _, s := range schemes {
-		fmt.Printf(" %10s", s)
-	}
-	fmt.Printf(" %10s\n", "CUSTOM")
-
-	for _, abbr := range benchmarks {
-		spec, _ := valleymap.WorkloadByAbbr(abbr)
-		app := spec.Build(valleymap.ScaleTiny)
-		fmt.Printf("%-6s", abbr)
-		for _, s := range schemes {
-			m := valleymap.NewMapper(s, layout, 1)
-			p := valleymap.AnalyzeApp(app, valleymap.AnalysisOptions{Transform: m.Map})
-			fmt.Printf(" %10.2f", p.Min(chBank))
-		}
-		p := valleymap.AnalyzeApp(app, valleymap.AnalysisOptions{Transform: custom.Apply})
-		fmt.Printf(" %10.2f\n", p.Min(chBank))
-	}
-	fmt.Println("\n(minimum channel/bank-bit entropy after mapping; higher is better)")
-
-	// Simulated speedups for the same benchmarks: the robustness story.
-	fmt.Printf("\n%-6s", "bench")
-	for _, s := range schemes[1:] {
-		fmt.Printf(" %10s", s)
+	for _, m := range mappers {
+		fmt.Printf(" %10s", m.Scheme())
 	}
 	fmt.Println()
 	for _, abbr := range benchmarks {
 		spec, _ := valleymap.WorkloadByAbbr(abbr)
 		app := spec.Build(valleymap.ScaleTiny)
-		base := valleymap.Simulate(app, valleymap.NewMapper(valleymap.BASE, layout, 1), cfg)
 		fmt.Printf("%-6s", abbr)
-		for _, s := range schemes[1:] {
-			r := valleymap.Simulate(app, valleymap.NewMapper(s, layout, 1), cfg)
+		for _, m := range mappers {
+			p := valleymap.AnalyzeApp(app, valleymap.AnalysisOptions{Transform: m.Map})
+			fmt.Printf(" %10.2f", p.Min(chBank))
+		}
+		fmt.Println()
+	}
+	fmt.Println("\n(minimum channel/bank-bit entropy after mapping; higher is better)")
+
+	// Simulated speedups over BASE for the same benchmarks: the
+	// robustness story.
+	fmt.Printf("\n%-6s", "bench")
+	for _, m := range mappers[1:] {
+		fmt.Printf(" %10s", m.Scheme())
+	}
+	fmt.Println()
+	for _, abbr := range benchmarks {
+		spec, _ := valleymap.WorkloadByAbbr(abbr)
+		app := spec.Build(valleymap.ScaleTiny)
+		base := valleymap.Simulate(app, mappers[0], cfg)
+		fmt.Printf("%-6s", abbr)
+		for _, m := range mappers[1:] {
+			r := valleymap.Simulate(app, m, cfg)
 			fmt.Printf(" %9.2fx", float64(base.ExecTime)/float64(r.ExecTime))
 		}
 		fmt.Println()

@@ -211,20 +211,6 @@ func (r SuiteResult) NormalizedPerfPerWatt(s mapping.Scheme) []float64 {
 	return out
 }
 
-// NormalizedSystemPower returns mean system (GPU+DRAM) power normalized
-// to BASE (quoted in Section VI-C).
-func (r SuiteResult) NormalizedSystemPower(s mapping.Scheme) float64 {
-	var ratios []float64
-	for _, w := range r.Workloads {
-		b := r.Results[w][mapping.BASE].SystemW
-		c := r.Results[w][s].SystemW
-		if b > 0 {
-			ratios = append(ratios, c/b)
-		}
-	}
-	return ArithMean(ratios)
-}
-
 // Figure18Point is one bar group of the SM-count/3D sensitivity study.
 type Figure18Point struct {
 	Config   string                     `json:"config"`

@@ -209,7 +209,6 @@ func (l Layout) ChannelOf(addr uint64) int { return int(l.Extract(Channel, addr)
 func (l Layout) BankOf(addr uint64) int    { return int(l.Extract(Bank, addr)) }
 func (l Layout) RowOf(addr uint64) int     { return int(l.Extract(Row, addr)) }
 func (l Layout) ColumnOf(addr uint64) int  { return int(l.Extract(Column, addr)) }
-func (l Layout) VaultOf(addr uint64) int   { return int(l.Extract(Vault, addr)) }
 
 // Channels, BanksPerChannel, RowsPerBank, ColumnsPerRow report the
 // geometry implied by field widths. On stacked layouts, BanksPerChannel

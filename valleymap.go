@@ -96,6 +96,11 @@ func NewRMPMapper(l Layout, avgEntropy []float64) Mapper {
 	return mapping.NewRMP(l, avgEntropy)
 }
 
+// NewCustomMapper wraps a user-built BIM as a mapping scheme.
+func NewCustomMapper(name Scheme, l Layout, m BIM) (Mapper, error) {
+	return mapping.NewCustom(name, l, m)
+}
+
 // ---------------------------------------------------------------------
 // Traces and workloads (Table II)
 // ---------------------------------------------------------------------
@@ -115,10 +120,6 @@ const (
 	Write = trace.Write
 )
 
-// Coalesce merges per-thread requests into line-granular transactions,
-// as the GPU's coalescing unit does.
-func Coalesce(app *App, lineBytes int) *App { return trace.CoalesceApp(app, lineBytes) }
-
 // ---------------------------------------------------------------------
 // Streaming traces (the one-pass profiling pipeline)
 // ---------------------------------------------------------------------
@@ -135,9 +136,6 @@ type (
 	// CSVTraceStream is a single-shot streaming CSV decoder folding the
 	// canonical record-stream SHA-256 as it decodes.
 	CSVTraceStream = trace.CSVStream
-	// BinaryTraceStream is the single-shot streaming decoder of the VTRC
-	// binary container (same canonical hash, ~no parse cost).
-	BinaryTraceStream = trace.BinaryStream
 	// MmapTraceSource serves a VTRC file as zero-copy batches over a
 	// read-only memory mapping; restartable and fully validated at open.
 	MmapTraceSource = trace.MmapSource
@@ -156,16 +154,10 @@ func CoalesceTraceStream(st TraceStream, lineBytes int) TraceStream {
 	return trace.CoalesceStream(st, lineBytes)
 }
 
-// StreamTraceCSV starts a streaming decode of a CSV trace: the
-// streaming ReadTraceCSV. The returned stream is single-shot and
-// exposes the content hash once fully drained.
+// StreamTraceCSV starts a streaming decode of a trace in the package's
+// CSV format (see WriteTraceCSV). The returned stream is single-shot
+// and exposes the content hash once fully drained.
 func StreamTraceCSV(r io.Reader) *CSVTraceStream { return trace.NewCSVStream(r) }
-
-// StreamTraceBinary starts a streaming decode of a VTRC binary trace.
-// Like StreamTraceCSV the stream is single-shot and exposes the
-// canonical content hash — identical to the CSV encoding's — once
-// drained and checksum-verified.
-func StreamTraceBinary(r io.Reader) *BinaryTraceStream { return trace.NewBinaryStream(r) }
 
 // OpenTraceMmap maps an on-disk VTRC binary trace and serves it as a
 // restartable zero-copy source (validated end to end at open; a
@@ -328,15 +320,6 @@ func Simulate(app *App, m Mapper, cfg SimConfig) SimResult {
 	return gpusim.Run(app, m, cfg)
 }
 
-// SimRunner owns reusable simulation state (event-engine slab, request
-// pools, program buffers). Callers running many simulations back to
-// back should reuse one SimRunner per goroutine: results are
-// bit-identical to fresh runs, at a fraction of the allocations.
-type SimRunner = gpusim.Runner
-
-// NewSimRunner returns an empty SimRunner.
-func NewSimRunner() *SimRunner { return gpusim.NewRunner() }
-
 // ---------------------------------------------------------------------
 // Experiments (Section VI)
 // ---------------------------------------------------------------------
@@ -358,46 +341,10 @@ func Figure18(o ExperimentOptions) []experiments.Figure18Point { return experime
 func Figure19(o ExperimentOptions) map[Scheme][3]float64       { return experiments.Figure19(o) }
 func Table2(o ExperimentOptions) []experiments.Table2Row       { return experiments.Table2(o) }
 
-// Ablations: the input-breadth sweep behind the Broad-strategy argument
-// and the window-size sensitivity of the entropy metric.
-func AblationInputBreadth(o ExperimentOptions) []experiments.BreadthPoint {
-	return experiments.AblationInputBreadth(o)
-}
-func AblationWindowSize(o ExperimentOptions, windows []int) []experiments.WindowPoint {
-	return experiments.AblationWindowSize(o, windows)
-}
-
-// NewCustomMapper wraps a user-built BIM as a mapping scheme.
-func NewCustomMapper(name Scheme, l Layout, m BIM) (Mapper, error) {
-	return mapping.NewCustom(name, l, m)
-}
-
-// NewBroadCustomMapper generates a Broad-strategy mapper drawing from an
-// arbitrary input-bit mask (the breadth-ablation knob).
-func NewBroadCustomMapper(name Scheme, l Layout, inMask uint64, seed int64) Mapper {
-	return mapping.NewBroadCustom(name, l, inMask, seed)
-}
-
-// RunSuite simulates a workload set under a scheme set on one system.
-func RunSuite(specs []WorkloadSpec, schemes []Scheme, cfg SimConfig, o ExperimentOptions) SuiteResult {
-	return experiments.RunSuite(specs, schemes, cfg, o)
-}
-
 // WriteTraceCSV streams an application trace in the package's CSV trace
 // format (see internal/trace: K records for kernels, R records for
 // requests), so traces can be inspected or exchanged with other tools.
 func WriteTraceCSV(w io.Writer, app *App) error { return trace.WriteCSV(w, app) }
-
-// ReadTraceCSV parses a trace in the package's CSV format — the path for
-// analyzing *real* GPU traces dumped by an instrumented simulator.
-func ReadTraceCSV(r io.Reader) (*App, error) { return trace.ReadCSV(r) }
-
-// WriteTraceBinary streams an application trace in the VTRC binary
-// container (fixed-width records, checksummed; see internal/trace's
-// doc.go for the layout and stability contract). Binary traces decode
-// roughly an order of magnitude cheaper than CSV and can be profiled
-// zero-copy via OpenTraceMmap.
-func WriteTraceBinary(w io.Writer, app *App) error { return trace.WriteBinary(w, app) }
 
 // WriteTraceBinaryStream converts a trace stream to the VTRC binary
 // container without materializing it (memory stays O(largest TB)) —
@@ -405,9 +352,6 @@ func WriteTraceBinary(w io.Writer, app *App) error { return trace.WriteBinary(w,
 func WriteTraceBinaryStream(w io.Writer, st TraceStream) error {
 	return trace.WriteBinaryStream(w, st)
 }
-
-// ReadTraceBinary parses a VTRC binary trace into a materialized App.
-func ReadTraceBinary(r io.Reader) (*App, error) { return trace.ReadBinary(r) }
 
 // ---------------------------------------------------------------------
 // Service (cmd/valleyd and embedders)
