@@ -105,7 +105,7 @@ func main() {
 	chBank := append(append([]int(nil), ch...), bank...)
 	fmt.Printf("\nchannel+bank entropy: mean %.3f, min %.3f",
 		prof.Mean(chBank), prof.Min(chBank))
-	if prof.ChannelBankValley(ch, bank, 0.35, 0.6) {
+	if prof.ChannelBankValley(ch, bank, valleymap.ValleyLow, valleymap.ValleyHigh) {
 		fmt.Printf("  -> ENTROPY VALLEY")
 	}
 	fmt.Println()

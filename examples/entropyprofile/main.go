@@ -62,7 +62,7 @@ func buildStencilTrace() *valleymap.App {
 // entropy.
 func valley(p valleymap.Profile) bool {
 	l := valleymap.HynixGDDR5()
-	return p.ChannelBankValley(l.FieldBits(valleymap.FieldChannel), l.FieldBits(valleymap.FieldBank), 0.35, 0.6)
+	return p.ChannelBankValley(l.FieldBits(valleymap.FieldChannel), l.FieldBits(valleymap.FieldBank), valleymap.ValleyLow, valleymap.ValleyHigh)
 }
 
 func spark(p valleymap.Profile) string {

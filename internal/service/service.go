@@ -310,13 +310,13 @@ type profileOptions struct {
 func (r ProfileRequest) options() (profileOptions, error) {
 	o := profileOptions{window: r.Window, bits: r.Bits, lineBytes: r.LineBytes, seed: r.Seed}
 	if o.window == 0 {
-		o.window = 12
+		o.window = entropy.DefaultWindow
 	}
 	if o.bits == 0 {
-		o.bits = 30
+		o.bits = entropy.DefaultBits
 	}
 	if o.lineBytes == 0 {
-		o.lineBytes = 128
+		o.lineBytes = trace.DefaultLineBytes
 	}
 	if o.window < 1 {
 		return o, badRequestf("window must be >= 1, got %d", r.Window)

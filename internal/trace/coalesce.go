@@ -36,15 +36,15 @@ type Coalescer struct {
 	lines lineSet
 }
 
-// Coalesce coalesces tb at the given line size (≤ 0 defaults to 128)
-// into the Coalescer's output TB and returns it, as CoalesceTB would.
-// The result is valid until the next call.
+// Coalesce coalesces tb at the given line size (≤ 0 means
+// DefaultLineBytes) into the Coalescer's output TB and returns it, as
+// CoalesceTB would. The result is valid until the next call.
 func (c *Coalescer) Coalesce(tb *TB, lineBytes int) *TB {
 	dst := &c.out
 	dst.ID = tb.ID
 	dst.Requests = dst.Requests[:0]
 	if lineBytes <= 0 {
-		lineBytes = 128
+		lineBytes = DefaultLineBytes
 	}
 	mask := ^uint64(lineBytes - 1)
 	i := 0

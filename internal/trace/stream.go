@@ -207,13 +207,13 @@ type coalesceStream struct {
 }
 
 // CoalesceStream wraps a stream with GPU-style memory coalescing at the
-// given line size (≤ 0 defaults to 128, like CoalesceTB). Header
-// batches pass through; request batches are rewritten to line-aligned
-// transactions. Output batches may be empty when every access of an
-// input batch folded into already-emitted lines.
+// given line size (≤ 0 means DefaultLineBytes, like CoalesceTB).
+// Header batches pass through; request batches are rewritten to
+// line-aligned transactions. Output batches may be empty when every
+// access of an input batch folded into already-emitted lines.
 func CoalesceStream(in Stream, lineBytes int) Stream {
 	if lineBytes <= 0 {
-		lineBytes = 128
+		lineBytes = DefaultLineBytes
 	}
 	return &coalesceStream{in: in, mask: ^uint64(lineBytes - 1)}
 }

@@ -214,6 +214,16 @@ func WorkloadByAbbr(abbr string) (WorkloadSpec, bool) { return workload.ByAbbr(a
 // Profile is a per-bit entropy distribution.
 type Profile = entropy.Profile
 
+// ValleyLow and ValleyHigh are the valley-classification thresholds of
+// Figure 5, valleyd and cmd/entropymap: pass them to
+// Profile.ChannelBankValley. A channel or bank bit at or below ValleyLow
+// is dead, and a valley counts only when a higher bit reaches
+// ValleyHigh.
+const (
+	ValleyLow  = entropy.DefaultLow
+	ValleyHigh = entropy.DefaultHigh
+)
+
 // AnalysisOptions parameterizes AnalyzeApp.
 type AnalysisOptions struct {
 	// Window is the number of concurrently executing TBs w (0 = 12, the
@@ -250,13 +260,13 @@ func AnalyzeApp(app *App, opt AnalysisOptions) Profile {
 
 func (opt AnalysisOptions) withDefaults() AnalysisOptions {
 	if opt.Window == 0 {
-		opt.Window = 12
+		opt.Window = entropy.DefaultWindow
 	}
 	if opt.Bits == 0 {
-		opt.Bits = 30
+		opt.Bits = entropy.DefaultBits
 	}
 	if opt.LineBytes == 0 {
-		opt.LineBytes = 128
+		opt.LineBytes = trace.DefaultLineBytes
 	}
 	return opt
 }
