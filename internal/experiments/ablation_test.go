@@ -56,12 +56,8 @@ func TestAblationWindowSize(t *testing.T) {
 }
 
 func TestAblationRenderers(t *testing.T) {
-	abl, err := Run("ablation", tinyOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var b bytes.Buffer
-	abl.Render(&b)
+	tinyOutputs()["ablation"].Render(&b)
 	out := b.String()
 	if !strings.Contains(out, "input-bit breadth") || !strings.Contains(out, "window size") {
 		t.Error("ablation renderers missing headers")

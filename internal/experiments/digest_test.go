@@ -10,8 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"valleymap/internal/workload"
 )
 
 var updateDigest = flag.Bool("update", false, "rewrite testdata/experiments_tiny.sha256 from current output")
@@ -26,10 +24,9 @@ func TestExperimentsDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment at tiny scale")
 	}
-	opt := Options{Scale: workload.Tiny, Seed: 1}
 	var got strings.Builder
 	for _, name := range Names() {
-		text, js := cliOutput(t, name, opt)
+		text, js := cliOutput(t, name, tinyOpt(), tinyOutputs()[name])
 		fmt.Fprintf(&got, "%x  %s.txt\n", sha256.Sum256(text), name)
 		fmt.Fprintf(&got, "%x  %s.json\n", sha256.Sum256(js), name)
 	}
@@ -61,24 +58,17 @@ func TestExperimentsDigest(t *testing.T) {
 	}
 }
 
-// cliOutput returns the bytes cmd/experiments prints for one experiment
-// with -format text and with -format json.
-func cliOutput(t *testing.T, name string, opt Options) (text, js []byte) {
+// cliOutput returns the bytes cmd/experiments prints with -format text
+// and with -format json for one run of an experiment: the envelope is
+// built as JSONPayload builds it.
+func cliOutput(t *testing.T, name string, opt Options, out Output) (text, js []byte) {
 	t.Helper()
-	out, err := Run(name, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var b bytes.Buffer
 	out.Render(&b)
-	env, err := JSONPayload(name, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var j bytes.Buffer
 	enc := json.NewEncoder(&j)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(env); err != nil {
+	if err := enc.Encode(envelope(name, opt, out)); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes(), j.Bytes()

@@ -142,5 +142,9 @@ func JSONPayload(name string, opt Options) (Envelope, error) {
 	if err != nil {
 		return Envelope{}, err
 	}
-	return Envelope{Experiment: name, Options: optionsJSON(opt), Data: out.Data}, nil
+	return envelope(name, opt, out), nil
+}
+
+func envelope(name string, opt Options, out Output) Envelope {
+	return Envelope{Experiment: name, Options: optionsJSON(opt), Data: out.Data}
 }
