@@ -21,9 +21,6 @@ var updateDigest = flag.Bool("update", false, "rewrite testdata/experiments_tiny
 // experiments it touches. A refactor must leave the file alone; run
 // with -update only after an intentional output change.
 func TestExperimentsDigest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment at tiny scale")
-	}
 	var got strings.Builder
 	for _, name := range Names() {
 		text, js := cliOutput(t, name, tinyOpt(), tinyOutputs()[name])

@@ -341,7 +341,7 @@ type ExperimentOptions = experiments.Options
 // series of Figures 11–17 and 20.
 type SuiteResult = experiments.SuiteResult
 
-// Experiment runners (see README.md for the experiment index).
+// Experiment runners; cmd/experiments -h lists every experiment.
 func Figure3() (w2, w4 float64)                                { return experiments.Figure3() }
 func Figure5(o ExperimentOptions) map[string]Profile           { return experiments.Figure5(o) }
 func Figure10(o ExperimentOptions) map[Scheme]Profile          { return experiments.Figure10(o) }
