@@ -155,10 +155,10 @@ func TestMeans(t *testing.T) {
 	}
 }
 
-// TestExperimentOutputs checks every table entry's output at tiny
+// TestRenderersProduceOutput checks every table entry's output at tiny
 // scale: its text must be free of NaN and bad format verbs and carry
 // its figures' headings, and its JSON data must marshal.
-func TestExperimentOutputs(t *testing.T) {
+func TestRenderersProduceOutput(t *testing.T) {
 	headings := map[string][]string{
 		"fig3":   {"Figure 3"},
 		"fig5":   {"Figure 5", "<- entropy valley"},

@@ -1,10 +1,13 @@
 package valleymap_test
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"valleymap"
+	"valleymap/internal/experiments"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -66,6 +69,23 @@ func TestFacadeWorkloadSets(t *testing.T) {
 		len(valleymap.ValleyWorkloads()) != 10 ||
 		len(valleymap.NonValleyWorkloads()) != 6 {
 		t.Error("workload set sizes wrong")
+	}
+}
+
+// TestFacadeRenderers renders Figures 3 and 5 from the facade's
+// ExperimentOptions and scale constants, the way cmd/experiments does.
+func TestFacadeRenderers(t *testing.T) {
+	var b bytes.Buffer
+	opt := valleymap.ExperimentOptions{Scale: valleymap.ScaleTiny}
+	for _, name := range []string{"fig3", "fig5"} {
+		out, err := experiments.Run(name, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Render(&b)
+	}
+	if !strings.Contains(b.String(), "Figure 5") {
+		t.Error("renderers broken through facade")
 	}
 }
 
